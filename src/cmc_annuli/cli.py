@@ -193,22 +193,30 @@ def _print_json(payload: dict) -> None:
 
 
 def _data_extremes(datum: str) -> tuple[float, float]:
-    """Parse a boundary datum: a plain number, or a CSV file of per-theta values."""
+    """Parse a boundary datum: a plain number, or a CSV file of per-theta values.
+
+    In a file, blank lines and '#' comments are skipped, the first remaining
+    line may be a header, and every other line must end in a finite number.
+    """
     try:
         value = float(datum)
         return value, value
     except ValueError:
         pass
+    lines = enumerate((raw.strip() for raw in Path(datum).read_text().splitlines()), start=1)
+    rows = [(no, line) for no, line in lines if line and not line.startswith("#")]
     values: list[float] = []
-    for raw in Path(datum).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for index, (line_no, line) in enumerate(rows):
         last = line.split(",")[-1].strip()
         try:
-            values.append(float(last))
+            value = float(last)
         except ValueError:
-            continue  # header line
+            if index == 0:
+                continue  # header line
+            raise ValueError(f"{datum}:{line_no}: expected a number, got {last!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{datum}:{line_no}: value {last!r} is not finite")
+        values.append(value)
     if not values:
         raise ValueError(f"no numeric values found in {datum!r}")
     return min(values), max(values)
@@ -235,8 +243,9 @@ def _cmd_bounds(ns: SimpleNamespace) -> int:
             "beta": box.beta.alpha,
             "alpha": None if box.alpha is None else box.alpha.alpha,
             "hole_ok": box.hole_ok,
-            "upper_at_a": box.upper.value(annulus.a),
-            "lower_at_a": None if box.lower is None else box.lower.value(annulus.a),
+            # the table's first row is rho = a
+            "upper_at_a": float(table[0, 2]),
+            "lower_at_a": None if box.lower is None else float(table[0, 1]),
         }
     )
     return 0
@@ -294,11 +303,8 @@ def _cmd_solve(ns: SimpleNamespace) -> int:
     tol = 1e-10 if ns.tol is None else ns.tol
     solution = solve_radial(ns.h, annulus, ns.u_a, ns.u_b, tol)
     radii = np.linspace(annulus.a, annulus.b, ns.n)
-    _write_csv(
-        ns.out,
-        "rho,u",
-        ([_fmt(rho), _fmt(solution.evaluator.value(rho))] for rho in radii),
-    )
+    values = solution.evaluator.value(radii)
+    _write_csv(ns.out, "rho,u", ([_fmt(rho), _fmt(u)] for rho, u in zip(radii, values)))
     _print_json(
         {
             "status": "solved",

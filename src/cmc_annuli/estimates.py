@@ -7,7 +7,8 @@ the outer maximum M, and the small-branch profile (which exists for every
 annulus at h = 1/2, and for a < artanh(2h) otherwise) bounds it from below
 once shifted to the outer minimum m. Both envelopes depend only on the
 annulus and the outer boundary values. Inner Dirichlet data that exits the
-box at rho = a therefore certifies that no solution exists.
+box at rho = a therefore certifies that no solution exists. Envelope values
+take a radius or an array of radii; an array is tabulated in one pass.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .hyperbolic import MAX_RADIUS, RadialFunction
 from .profiles import (
     DEFAULT_TOL,
     ProfileParameter,
+    _anchored_graph,
+    _slacks_at,
     as_mean_curvature,
-    height,
     param_large,
     param_small,
-    slope,
 )
 
 
@@ -63,6 +64,14 @@ class OuterBoundaryData:
             raise ValueError(f"need m <= M, got m={self.m:g} > M={self.M:g}")
 
 
+def _envelope(
+    h: float, annulus: Annulus, param: ProfileParameter, top: float, tol: float
+) -> RadialFunction:
+    """The profile vertical at a (flux C = -param), translated to ``top`` at b."""
+    C = -param.alpha
+    return _anchored_graph(h, C, annulus.a, annulus.b, _slacks_at(h, annulus.a, C), top, tol)
+
+
 def upper_envelope(h, annulus: Annulus, M: float, tol: float = DEFAULT_TOL) -> RadialFunction:
     """Upper bound for any cmc-h graph on the annulus with outer maximum M.
 
@@ -70,16 +79,7 @@ def upper_envelope(h, annulus: Annulus, M: float, tol: float = DEFAULT_TOL) -> R
     value at rho = b equals M. Exists for every annulus and every h.
     """
     h = as_mean_curvature(h)
-    beta = param_large(h, annulus.a)
-    drop = height(h, beta, annulus.b, tol)
-
-    def value(rho: float) -> float:
-        return height(h, beta, rho, tol) - drop + M
-
-    def derivative(rho: float) -> float:
-        return slope(h, beta, rho)
-
-    return RadialFunction(value, derivative, (annulus.a, annulus.b))
+    return _envelope(h, annulus, param_large(h, annulus.a), M, tol)
 
 
 def lower_envelope(h, annulus: Annulus, m: float, tol: float = DEFAULT_TOL) -> RadialFunction:
@@ -90,16 +90,7 @@ def lower_envelope(h, annulus: Annulus, m: float, tol: float = DEFAULT_TOL) -> R
     a >= artanh(2h), where no such profile exists.
     """
     h = as_mean_curvature(h)
-    alpha = param_small(h, annulus.a)
-    drop = height(h, alpha, annulus.b, tol)
-
-    def value(rho: float) -> float:
-        return height(h, alpha, rho, tol) - drop + m
-
-    def derivative(rho: float) -> float:
-        return slope(h, alpha, rho)
-
-    return RadialFunction(value, derivative, (annulus.a, annulus.b))
+    return _envelope(h, annulus, param_small(h, annulus.a), m, tol)
 
 
 @dataclass(frozen=True)
@@ -118,26 +109,22 @@ class AprioriBounds:
         if n < 2:
             raise ValueError(f"need at least 2 sample rows, got n = {n}")
         radii = np.linspace(self.annulus.a, self.annulus.b, int(n))
-        upper = np.array([self.upper.value(r) for r in radii])
-        if self.lower is None:
-            lower = np.full_like(upper, np.nan)
-        else:
-            lower = np.array([self.lower.value(r) for r in radii])
+        upper = self.upper.value(radii)
+        lower = np.full_like(upper, np.nan) if self.lower is None else self.lower.value(radii)
         return np.column_stack([radii, lower, upper])
 
 
 def bounding_box(h, annulus: Annulus, data: OuterBoundaryData, tol: float = DEFAULT_TOL) -> AprioriBounds:
     """Assemble both envelopes; the lower one is omitted when the hole is too large."""
     h = as_mean_curvature(h)
-    upper = upper_envelope(h, annulus, data.M, tol)
     beta = param_large(h, annulus.a)
+    upper = _envelope(h, annulus, beta, data.M, tol)
     try:
-        lower = lower_envelope(h, annulus, data.m, tol)
         alpha = param_small(h, annulus.a)
-        hole_ok = True
     except HoleTooLargeError:
-        lower, alpha, hole_ok = None, None, False
-    return AprioriBounds(annulus, upper, lower, beta, alpha, hole_ok)
+        return AprioriBounds(annulus, upper, None, beta, None, False)
+    lower = _envelope(h, annulus, alpha, data.m, tol)
+    return AprioriBounds(annulus, upper, lower, beta, alpha, True)
 
 
 class Verdict(enum.Enum):
@@ -173,6 +160,8 @@ def dirichlet_feasibility(
     distance to the nearest threshold otherwise. Shifting all boundary data by
     one constant shifts the thresholds identically and preserves the verdict.
     """
+    if not (math.isfinite(inner_min) and math.isfinite(inner_max)):
+        raise ValueError(f"inner data must be finite, got {inner_min!r} and {inner_max!r}")
     if inner_min > inner_max:
         raise ValueError(f"need inner_min <= inner_max, got {inner_min:g} > {inner_max:g}")
     box = bounding_box(h, annulus, data, tol)

@@ -136,13 +136,16 @@ def max_gradient(field2d: Field2D) -> float:
 
 def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray:
     if callable(g):
-        return np.array([float(g(t)) for t in theta])
-    arr = np.asarray(g, dtype=float)
-    if arr.ndim == 0:
-        return np.full(theta.shape, float(arr))
-    if arr.shape != theta.shape:
-        raise ValueError(f"{name} must have one value per theta node, got shape {arr.shape}")
-    return arr.astype(float).copy()
+        arr = np.array([float(g(t)) for t in theta])
+    else:
+        arr = np.array(g, dtype=float)
+        if arr.ndim == 0:
+            arr = np.full(theta.shape, float(arr))
+        elif arr.shape != theta.shape:
+            raise ValueError(f"{name} must have one value per theta node, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite at every theta node")
+    return arr
 
 
 def _picard_matrix(grid: PolarGrid, u: np.ndarray, h: float):

@@ -23,10 +23,15 @@ branches reach every radius.
 Numerics: rho0 is evaluated through the cancellation-free identity
 exp(rho0) = (1+2h)/(alpha + sqrt(alpha^2 + 1 - 4h^2)) (one sign of the
 exponent per branch), which is h-continuous and reduces to |log(alpha)| at
-h = 1/2 exactly. Heights integrate the slope after the substitution
-r = rho0 + s^2, which removes the inverse-square-root endpoint singularity;
-the transformed integrand has the finite limit
-sign * sqrt(2*sinh(rho0) / ((1-4h^2)*cosh(rho0) + 2h*alpha)) at s = 0.
+h = 1/2 exactly.
+
+Every graph of constant mean curvature h over an annulus has a conserved flux,
+sinh(rho) u'/sqrt(1 + u'^2) = 2h*cosh(rho) + C; a profile is the C = -alpha
+member. One private kernel integrates the slope of any such graph from a base
+radius r0 after the substitution r = r0 + s^2, which removes the
+inverse-square-root singularity where the graph is vertical. Profile heights,
+the envelopes of ``estimates`` and the drops and solutions of ``radial`` all
+go through it.
 """
 
 from __future__ import annotations
@@ -191,84 +196,163 @@ def param_large(h, rho) -> ProfileParameter:
     return ProfileParameter.classify(h, _large_value(h, rho))
 
 
-def slope(h, alpha, rho) -> float:
-    """Slope u(rho) of the profile, signed infinity on its starting circle.
+#: Slope of a family profile on its own starting circle: vertical on both
+#: branches, flat for the neck (which starts at rho0 = 0).
+_START_SLOPE = {Branch.SMALL: math.inf, Branch.NECK: 0.0, Branch.LARGE: -math.inf}
 
-    The radicand factors as (alpha - small(rho)) * (large(rho) - alpha) with
-    the closed-form branch values, so it is evaluated without squaring. On the
-    small branch the vertical approach is from +inf, on the large branch from
-    -inf; the neck profile has the finite limit 0 at rho = 0 (slope ~ h*rho).
-    """
-    h = as_mean_curvature(h)
-    param = as_parameter(h, alpha)
-    rho = check_radius(rho)
-    a = param.alpha
+
+def _start_radius(h: float, param: ProfileParameter, rho: float) -> float:
+    """rho0 of the profile, after checking that rho is not inside its starting circle."""
     rho0 = boundary_radius(h, param)
     if rho < rho0 - _BOUNDARY_SLACK:
         raise ValueError(
             f"rho = {rho:g} is inside the starting circle rho0 = {rho0:g} "
             "of this profile"
         )
-    if param.branch is Branch.NECK:
-        if rho == 0.0:
-            return 0.0
-    elif rho <= rho0:
-        return math.inf if param.branch is Branch.SMALL else -math.inf
-    radicand = (a - _small_value(h, rho)) * (_large_value(h, rho) - a)
-    if radicand <= 0.0:
-        # only reachable a few ulp above rho0, where the true slope is vertical
-        return math.inf if param.branch is Branch.SMALL else -math.inf
-    return (2.0 * h * math.cosh(rho) - a) / math.sqrt(radicand)
+    return rho0
 
 
-def _desingularized_integrand(
-    h: float, param: ProfileParameter, rho0: float
-) -> Callable[[float], float]:
-    """Integrand of the height integral after the substitution r = rho0 + s^2.
+def _flux_slope(h: float, C: float, rho: float) -> float:
+    """Slope F/sqrt(sinh^2 - F^2), F = 2h*cosh(rho) + C, of the flux-C graph.
 
-    The radicand factors are evaluated as (slack at rho0) + (growth since
-    rho0) with the growth in expm1 form, keeping full relative accuracy right
-    up to the vertical circle.
+    The radicand factors as (-small(rho) - C) * (large(rho) + C) with the
+    closed-form branch values, so it is evaluated without squaring. At or
+    below zero (a few ulp from a vertical circle) the slope is the signed
+    infinity of F.
     """
-    a = param.alpha
-    if param.branch is Branch.NECK:
-        start = 0.0
-    else:
-        # lim_{s->0} 2s*u(rho0+s^2), from the linear vanishing of the radicand
-        d = (1.0 - 2.0 * h) * (1.0 + 2.0 * h) * math.cosh(rho0) + 2.0 * h * a
-        start = math.sqrt(2.0 * math.sinh(rho0) / d)
-        if param.branch is Branch.LARGE:
-            start = -start
+    f = 2.0 * h * math.cosh(rho) + C
+    radicand = (-_small_value(h, rho) - C) * (_large_value(h, rho) + C)
+    if radicand <= 0.0:
+        return math.copysign(math.inf, f)
+    return f / math.sqrt(radicand)
 
-    slack_small = a - _small_value(h, rho0)  # first factor at r = rho0
-    slack_large = _large_value(h, rho0) - a  # second factor at r = rho0
-    exp_plus, exp_minus = math.exp(rho0), math.exp(-rho0)
+
+def slope(h, alpha, rho) -> float:
+    """Slope u(rho) of the profile, signed infinity on its starting circle.
+
+    The profile is the flux graph with C = -alpha. On the small branch the
+    vertical approach is from +inf, on the large branch from -inf; the neck
+    profile has the finite limit 0 at rho = 0 (slope ~ h*rho).
+    """
+    h = as_mean_curvature(h)
+    param = as_parameter(h, alpha)
+    rho = check_radius(rho)
+    rho0 = _start_radius(h, param, rho)
+    if rho <= rho0:
+        return _START_SLOPE[param.branch]
+    return _flux_slope(h, -param.alpha, rho)
+
+
+def _slacks_at(h: float, r0: float, C: float) -> tuple[float, float]:
+    """The radicand factors -small(r0) - C and large(r0) + C of the flux-C graph.
+
+    Both are exactly zero at their own end of the flux interval at r0.
+    """
+    return -_small_value(h, r0) - C, _large_value(h, r0) + C
+
+
+def _flux_kernel(
+    h: float, C: float, r0: float, slack_small: float, slack_large: float
+) -> tuple[Callable[[float], float], list[float]]:
+    """Integrand and breakpoints for the rise of the flux-C graph above r0.
+
+    The rise from r0 to rho is the integral of g(s) = 2s * u'(r0 + s^2) over
+    0 <= s <= sqrt(rho - r0); the substitution removes the inverse-square-root
+    singularity where the graph is vertical. The radicand factors are
+    evaluated as their slacks at r0, ``slack_small = -small(r0) - C`` and
+    ``slack_large = large(r0) + C``, plus their growth since r0 in expm1 form,
+    which keeps full relative accuracy however close C sits to a vertical
+    flux. The caller supplies the slacks, so one that C cannot carry stays
+    exact: a family profile has one slack exactly 0 on its own circle, and a
+    flux t^2 above the lower end of its interval has slack_large = t^2 even
+    where t^2 is below the rounding of C.
+    """
+    exp_plus, exp_minus = math.exp(r0), math.exp(-r0)
     coef_plus, coef_minus = 1.0 + 2.0 * h, 1.0 - 2.0 * h
 
     def g(s: float) -> float:
-        d2 = s * s
-        up = math.expm1(d2)
-        down = -math.expm1(-d2)
+        d = s * s
+        up = math.expm1(d)
+        down = -math.expm1(-d)
+        # small(r0) - small(r0 + d) and large(r0 + d) - large(r0)
         grow_small = 0.5 * (coef_plus * exp_minus * down + coef_minus * exp_plus * up)
         grow_large = 0.5 * (coef_plus * exp_plus * up + coef_minus * exp_minus * down)
         radicand = (slack_small + grow_small) * (slack_large + grow_large)
         if radicand <= 0.0:
-            return start
-        r = rho0 + d2
-        return 2.0 * s * (2.0 * h * math.cosh(r) - a) / math.sqrt(radicand)
+            return 0.0  # s = 0 on a vertical circle, a node Gauss-Kronrod never samples
+        return 2.0 * s * (2.0 * h * math.cosh(r0 + d) + C) / math.sqrt(radicand)
 
-    return g
-
-
-def _profile_breakpoints(h: float, alpha: float, rho0: float, s_max: float) -> list[float]:
-    """Turnover scales of the radicand factors right above the starting circle."""
-    return layer_breakpoints(
-        (
-            (alpha - _small_value(h, rho0), math.cosh(rho0) - 2.0 * h * math.sinh(rho0)),
-            (_large_value(h, rho0) - alpha, math.cosh(rho0) + 2.0 * h * math.sinh(rho0)),
-        ),
-        s_max,
+    cosh0, sinh0 = math.cosh(r0), math.sinh(r0)
+    points = layer_breakpoints(
+        ((slack_small, cosh0 - 2.0 * h * sinh0), (slack_large, cosh0 + 2.0 * h * sinh0))
     )
+    return g, points
+
+
+def _tabulate(g: Callable[[float], float], points: list[float], nodes, tol: float) -> np.ndarray:
+    """Integrals of g from 0 to each of the ascending nodes, accumulated panel by panel."""
+    out = np.empty(len(nodes))
+    total = lo = 0.0
+    for k, hi in enumerate(nodes):
+        total += adaptive_quad(g, lo, float(hi), tol, points=points)
+        out[k] = total
+        lo = float(hi)
+    return out
+
+
+def _anchored_graph(
+    h: float,
+    C: float,
+    a: float,
+    b: float,
+    slacks: tuple[float, float],
+    top: float,
+    tol: float,
+) -> RadialFunction:
+    """The flux-C graph over [a, b], translated to the value ``top`` at b.
+
+    ``slacks`` are the radicand slacks at a (see ``_flux_kernel``). The value
+    callable takes a radius, or an array of radii, which is tabulated panel by
+    panel in one pass; both give exactly ``top`` at b.
+    """
+    g, points = _flux_kernel(h, C, a, *slacks)
+    s_b = math.sqrt(b - a)
+    lo, hi = a - _BOUNDARY_SLACK, b + _BOUNDARY_SLACK
+
+    def outside(rho) -> ValueError:
+        return ValueError(f"rho = {rho} outside the annulus [{a:g}, {b:g}]")
+
+    def value(rho):
+        if np.ndim(rho):
+            radii = np.asarray(rho, dtype=float)
+            if not np.all((radii >= lo) & (radii <= hi)):
+                raise outside(radii)
+            s = np.sqrt(np.maximum(radii - a, 0.0)).ravel()
+            order = np.argsort(s)
+            rises = _tabulate(g, points, np.append(s[order], s_b), tol)
+            out = np.empty_like(s)
+            out[order] = top - (rises[-1] - rises[:-1])
+            return out.reshape(radii.shape)
+        rho = float(rho)
+        if not lo <= rho <= hi:
+            raise outside(rho)
+        return top - adaptive_quad(g, math.sqrt(max(rho - a, 0.0)), s_b, tol, points=points)
+
+    def derivative(rho: float) -> float:
+        rho = float(rho)
+        if not lo <= rho <= hi:
+            raise outside(rho)
+        return _flux_slope(h, C, rho)
+
+    return RadialFunction(value, derivative, (a, b))
+
+
+def _profile_kernel(h: float, param: ProfileParameter, rho0: float):
+    """Flux kernel of a family profile: C = -alpha, vertical at its own circle."""
+    other = 2.0 * math.sinh(rho0)  # large(rho0) - small(rho0); 0 for the neck
+    if param.branch is Branch.LARGE:
+        return _flux_kernel(h, -param.alpha, rho0, other, 0.0)
+    return _flux_kernel(h, -param.alpha, rho0, 0.0, other)
 
 
 def height(h, alpha, rho, tol: float = DEFAULT_TOL) -> float:
@@ -282,17 +366,11 @@ def height(h, alpha, rho, tol: float = DEFAULT_TOL) -> float:
     h = as_mean_curvature(h)
     param = as_parameter(h, alpha)
     rho = check_radius(rho)
-    rho0 = boundary_radius(h, param)
-    if rho < rho0 - _BOUNDARY_SLACK:
-        raise ValueError(
-            f"rho = {rho:g} is inside the starting circle rho0 = {rho0:g} "
-            "of this profile"
-        )
+    rho0 = _start_radius(h, param, rho)
     if rho <= rho0:
         return 0.0
-    g = _desingularized_integrand(h, param, rho0)
-    s_max = math.sqrt(rho - rho0)
-    return adaptive_quad(g, 0.0, s_max, tol, points=_profile_breakpoints(h, param.alpha, rho0, s_max))
+    g, points = _profile_kernel(h, param, rho0)
+    return adaptive_quad(g, 0.0, math.sqrt(rho - rho0), tol, points=points)
 
 
 def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -301,7 +379,7 @@ def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.nd
     The first row sits on the starting circle with height exactly zero and the
     vertical-slope sentinel (finite for the neck profile). Heights accumulate
     panel by panel, so consecutive differences equal the single-panel
-    quadratures; only the first panel needs the desingularizing substitution.
+    quadratures.
     """
     h = as_mean_curvature(h)
     param = as_parameter(h, alpha)
@@ -316,17 +394,10 @@ def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.nd
         )
 
     radii = np.linspace(rho0, rho_max, n)
-    heights = np.empty(n)
-    heights[0] = 0.0
-    g = _desingularized_integrand(h, param, rho0)
-    first_s = math.sqrt(radii[1] - rho0)
-    heights[1] = adaptive_quad(
-        g, 0.0, first_s, tol, points=_profile_breakpoints(h, param.alpha, rho0, first_s)
-    )
-    for k in range(2, n):
-        panel = adaptive_quad(lambda r: slope(h, param, r), radii[k - 1], radii[k], tol)
-        heights[k] = heights[k - 1] + panel
-    slopes = np.array([slope(h, param, r) for r in radii])
+    g, points = _profile_kernel(h, param, rho0)
+    heights = _tabulate(g, points, np.sqrt(radii - rho0), tol)
+    slopes = [_START_SLOPE[param.branch]]
+    slopes += [_flux_slope(h, -param.alpha, r) for r in radii[1:].tolist()]
     return np.column_stack([radii, heights, slopes])
 
 

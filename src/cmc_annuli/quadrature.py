@@ -10,22 +10,21 @@ from scipy.integrate import quad
 from .errors import QuadratureError
 
 
-def layer_breakpoints(pairs: Iterable[tuple[float, float]], s_max: float) -> list[float]:
+def layer_breakpoints(pairs: Iterable[tuple[float, float]]) -> list[float]:
     """Turnover scales of radicand factors slack + growth*s^2, as breakpoints.
 
     A factor with a small positive slack turns from flat to quadratic at
     s = sqrt(slack/growth); when that scale is narrower than the sampler's
     initial spacing the whole layer can be stepped over, so it is handed to
     the integrator explicitly (with a couple of guard multiples).
+    ``adaptive_quad`` keeps the ones inside each interval it integrates.
     """
     points: list[float] = []
     for slack, growth in pairs:
         if slack <= 0.0 or growth <= 0.0:
             continue
         width = math.sqrt(slack / growth)
-        if width >= s_max:
-            continue
-        points.extend(w for w in (width, 8.0 * width, 64.0 * width) if w < s_max)
+        points.extend((width, 8.0 * width, 64.0 * width))
     return sorted(points)
 
 # smallest relative tolerance QUADPACK accepts is ~50*eps; keep epsabs in charge

@@ -1,4 +1,4 @@
-"""Radial Dirichlet solver built on the conserved flux, used as an oracle.
+"""Radial Dirichlet solver built on the conserved flux.
 
 Integrating the divergence form of the curvature operator once in rho shows
 that every rotational graph with constant mean curvature h satisfies
@@ -10,9 +10,10 @@ F = 2h*cosh + C. Family profiles are the C = -alpha members, and every radial
 solution is a vertical translate of a slope field of this form. Solving the
 radial Dirichlet problem on an annulus therefore reduces to a one-dimensional
 root find in C, and the achievable drops u(a) - u(b) form an open interval
-whose endpoints are exactly the envelope drops of the a-priori estimates.
-That makes this module an independent check of both the estimates and their
-sharpness in the rotational class.
+whose endpoints are exactly the envelope drops of the a-priori estimates:
+both are the flux graphs at the ends of the flux interval, anchored at
+rho = a. The envelopes and this solver share the flux kernel of ``profiles``;
+the mpmath reference in the test suite checks them independently.
 """
 
 from __future__ import annotations
@@ -24,18 +25,18 @@ from scipy.optimize import brentq
 
 from .errors import InfeasibleBoundaryError, InfeasibleFluxError, NonConvergenceError
 from .estimates import Annulus
-from .hyperbolic import RadialFunction
 from .profiles import (
     DEFAULT_TOL,
+    _anchored_graph,
+    _flux_kernel,
     _large_value,
+    _slacks_at,
     _small_value,
     as_mean_curvature,
     height,
-    hole_threshold,
-    param_large,
-    param_small,
 )
-from .quadrature import adaptive_quad, layer_breakpoints
+from .quadrature import adaptive_quad
+
 
 @dataclass(frozen=True)
 class FeasibleDropInterval:
@@ -51,7 +52,8 @@ class RadialSolution:
 
     ``shift`` is the vertical translation relative to the zero-anchored family
     profile with parameter -C when C < 0, and simply u(a) otherwise.
-    ``evaluator``(b) reproduces the prescribed outer value exactly.
+    ``evaluator``(b) reproduces the prescribed outer value exactly. Its value
+    takes a radius or an array of radii; an array is tabulated in one pass.
     """
 
     C: float
@@ -73,57 +75,10 @@ def feasible_flux_interval(h, annulus: Annulus) -> tuple[float, float]:
     return (-_large_value(h, annulus.a), -_small_value(h, annulus.a))
 
 
-def _graph_radicand(h: float, C: float, rho: float) -> float:
-    # sinh^2 - F^2 factored through the branch values, avoiding squared cancellation
-    return (-_small_value(h, rho) - C) * (_large_value(h, rho) + C)
-
-
-def _drop_integrand(h: float, C: float, a: float):
-    """Integrand of the drop integral after the substitution r = a + s^2.
-
-    The radicand factors are evaluated as (slack at a) + (growth since a) with
-    the growth in expm1 form, which keeps full relative accuracy however close
-    C sits to an extremal flux; the naive difference form loses the boundary
-    layer to rounding.
-    """
-    slack_small = -_small_value(h, a) - C  # first factor at r = a
-    slack_large = _large_value(h, a) + C  # second factor at r = a
-    exp_plus, exp_minus = math.exp(a), math.exp(-a)
-    coef_plus, coef_minus = 1.0 + 2.0 * h, 1.0 - 2.0 * h
-
-    if slack_small <= 0.0 or slack_large <= 0.0:
-        # extremal flux: the radicand vanishes linearly at a
-        f_a = 2.0 * h * math.cosh(a) + C
-        d = 2.0 * math.sinh(a) * (math.cosh(a) - 2.0 * h * f_a)
-        endpoint = 2.0 * f_a / math.sqrt(d)
-    else:
-        endpoint = 0.0
-
-    def g(s: float) -> float:
-        d = s * s
-        up = math.expm1(d)
-        down = -math.expm1(-d)
-        # alpha_small(a) - alpha_small(a + d) and beta_large(a + d) - beta_large(a)
-        grow_small = 0.5 * (coef_plus * exp_minus * down + coef_minus * exp_plus * up)
-        grow_large = 0.5 * (coef_plus * exp_plus * up + coef_minus * exp_minus * down)
-        radicand = (slack_small + grow_small) * (slack_large + grow_large)
-        if radicand <= 0.0:
-            return endpoint
-        r = a + d
-        return 2.0 * s * (2.0 * h * math.cosh(r) + C) / math.sqrt(radicand)
-
-    return g
-
-
-def _layer_breakpoints(h: float, C: float, a: float, s_max: float) -> list[float]:
-    """Turnover scales of the near-vertical boundary layer at rho = a."""
-    return layer_breakpoints(
-        (
-            (-_small_value(h, a) - C, math.cosh(a) - 2.0 * h * math.sinh(a)),
-            (_large_value(h, a) + C, math.cosh(a) + 2.0 * h * math.sinh(a)),
-        ),
-        s_max,
-    )
+def _drop(h: float, annulus: Annulus, C: float, slacks: tuple[float, float], tol: float) -> float:
+    """u(a) - u(b) of the flux-C graph with the given radicand slacks at a."""
+    g, points = _flux_kernel(h, C, annulus.a, *slacks)
+    return -adaptive_quad(g, 0.0, math.sqrt(annulus.b - annulus.a), tol, points=points)
 
 
 def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) -> float:
@@ -142,36 +97,24 @@ def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) ->
             f"flux constant {C:g} outside the graph interval [{c_lo:g}, {c_hi:g}] "
             f"for the annulus [{annulus.a:g}, {annulus.b:g}]"
         )
-    # below the rounding floor the layer at a is indistinguishable from the
-    # vertical extremal one; use the latter's clean limit integrand
-    floor = 32.0 * 2.220446049250313e-16 * (abs(c_lo) + abs(c_hi))
-    if c_hi - C < floor:
-        C = c_hi
-    elif C - c_lo < floor:
-        C = c_lo
-    g = _drop_integrand(h, C, annulus.a)
-    s_max = math.sqrt(annulus.b - annulus.a)
-    return -adaptive_quad(g, 0.0, s_max, tol, points=_layer_breakpoints(h, C, annulus.a, s_max))
+    return _drop(h, annulus, C, _slacks_at(h, annulus.a, C), tol)
 
 
 def extremal_drops(h, annulus: Annulus, tol: float = DEFAULT_TOL) -> FeasibleDropInterval:
     """Endpoints of the achievable-drop interval.
 
-    d_max is the drop of the large-branch extremal profile; d_min that of the
-    small-branch one when the hole admits it, and otherwise the limiting drop
-    at the upper end of the flux interval (where no family profile exists but
-    the integral still converges).
+    d_max is the drop at the lower end of the flux interval, the large-branch
+    profile vertical at a; d_min the drop at the upper end, the small-branch
+    profile vertical at a when the hole admits one, and otherwise the limiting
+    flux graph (which is no family profile, but still spans the annulus).
     """
     h = as_mean_curvature(h)
-    beta = param_large(h, annulus.a)
-    d_max = -height(h, beta, annulus.b, tol)
-    alpha_value = _small_value(h, annulus.a)
-    if alpha_value > 0.0 and annulus.a < hole_threshold(h):
-        alpha = param_small(h, annulus.a)
-        d_min = -height(h, alpha, annulus.b, tol)
-    else:
-        d_min = integrate_radial(h, annulus, -alpha_value, tol)
-    return FeasibleDropInterval(d_min, d_max)
+    c_lo, c_hi = feasible_flux_interval(h, annulus)
+    a = annulus.a
+    return FeasibleDropInterval(
+        _drop(h, annulus, c_hi, _slacks_at(h, a, c_hi), tol),
+        _drop(h, annulus, c_lo, _slacks_at(h, a, c_lo), tol),
+    )
 
 
 def solve_radial(
@@ -190,65 +133,45 @@ def solve_radial(
     """
     h = as_mean_curvature(h)
     u_a, u_b = float(u_a), float(u_b)
+    if not (math.isfinite(u_a) and math.isfinite(u_b)):
+        raise ValueError(f"boundary values must be finite, got u_a={u_a!r}, u_b={u_b!r}")
     target = u_a - u_b
     c_lo, c_hi = feasible_flux_interval(h, annulus)
     span = c_hi - c_lo
 
-    def drop_at(c: float) -> float:
-        return integrate_radial(h, annulus, c, tol)
+    # The drop has a square-root singularity in C at both ends of the flux
+    # interval. C = c_lo + span*sin(theta)^2 makes it Lipschitz in theta at
+    # both, and hands the kernel the slacks at a as span*cos^2 and span*sin^2:
+    # exact next to either end, where C itself cannot hold the offset.
+    def flux_at(theta: float) -> tuple[float, tuple[float, float]]:
+        sin2, cos2 = math.sin(theta) ** 2, math.cos(theta) ** 2
+        return c_lo + span * sin2, (span * cos2, span * sin2)
+
+    def drop_at(theta: float) -> float:
+        return _drop(h, annulus, *flux_at(theta), tol)
 
     # extremal fluxes are valid integrands (vertical profiles), so the bracket
     # is the closed interval and exactly the open drop interval is solvable
-    f_lo = drop_at(c_lo) - target  # the largest achievable drop residual
-    f_hi = drop_at(c_hi) - target
-    if not (f_hi < 0.0 < f_lo):
-        drops = extremal_drops(h, annulus, tol)
-        raise InfeasibleBoundaryError(target, drops.d_min, drops.d_max)
+    d_max, d_min = drop_at(0.0), drop_at(0.5 * math.pi)
+    if not d_min < target < d_max:
+        raise InfeasibleBoundaryError(target, d_min, d_max)
+    ends = {0.0: d_max, 0.5 * math.pi: d_min}
 
-    # The drop has a square-root singularity in C at both bracket ends, so a
-    # root find directly in C cannot resolve near-extremal targets to tol.
-    # Substituting C = end -/+ t^2 for the nearer end makes the drop Lipschitz
-    # in t there (and harmlessly smooth elsewhere).
-    near_lower_end = target >= drop_at(0.5 * (c_lo + c_hi))
-    if near_lower_end:
-        flux_of = lambda t: min(c_lo + t * t, c_hi)  # clamp: fl(sqrt(span))^2 can overshoot
-    else:
-        flux_of = lambda t: max(c_hi - t * t, c_lo)
+    def residual(theta: float) -> float:
+        # brentq starts with both ends, whose drops are already known
+        return (ends[theta] if theta in ends else drop_at(theta)) - target
 
-    def objective(t: float) -> float:
-        return drop_at(flux_of(t)) - target
-
-    t_star = brentq(objective, 0.0, math.sqrt(span), xtol=1e-15, maxiter=200)
-    c_star = flux_of(t_star)
-    achieved = drop_at(c_star) - target
+    theta = brentq(residual, 0.0, 0.5 * math.pi, xtol=1e-15, maxiter=200)
+    c_star, slacks = flux_at(theta)
+    achieved = _drop(h, annulus, c_star, slacks, tol) - target
     if abs(achieved) > tol:
         raise NonConvergenceError(
             f"flux bisection stalled: drop residual {achieved:g} exceeds tolerance {tol:g}"
         )
 
-    a, b = annulus.a, annulus.b
-    g = _drop_integrand(h, c_star, a)
-    breakpoints = _layer_breakpoints(h, c_star, a, math.sqrt(b - a))
-    total = adaptive_quad(g, 0.0, math.sqrt(b - a), tol, points=breakpoints)
-
-    def value(rho: float) -> float:
-        rho = float(rho)
-        if not a - 1e-12 <= rho <= b + 1e-12:
-            raise ValueError(f"rho = {rho:g} outside the annulus [{a:g}, {b:g}]")
-        if rho >= b:
-            return u_b
-        partial = adaptive_quad(g, 0.0, math.sqrt(max(rho - a, 0.0)), tol, points=breakpoints)
-        return u_b - (total - partial)
-
-    def derivative(rho: float) -> float:
-        f = 2.0 * h * math.cosh(rho) + c_star
-        radicand = _graph_radicand(h, c_star, rho)
-        if radicand <= 0.0:
-            return math.copysign(math.inf, f)
-        return f / math.sqrt(radicand)
-
     if c_star < 0.0:
-        shift = u_b - height(h, -c_star, b, tol)
+        shift = u_b - height(h, -c_star, annulus.b, tol)
     else:
         shift = u_a  # no family anchor; the inner value fixes the translate
-    return RadialSolution(c_star, shift, RadialFunction(value, derivative, (a, b)))
+    evaluator = _anchored_graph(h, c_star, annulus.a, annulus.b, slacks, u_b, tol)
+    return RadialSolution(c_star, shift, evaluator)

@@ -202,6 +202,29 @@ class TestCheckCommand:
         assert verdict["verdict"] == "inconclusive"
         assert verdict["threshold_lower"] is not None
 
+    def test_nan_inner_value_exit_2(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "check", "--h", "0.4", "--a", "0.5", "--b", "2",
+            "--inner", "nan", "--outer", "0",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "finite" in stderr
+
+    @pytest.mark.parametrize("bad_row", ["1,oops", "1,nan"])
+    def test_bad_csv_row_exit_2(self, capsys, tmp_path, bad_row):
+        # only the first line may be a header; a later bad row must not be
+        # skipped into a verdict computed from partial data
+        table = tmp_path / "inner.csv"
+        table.write_text(f"theta,u\n0,1\n{bad_row}\n2,9\n")
+        code, stdout, stderr = run(
+            capsys, "check", "--h", "0.4", "--a", "0.5", "--b", "2",
+            "--inner", str(table), "--outer", "0",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"{table}:3" in stderr
+
 
 class TestSolveCommand:
     def test_radial_solve(self, capsys, tmp_path):
@@ -250,6 +273,17 @@ class TestSolveCommand:
         grid_tol = 10.0 * (1.0 / 16) ** 2
         for rho_s, _, u_s in rows:
             assert float(u_s) == pytest.approx(radial_u[rho_s], abs=grid_tol)
+
+    @pytest.mark.parametrize("mode", [[], ["--two-d", "--n-rho", "12", "--n-theta", "12"]])
+    def test_nan_boundary_value_exit_2(self, capsys, tmp_path, mode):
+        out = tmp_path / "x.csv"
+        code, stdout, _ = run(
+            capsys, "solve", "--h", "0.4", "--a", "0.5", "--b", "1.5",
+            "--u-a", "nan", "--u-b", "0", "--out", str(out), *mode,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
 
     def test_two_d_nonconvergence_exit_4(self, capsys, tmp_path):
         code, stdout, _ = run(

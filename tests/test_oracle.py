@@ -1,0 +1,74 @@
+"""Extremal drops and feasibility thresholds against a 50-digit mpmath reference.
+
+The envelopes and the radial solver share one flux kernel, so agreeing with
+each other shows little; this reference shares nothing with the package. It
+integrates the slope F/sqrt(sinh^2 - F^2), F = 2h*cosh(r) + C, of the two
+flux graphs that are vertical at r = a, after the substitution r = a + s^2.
+The factor of the radicand that vanishes at a is written as a product,
+
+    sinh(r) -/+ F(r) = 2 sinh(d/2) * (cosh(a + d/2) -/+ 2h sinh(a + d/2)),  d = r - a,
+
+so the integrand is smooth in s up to s = 0 and nothing cancels.
+"""
+
+import math
+
+import mpmath as mp
+import pytest
+
+import cmc_annuli as ca
+
+DIGITS = 50
+
+CASES = [
+    (0.3, 1.0, 2.0),  # hole too large: d_min is the limiting flux graph
+    (0.05, 0.3, 1.3),
+    (0.45, 0.9, 2.3),
+    (0.5, 0.7, 1.9),
+    (0.4, math.atanh(0.8) - 1e-9, math.atanh(0.8) + 1.0),  # just inside the hole threshold
+]
+
+
+def _drop(h, a, b, sign):
+    """u(a) - u(b) of the flux graph vertical at a; sign +1 rises from a, -1 dips."""
+    f_a = sign * mp.sinh(a)  # F at r = a, so C = f_a - 2h cosh(a)
+
+    def integrand(s):
+        d = s * s
+        r, mid = a + d, a + d / 2
+        f = f_a + 2 * h * (mp.cosh(r) - mp.cosh(a))
+        # 2s / sqrt(2 sinh(d/2)) = 2 / sqrt(sinh(d/2) / (d/2))
+        ratio = 2 / mp.sqrt(mp.sinh(d / 2) / (d / 2)) if d else mp.mpf(2)
+        vanishing = mp.cosh(mid) - sign * 2 * h * mp.sinh(mid)
+        other = mp.sinh(r) + sign * f
+        return ratio * f / mp.sqrt(vanishing * other)
+
+    return -mp.quad(integrand, [0, mp.sqrt(b - a)])
+
+
+def reference(h, a, b):
+    """(d_min, d_max, hole_ok) to 50 digits, for float inputs taken as exact."""
+    with mp.workdps(DIGITS):
+        hm, am, bm = mp.mpf(h), mp.mpf(a), mp.mpf(b)
+        hole_ok = h == 0.5 or am < mp.atanh(2 * hm)
+        return float(_drop(hm, am, bm, +1)), float(_drop(hm, am, bm, -1)), hole_ok
+
+
+@pytest.mark.parametrize("h, a, b", CASES)
+def test_extremal_drops(h, a, b):
+    d_min, d_max, _ = reference(h, a, b)
+    drops = ca.extremal_drops(h, ca.Annulus(a, b))
+    assert drops.d_min == pytest.approx(d_min, abs=1e-12)
+    assert drops.d_max == pytest.approx(d_max, abs=1e-12)
+
+
+@pytest.mark.parametrize("h, a, b", CASES)
+def test_feasibility_thresholds(h, a, b):
+    d_min, d_max, hole_ok = reference(h, a, b)
+    m, M = -0.25, 0.5
+    result = ca.dirichlet_feasibility(h, ca.Annulus(a, b), m, M, ca.OuterBoundaryData(m, M))
+    assert result.threshold_upper == pytest.approx(M + d_max, abs=1e-12)
+    if hole_ok:
+        assert result.threshold_lower == pytest.approx(m + d_min, abs=1e-12)
+    else:
+        assert result.threshold_lower is None

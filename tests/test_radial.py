@@ -169,12 +169,14 @@ class TestSolveRadial:
     def test_sharpness_near_the_edge(self):
         ann = Annulus(0.5, 2.0)
         drops = extremal_drops(0.4, ann)
-        solve_radial(0.4, ann, drops.d_max - 1e-4, 0.0)
-        with pytest.raises(InfeasibleBoundaryError):
-            solve_radial(0.4, ann, drops.d_max + 1e-4, 0.0)
-        solve_radial(0.4, ann, drops.d_min + 1e-4, 0.0)
-        with pytest.raises(InfeasibleBoundaryError):
-            solve_radial(0.4, ann, drops.d_min - 1e-4, 0.0)
+        for offset in (1e-4, 1e-9):
+            for target in (drops.d_max - offset, drops.d_min + offset):
+                solution = solve_radial(0.4, ann, target, 0.0)
+                assert solution.evaluator(0.5) == pytest.approx(target, abs=1e-8)
+            with pytest.raises(InfeasibleBoundaryError):
+                solve_radial(0.4, ann, drops.d_max + offset, 0.0)
+            with pytest.raises(InfeasibleBoundaryError):
+                solve_radial(0.4, ann, drops.d_min - offset, 0.0)
 
     @pytest.mark.parametrize("t", [-3.0, 4.5])
     def test_translation_invariance(self, t):
