@@ -99,8 +99,6 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("--two-d", is_flag=True, help="solve the 2D problem instead of the radial one"),
         _Opt("--n-rho", int, default=64, help="2D: radial grid nodes"),
         _Opt("--n-theta", int, default=64, help="2D: angular grid nodes"),
-        _Opt("--max-iter", int, default=100, help="2D: Picard iteration cap"),
-        _Opt("--damping", float, default=0.7, help="2D: Picard damping factor"),
         _Opt("--tol", float, default=None, help="tolerance (default 1e-10 radial, 1e-8 2D)"),
         _Opt("--euclidean", is_flag=True, help="radii flags are unit-disc coordinates"),
     ],
@@ -280,8 +278,6 @@ def _cmd_solve(ns: SimpleNamespace) -> int:
             ns.u_b,
             grid=(ns.n_rho, ns.n_theta),
             tol=tol,
-            max_iter=ns.max_iter,
-            damping=ns.damping,
         )
 
         def rows():

@@ -215,13 +215,22 @@ def _start_radius(h: float, param: ProfileParameter, rho: float) -> float:
 def _flux_slope(h: float, C: float, rho: float) -> float:
     """Slope F/sqrt(sinh^2 - F^2), F = 2h*cosh(rho) + C, of the flux-C graph.
 
-    The radicand factors as (-small(rho) - C) * (large(rho) + C) with the
-    closed-form branch values, so it is evaluated without squaring. At or
+    F = 4h*sinh(rho/2)^2 + (C + 2h) and the radicand is the product
+    (-small(rho) - C) * (F + sinh(rho)), so nothing is squared. For C <= -h
+    the first factor is the positive sum 2h - small(rho) minus C + 2h, which
+    is exact for the neck (C = -2h) and keeps its digits as rho -> 0; above
+    -h it is the closed-form value, exact for a small C at h = 1/2. At or
     below zero (a few ulp from a vertical circle) the slope is the signed
     infinity of F.
     """
-    f = 2.0 * h * math.cosh(rho) + C
-    radicand = (-_small_value(h, rho) - C) * (_large_value(h, rho) + C)
+    offset, half = C + 2.0 * h, 0.5 * rho
+    f = 4.0 * h * math.sinh(half) ** 2 + offset
+    if C <= -h:
+        grow, decay = math.exp(half), math.exp(-half)
+        slack_small = math.sinh(half) * ((1.0 - 2.0 * h) * grow + (1.0 + 2.0 * h) * decay) - offset
+    else:
+        slack_small = -_small_value(h, rho) - C
+    radicand = slack_small * (f + math.sinh(rho))
     if radicand <= 0.0:
         return math.copysign(math.inf, f)
     return f / math.sqrt(radicand)

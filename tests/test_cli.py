@@ -289,7 +289,7 @@ class TestSolveCommand:
         code, stdout, _ = run(
             capsys, "solve", "--h", "0.4", "--a", "0.5", "--b", "2",
             "--u-a", "1.4", "--u-b", "0", "--two-d", "--n-rho", "24", "--n-theta", "12",
-            "--max-iter", "25", "--out", str(tmp_path / "x.csv"),
+            "--out", str(tmp_path / "x.csv"),
         )
         assert code == 4
         payload = json.loads(stdout)

@@ -1,4 +1,4 @@
-"""Extremal drops and feasibility thresholds against a 50-digit mpmath reference.
+"""Extremal drops, feasibility thresholds and neck slopes against mpmath references.
 
 The envelopes and the radial solver share one flux kernel, so agreeing with
 each other shows little; this reference shares nothing with the package. It
@@ -72,3 +72,18 @@ def test_feasibility_thresholds(h, a, b):
         assert result.threshold_lower == pytest.approx(m + d_min, abs=1e-12)
     else:
         assert result.threshold_lower is None
+
+
+NECK_RADII = [1e-17, 1e-12, 1e-8, 1e-6, 1e-3]
+
+
+@pytest.mark.parametrize("h", [0.05, 0.4, 0.5])
+@pytest.mark.parametrize("rho", NECK_RADII)
+def test_neck_slope(h, rho):
+    # F = 2h*cosh(rho) - 2h cancels to ~h*rho^2; 90 digits leave 50 after
+    # the 35 that cancel at rho = 1e-17
+    with mp.workdps(90):
+        r = mp.mpf(rho)
+        f = 2 * mp.mpf(h) * mp.cosh(r) - 2 * mp.mpf(h)
+        expected = float(f / mp.sqrt(mp.sinh(r) ** 2 - f**2))
+    assert ca.slope(h, 2 * h, rho) == pytest.approx(expected, rel=1e-12, abs=0.0)
