@@ -25,7 +25,7 @@ from .estimates import Annulus, OuterBoundaryData, bounding_box, dirichlet_feasi
 from .hyperbolic import euclidean_to_hyperbolic
 from .profiles import sample_profile
 from .radial import solve_radial
-from .pde2d import solve_dirichlet_2d
+from .pde2d import SolverReport, solve_dirichlet_2d
 from .svgfig import box_figure, family_figure
 
 
@@ -187,7 +187,21 @@ def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload))
+    """Print strict JSON: a non-finite float is written as null."""
+    finite = {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in payload.items()
+    }
+    print(json.dumps(finite, allow_nan=False))
+
+
+def _report_fields(report: SolverReport) -> dict:
+    return {
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "residual": report.residual,
+        "max_gradient": report.max_gradient,
+    }
 
 
 def _data_extremes(datum: str) -> tuple[float, float]:
@@ -286,15 +300,7 @@ def _cmd_solve(ns: SimpleNamespace) -> int:
                     yield [_fmt(rho), _fmt(theta), _fmt(field.values[i, j])]
 
         _write_csv(ns.out, "rho,theta,u", rows())
-        _print_json(
-            {
-                "status": "converged",
-                "converged": report.converged,
-                "iterations": report.iterations,
-                "residual": report.residual,
-                "max_gradient": report.max_gradient,
-            }
-        )
+        _print_json({"status": "converged", **_report_fields(report)})
         return 0
     tol = 1e-10 if ns.tol is None else ns.tol
     solution = solve_radial(ns.h, annulus, ns.u_a, ns.u_b, tol)
@@ -359,14 +365,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NonConvergenceError as exc:
         payload = {"status": "non_convergence"}
         if exc.report is not None:
-            payload.update(
-                {
-                    "converged": exc.report.converged,
-                    "iterations": exc.report.iterations,
-                    "residual": exc.report.residual,
-                    "max_gradient": exc.report.max_gradient,
-                }
-            )
+            payload.update(_report_fields(exc.report))
         _print_json(payload)
         return 4
     except (ValueError, QuadratureError, OSError) as exc:

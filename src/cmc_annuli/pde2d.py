@@ -8,14 +8,14 @@ of u(rho, theta) reads
     W = sqrt(1 + u_rho^2 + u_theta^2 / sinh(rho)^2).
 
 The discretization puts fluxes at half nodes with centered differences,
-second-order consistent on the uniform periodic grid. The solve is one
-Jacobian-free Newton-Krylov iteration from the linear-in-rho interpolant of
-the boundary rows. Its Krylov steps are preconditioned by one sparse LU of the
-operator with W frozen at that starting guess (Knoll & Keyes, J. Comput. Phys.
-193, 2004). Non-convergence is reported with diagnostics, never turned into a
-verdict: steep inner data violating the a-priori envelopes typically shows up
-as a residual plateau with the inner-row gradient growing under grid
-refinement.
+second-order consistent on the uniform periodic grid. With W frozen it is one
+five-point stencil, which the residual applies. The solve is one Jacobian-free
+Newton-Krylov iteration from the linear-in-rho interpolant of the boundary
+rows, its Krylov steps preconditioned by one sparse LU of that stencil with W
+frozen at the interpolant (Knoll & Keyes, J. Comput. Phys. 193, 2004).
+Non-convergence is reported with diagnostics, never turned into a verdict:
+steep inner data violating the a-priori envelopes typically shows up as a
+residual plateau with the inner-row gradient growing under grid refinement.
 """
 
 from __future__ import annotations
@@ -91,21 +91,36 @@ class SolverReport:
     max_gradient: float
 
 
-def _half_node_w(grid: PolarGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slope factors W at the rho and theta half nodes (theta rows 0, -1 unused)."""
-    s, s_half = grid.sinh_rho, grid.sinh_half
+def _padded(u: np.ndarray) -> np.ndarray:
+    """u with a periodic ghost column on each side, at theta indices -1 and n_theta."""
+    return np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
 
+
+def _centered_differences(grid: PolarGrid, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered u_rho (interior rows, ghost columns kept) and u_theta (every row) of a padded u."""
+    ur = (up[2:, :] - up[:-2, :]) / (2.0 * grid.d_rho)
+    ut = (up[:, 2:] - up[:, :-2]) / (2.0 * grid.d_theta)
+    return ur, ut
+
+
+def _stencil(grid: PolarGrid, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Five-point weights (out, in, east, west) at the interior nodes, W frozen at u.
+
+    Q(u) at a node sums weight * (neighbour - node) over its four neighbours.
+    """
+    s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
+    up = _padded(u)
+    ur, ut = _centered_differences(grid, up)
     du_r = (u[1:, :] - u[:-1, :]) / grid.d_rho
-    ut_centered = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * grid.d_theta)
-    ut_half = 0.5 * (ut_centered[:-1, :] + ut_centered[1:, :])
-    w_rho = np.sqrt(1.0 + du_r**2 + (ut_half / s_half[:, None]) ** 2)
-
-    du_t = (np.roll(u, -1, axis=1) - u) / grid.d_theta
-    ur_centered = np.zeros_like(u)
-    ur_centered[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * grid.d_rho)
-    ur_half = 0.5 * (ur_centered + np.roll(ur_centered, -1, axis=1))
-    w_theta = np.sqrt(1.0 + ur_half**2 + (du_t / s[:, None]) ** 2)
-    return w_rho, w_theta
+    # theta half nodes -1/2 ... n_theta - 1/2 of the interior rows
+    du_t = (up[1:-1, 1:] - up[1:-1, :-1]) / grid.d_theta
+    # W overflows to inf, and its weights to 0, on slopes past ~1e154
+    with np.errstate(over="ignore"):
+        w_rho = np.sqrt(1.0 + du_r**2 + (0.5 * (ut[:-1, :] + ut[1:, :]) / s_half) ** 2)
+        w_theta = np.sqrt(1.0 + (0.5 * (ur[:, :-1] + ur[:, 1:])) ** 2 + (du_t / s) ** 2)
+    g = s_half / (grid.d_rho**2 * w_rho)
+    c_theta = 1.0 / (grid.d_theta**2 * s**2 * w_theta)
+    return g[1:, :] / s, g[:-1, :] / s, c_theta[:, 1:], c_theta[:, :-1]
 
 
 def cmc_residual(field2d: Field2D, h) -> np.ndarray:
@@ -115,27 +130,18 @@ def cmc_residual(field2d: Field2D, h) -> np.ndarray:
     """
     h = as_mean_curvature(h)
     grid, u = field2d.grid, field2d.values
-    s, s_half = grid.sinh_rho, grid.sinh_half
-    w_rho, w_theta = _half_node_w(grid, u)
-
-    g_flux = s_half[:, None] * (u[1:, :] - u[:-1, :]) / (grid.d_rho * w_rho)
-    div_r = (g_flux[1:, :] - g_flux[:-1, :]) / grid.d_rho
-
-    t_flux = (np.roll(u, -1, axis=1) - u) / (grid.d_theta * s[:, None] * w_theta)
-    div_t = (t_flux - np.roll(t_flux, 1, axis=1)) / grid.d_theta
-
-    q = (div_r + div_t[1:-1, :]) / s[1:-1, None]
+    c_out, c_in, c_east, c_west = _stencil(grid, u)
+    mid, rows = u[1:-1, :], _padded(u[1:-1, :])
+    q = c_out * (u[2:, :] - mid) + c_in * (u[:-2, :] - mid)
+    q = q + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
     return q - 2.0 * h
 
 
 def max_gradient(field2d: Field2D) -> float:
     """Largest hyperbolic gradient norm over the interior nodes (blow-up diagnostic)."""
-    grid, u = field2d.grid, field2d.values
-    ur = (u[2:, :] - u[:-2, :]) / (2.0 * grid.d_rho)
-    ut = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * grid.d_theta)
-    s = grid.sinh_rho[1:-1]
-    norms = np.sqrt(ur**2 + (ut[1:-1, :] / s[:, None]) ** 2)
-    return float(norms.max())
+    grid = field2d.grid
+    ur, ut = _centered_differences(grid, _padded(field2d.values))
+    return float(np.hypot(ur[:, 1:-1], ut[1:-1, :] / grid.sinh_rho[1:-1, None]).max())
 
 
 def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray:
@@ -155,14 +161,7 @@ def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray
 def _lagged_matrix(grid: PolarGrid, u: np.ndarray):
     """Interior operator with W frozen at u (CSC); near u it approximates the Jacobian."""
     n_int, n_t = grid.n_rho - 2, grid.n_theta
-    s_half = grid.sinh_half
-    w_rho, w_theta = _half_node_w(grid, u)
-    s_int = grid.sinh_rho[1:-1][:, None]
-
-    c_out = s_half[1:, None] / (grid.d_rho**2 * s_int * w_rho[1:, :])
-    c_in = s_half[:-1, None] / (grid.d_rho**2 * s_int * w_rho[:-1, :])
-    c_east = 1.0 / (grid.d_theta**2 * s_int**2 * w_theta[1:-1, :])
-    c_west = 1.0 / (grid.d_theta**2 * s_int**2 * np.roll(w_theta[1:-1, :], 1, axis=1))
+    c_out, c_in, c_east, c_west = _stencil(grid, u)
     diag = -(c_out + c_in + c_east + c_west)
 
     k = np.arange(n_int * n_t).reshape(n_int, n_t)

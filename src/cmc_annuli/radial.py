@@ -147,23 +147,24 @@ def solve_radial(
         sin2, cos2 = math.sin(theta) ** 2, math.cos(theta) ** 2
         return c_lo + span * sin2, (span * cos2, span * sin2)
 
+    # every drop evaluated so far: brentq starts with both bracket ends and
+    # returns a theta it has already evaluated
+    drops: dict[float, float] = {}
+
     def drop_at(theta: float) -> float:
-        return _drop(h, annulus, *flux_at(theta), tol)
+        if theta not in drops:
+            drops[theta] = _drop(h, annulus, *flux_at(theta), tol)
+        return drops[theta]
 
     # extremal fluxes are valid integrands (vertical profiles), so the bracket
     # is the closed interval and exactly the open drop interval is solvable
     d_max, d_min = drop_at(0.0), drop_at(0.5 * math.pi)
     if not d_min < target < d_max:
         raise InfeasibleBoundaryError(target, d_min, d_max)
-    ends = {0.0: d_max, 0.5 * math.pi: d_min}
 
-    def residual(theta: float) -> float:
-        # brentq starts with both ends, whose drops are already known
-        return (ends[theta] if theta in ends else drop_at(theta)) - target
-
-    theta = brentq(residual, 0.0, 0.5 * math.pi, xtol=1e-15, maxiter=200)
+    theta = brentq(lambda t: drop_at(t) - target, 0.0, 0.5 * math.pi, xtol=1e-15, maxiter=200)
     c_star, slacks = flux_at(theta)
-    achieved = _drop(h, annulus, c_star, slacks, tol) - target
+    achieved = drop_at(theta) - target
     if abs(achieved) > tol:
         raise NonConvergenceError(
             f"flux bisection stalled: drop residual {achieved:g} exceeds tolerance {tol:g}"

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -295,6 +296,25 @@ class TestSolveCommand:
         payload = json.loads(stdout)
         assert payload["status"] == "non_convergence"
         assert payload["converged"] is False
+
+    def test_two_d_overflow_strict_json(self, capsys, tmp_path):
+        # data steep enough to overflow W: the failure is reported as strict
+        # JSON (non-finite floats as null) without numpy warnings
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(
+                capsys, "solve", "--h", "0.4", "--a", "0.5", "--b", "2",
+                "--u-a", "1e8", "--u-b", "0", "--two-d", "--n-rho", "24", "--n-theta", "12",
+                "--out", str(tmp_path / "x.csv"),
+            )
+        assert code == 4
+        payload = json.loads(stdout, parse_constant=reject)
+        assert payload["status"] == "non_convergence"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
 
 
 class TestFigureCommand:

@@ -88,6 +88,22 @@ class TestDiscreteOperator:
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
         assert errs[1] < 5e-3
 
+    def test_preconditioner_reproduces_residual(self):
+        # the lagged matrix applies the residual's stencil; its rows next to a
+        # boundary row leave out the boundary terms
+        from cmc_annuli.pde2d import _lagged_matrix
+
+        grid = PolarGrid(ANN, 12, 10)
+        mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
+        rng = np.random.default_rng(11)
+        c = rng.standard_normal(4)
+        u = c[0] * np.cos(mesh_t + c[1]) * np.exp(-mesh_r) + c[2] * mesh_r**2
+        u += c[3] * np.sin(2 * mesh_t)
+        q = cmc_residual(Field2D(grid, u), H) + 2 * H
+        applied = (_lagged_matrix(grid, u) @ u[1:-1, :].ravel()).reshape(q.shape)
+        scale = float(np.abs(q[1:-1, :]).max())
+        assert np.abs(applied[1:-1, :] - q[1:-1, :]).max() <= 1e-12 * scale
+
     def test_max_gradient_of_tilted_plane(self):
         grid = PolarGrid(ANN, 32, 16)
         field = radial_field(grid, lambda r: 3.0 * r)
