@@ -10,9 +10,14 @@ of u(rho, theta) reads
 The discretization puts fluxes at half nodes with centered differences,
 second-order consistent on the uniform periodic grid. With W frozen it is one
 five-point stencil, which the residual applies. The solve is one Jacobian-free
-Newton-Krylov iteration from the linear-in-rho interpolant of the boundary
-rows, its Krylov steps preconditioned by one sparse LU of that stencil with W
-frozen at the interpolant (Knoll & Keyes, J. Comput. Phys. 193, 2004).
+Newton-Krylov iteration (GMRES) from the linear-in-rho interpolant of the
+boundary rows (Knoll & Keyes, J. Comput. Phys. 193, 2004). Its preconditioner
+is that stencil with W frozen at the interpolant and its weights averaged over
+theta, T. Chan's optimal circulant preconditioner (SIAM J. Sci. Stat. Comput.
+9, 1988): an FFT in theta turns it into one tridiagonal system in rho per
+Fourier mode, solved by a Thomas sweep over all modes at once, the fast
+Poisson solver pattern of Swarztrauber (SIAM Rev. 19, 1977). For W
+independent of theta it is the frozen-W stencil itself.
 Non-convergence is reported with diagnostics, never turned into a verdict:
 steep inner data violating the a-priori envelopes typically shows up as a
 residual plateau with the inner-row gradient growing under grid refinement.
@@ -25,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.optimize import NoConvergence, newton_krylov
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import NonConvergenceError
 from .estimates import Annulus
@@ -158,26 +162,36 @@ def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray
     return arr
 
 
-def _lagged_matrix(grid: PolarGrid, u: np.ndarray):
-    """Interior operator with W frozen at u (CSC); near u it approximates the Jacobian."""
-    n_int, n_t = grid.n_rho - 2, grid.n_theta
-    c_out, c_in, c_east, c_west = _stencil(grid, u)
-    diag = -(c_out + c_in + c_east + c_west)
+def _preconditioner(grid: PolarGrid, u: np.ndarray) -> LinearOperator:
+    """Inverse of the interior stencil with W frozen at u, its weights averaged over theta.
 
-    k = np.arange(n_int * n_t).reshape(n_int, n_t)
-    rows = [k, k[:-1, :], k[1:, :], k, k]
-    cols = [k, k[1:, :], k[:-1, :], np.roll(k, -1, axis=1), np.roll(k, 1, axis=1)]
-    vals = [diag, c_out[:-1, :], c_in[1:, :], c_east, c_west]
-    return sparse.coo_matrix(
-        (
-            np.concatenate([v.ravel() for v in vals]),
-            (
-                np.concatenate([r.ravel() for r in rows]),
-                np.concatenate([c.ravel() for c in cols]),
-            ),
-        ),
-        shape=(n_int * n_t, n_int * n_t),
-    ).tocsc()
+    Averaged, east and west weigh alike, so Fourier mode k in theta is one
+    tridiagonal system in rho with diagonal -(out + in) - 4 east sin^2(k d_theta / 2);
+    the Thomas factors of all modes are computed once. Raises LinAlgError on
+    a zero or non-finite pivot, as when W overflows.
+    """
+    shape = (grid.n_rho - 2, grid.n_theta)
+    c_out, c_in, c_east, _ = (w.mean(axis=1, keepdims=True) for w in _stencil(grid, u))
+    k = np.arange(grid.n_theta // 2 + 1)
+    diag = -(c_out + c_in) - 4.0 * c_east * np.sin(0.5 * grid.d_theta * k) ** 2
+    pivot, upper = diag.copy(), np.zeros_like(diag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, shape[0]):
+            upper[i - 1] = c_out[i - 1] / pivot[i - 1]
+            pivot[i] -= c_in[i] * upper[i - 1]
+    if not np.all(np.isfinite(pivot) & (pivot != 0.0)):
+        raise np.linalg.LinAlgError("theta-averaged lagged operator is singular")
+    lower = c_in / pivot
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = np.fft.rfft(r.reshape(shape), axis=1) / pivot
+        for i in range(1, shape[0]):
+            y[i] -= lower[i] * y[i - 1]
+        for i in range(shape[0] - 2, -1, -1):
+            y[i] -= upper[i] * y[i + 1]
+        return np.fft.irfft(y, n=grid.n_theta, axis=1).ravel()
+
+    return LinearOperator((u[1:-1].size,) * 2, matvec=solve, dtype=float)
 
 
 def solve_dirichlet_2d(
@@ -191,12 +205,14 @@ def solve_dirichlet_2d(
     """Solve Q(u) = 2h on the annulus with Dirichlet rows at rho = a and b.
 
     ``g_inner``/``g_outer`` may be constants, per-theta arrays, or callables of
-    theta. Newton-Krylov runs from the linear-in-rho interpolant, with one LU
-    of the W-lagged operator there as its preconditioner, until the largest
-    interior residual is at most ``tol``; ``report.iterations`` counts its
-    steps. Raises NonConvergenceError (report and last iterate attached) when
-    that fails within the step cap or an iterate is not finite; for inner data
-    outside the a-priori envelopes that is the expected outcome.
+    theta. Newton-Krylov (GMRES) runs from the linear-in-rho interpolant,
+    preconditioned by the FFT-tridiagonal inverse of the W-lagged operator
+    there with its weights averaged over theta, until the largest interior
+    residual is at most ``tol``; ``report.iterations`` counts its steps.
+    Raises NonConvergenceError (report and last iterate attached) when that
+    fails within the step cap, an iterate is not finite, or the averaged
+    operator is singular (W overflows on data steeper than ~1e154); for inner
+    data outside the a-priori envelopes that is the expected outcome.
     """
     h = as_mean_curvature(h)
     if grid is None:
@@ -225,28 +241,25 @@ def solve_dirichlet_2d(
         nonlocal steps, last
         steps, last = steps + 1, x
 
-    # scipy's Krylov Jacobian sits in a reference cycle that would keep its
-    # preconditioner alive after the call; only this list reaches the LU, and
-    # it is emptied on the way out
-    lu = []
+    # on slopes near 1e154, where W is about to overflow, the preconditioned
+    # Krylov vectors overflow in GMRES's norms; the residual check below
+    # reports such a solve
     try:
-        lu.append(splu(_lagged_matrix(grid, u)))
-        newton_krylov(
-            interior_residual,
-            last,
-            f_tol=tol,
-            method="lgmres",
-            inner_M=LinearOperator(lu[0].shape, matvec=lambda v: lu[0].solve(v)),
-            maxiter=_MAX_NEWTON_STEPS,
-            callback=record_step,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            newton_krylov(
+                interior_residual,
+                last,
+                f_tol=tol,
+                method="gmres",
+                inner_M=_preconditioner(grid, u),
+                maxiter=_MAX_NEWTON_STEPS,
+                callback=record_step,
+            )
     # the step cap, a zero Newton step (the residual no longer responds, as on
-    # near-vertical iterates), or an exactly singular lagged matrix (W
+    # near-vertical iterates), or a singular preconditioner (LinAlgError: W
     # overflows on data steeper than ~1e154)
-    except (NoConvergence, ValueError, RuntimeError):
+    except (NoConvergence, ValueError):
         pass
-    finally:
-        lu.clear()
 
     u[1:-1, :] = last.reshape(shape)
     field2d = Field2D(grid, u)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,21 +89,22 @@ class TestDiscreteOperator:
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
         assert errs[1] < 5e-3
 
-    def test_preconditioner_reproduces_residual(self):
-        # the lagged matrix applies the residual's stencil; its rows next to a
-        # boundary row leave out the boundary terms
-        from cmc_annuli.pde2d import _lagged_matrix
+    def test_preconditioner_inverts_stencil_on_radial_field(self):
+        # for W independent of theta the theta-averaged preconditioner is the
+        # inverse of the residual's frozen-W stencil with zero boundary rows
+        from cmc_annuli.pde2d import _padded, _preconditioner, _stencil
 
         grid = PolarGrid(ANN, 12, 10)
-        mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
+        u = radial_field(grid, lambda r: math.sin(3 * r) + r**2).values
         rng = np.random.default_rng(11)
-        c = rng.standard_normal(4)
-        u = c[0] * np.cos(mesh_t + c[1]) * np.exp(-mesh_r) + c[2] * mesh_r**2
-        u += c[3] * np.sin(2 * mesh_t)
-        q = cmc_residual(Field2D(grid, u), H) + 2 * H
-        applied = (_lagged_matrix(grid, u) @ u[1:-1, :].ravel()).reshape(q.shape)
-        scale = float(np.abs(q[1:-1, :]).max())
-        assert np.abs(applied[1:-1, :] - q[1:-1, :]).max() <= 1e-12 * scale
+        v = np.zeros_like(u)
+        v[1:-1, :] = rng.standard_normal((grid.n_rho - 2, grid.n_theta))
+        c_out, c_in, c_east, c_west = _stencil(grid, u)
+        mid, rows = v[1:-1, :], _padded(v[1:-1, :])
+        applied = c_out * (v[2:, :] - mid) + c_in * (v[:-2, :] - mid)
+        applied = applied + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
+        back = _preconditioner(grid, u).matvec(applied.ravel())
+        assert np.abs(back - mid.ravel()).max() <= 1e-12 * np.abs(mid).max()
 
     def test_max_gradient_of_tilted_plane(self):
         grid = PolarGrid(ANN, 32, 16)
@@ -125,7 +127,12 @@ class TestSolver:
 
     @pytest.mark.parametrize(
         "h, a, b, fraction",
-        [(0.45, 1.2, 2.0, 0.1), (0.45, 1.2, 2.0, 0.98), (0.5, 1.0, 2.0, 0.1)],
+        [
+            (0.45, 1.2, 2.0, 0.02),
+            (0.45, 1.2, 2.0, 0.1),
+            (0.45, 1.2, 2.0, 0.98),
+            (0.5, 1.0, 2.0, 0.1),
+        ],
     )
     def test_steep_solvable_data_converges(self, h, a, b, fraction):
         # radial data well inside (d_min, d_max) has a solution; a damped
@@ -159,6 +166,43 @@ class TestSolver:
         lower = np.array([box.lower.value(r) for r in field.grid.rho])
         assert np.all(field.values <= upper[:, None] + grid_tol)
         assert np.all(field.values >= lower[:, None] - grid_tol)
+
+    @pytest.mark.parametrize("h, a, b", [(0.4, 0.5, 1.5), (0.45, 1.2, 2.0)])
+    def test_steep_wavy_data_near_envelope_converges(self, h, a, b):
+        # theta-dependent W near the upper envelope, where its theta average
+        # preconditions worst
+        ann = Annulus(a, b)
+        box = bounding_box(h, ann, OuterBoundaryData(-0.1, 0.1))
+        lower, upper = box.lower.value(a), box.upper.value(a)
+        level = lower + 0.98 * (upper - lower)
+        for n in (32, 64):
+            field, report = solve_dirichlet_2d(
+                h,
+                ann,
+                lambda t: level + 0.02 * math.cos(2 * t),
+                lambda t: 0.1 * math.cos(5 * t),
+                grid=(n, n),
+                tol=1e-8,
+            )
+            assert report.converged and report.residual <= 1e-8
+            grid_tol = 10.0 * field.grid.d_rho**2
+            top = np.array([box.upper.value(r) for r in field.grid.rho])
+            bottom = np.array([box.lower.value(r) for r in field.grid.rho])
+            assert np.all(field.values <= top[:, None] + grid_tol)
+            assert np.all(field.values >= bottom[:, None] - grid_tol)
+
+    @pytest.mark.parametrize("u_a", [1e154, 1e160, 1e300])
+    def test_overflowing_data_fails_without_warnings(self, u_a):
+        # W overflows on the starting interpolant (1e160, 1e300), so the
+        # frozen-W operator is singular, or nearly does so (1e154); the solve
+        # reports that and prints nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonConvergenceError) as excinfo:
+                solve_dirichlet_2d(0.4, Annulus(0.5, 2.0), u_a, 0.0, grid=(24, 12))
+        assert excinfo.value.report is not None
+        assert not excinfo.value.report.converged
+        assert caught == []
 
     def test_super_envelope_data_fails_or_blows_up(self):
         top = bounding_box(H, ANN, OuterBoundaryData(0.0, 0.0)).upper.value(ANN.a)
