@@ -57,14 +57,19 @@ from .radial import (
     integrate_radial,
     solve_radial,
 )
-from .pde2d import (
-    Field2D,
-    PolarGrid,
-    SolverReport,
-    cmc_residual,
-    max_gradient,
-    solve_dirichlet_2d,
-)
+
+# The 2D solver loads on first use: it is the one module with a heavy import.
+_PDE2D_NAMES = ("Field2D", "PolarGrid", "SolverReport", "cmc_residual", "max_gradient", "solve_dirichlet_2d")
+
+
+def __getattr__(name):
+    if name in _PDE2D_NAMES:
+        from . import pde2d
+
+        value = globals()[name] = getattr(pde2d, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MAX_RADIUS",

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from .estimates import Annulus, OuterBoundaryData, bounding_box, dirichlet_feasi
 from .hyperbolic import euclidean_to_hyperbolic
 from .profiles import sample_profile
 from .radial import solve_radial
-from .pde2d import SolverReport, solve_dirichlet_2d
 from .svgfig import box_figure, family_figure
+
+if TYPE_CHECKING:
+    from .pde2d import SolverReport
 
 
 def _fmt(x: float) -> str:
@@ -284,6 +286,8 @@ def _cmd_check(ns: SimpleNamespace) -> int:
 def _cmd_solve(ns: SimpleNamespace) -> int:
     annulus = Annulus(ns.a, ns.b)
     if ns.two_d:
+        from .pde2d import solve_dirichlet_2d  # heavy import, needed by --two-d only
+
         tol = 1e-8 if ns.tol is None else ns.tol
         field, report = solve_dirichlet_2d(
             ns.h,

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import HoleTooLargeError
 from .hyperbolic import MAX_RADIUS, RadialFunction, check_radius
-from .quadrature import adaptive_quad, layer_breakpoints
+from .quadrature import adaptive_quad, adaptive_quad_panels, layer_breakpoints
 
 #: Default absolute tolerance for height quadrature.
 DEFAULT_TOL = 1e-10
@@ -262,8 +262,8 @@ def _slacks_at(h: float, r0: float, C: float) -> tuple[float, float]:
 
 def _flux_kernel(
     h: float, C: float, r0: float, slack_small: float, slack_large: float
-) -> tuple[Callable[[float], float], list[float]]:
-    """Integrand and breakpoints for the rise of the flux-C graph above r0.
+) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray], list[float]]:
+    """Integrand, its array form and breakpoints for the rise of the flux-C graph above r0.
 
     The rise from r0 to rho is the integral of g(s) = 2s * u'(r0 + s^2) over
     0 <= s <= sqrt(rho - r0); the substitution removes the inverse-square-root
@@ -274,7 +274,8 @@ def _flux_kernel(
     flux. The caller supplies the slacks, so one that C cannot carry stays
     exact: a family profile has one slack exactly 0 on its own circle, and a
     flux t^2 above the lower end of its interval has slack_large = t^2 even
-    where t^2 is below the rounding of C.
+    where t^2 is below the rounding of C. The array form evaluates the same
+    expressions elementwise, for ``adaptive_quad_panels``.
     """
     exp_plus, exp_minus = math.exp(r0), math.exp(-r0)
     coef_plus, coef_minus = 1.0 + 2.0 * h, 1.0 - 2.0 * h
@@ -291,22 +292,22 @@ def _flux_kernel(
             return 0.0  # s = 0 on a vertical circle, a node Gauss-Kronrod never samples
         return 2.0 * s * (2.0 * h * math.cosh(r0 + d) + C) / math.sqrt(radicand)
 
+    def g_array(s: np.ndarray) -> np.ndarray:
+        d = s * s
+        up = np.expm1(d)
+        down = -np.expm1(-d)
+        grow_small = 0.5 * (coef_plus * exp_minus * down + coef_minus * exp_plus * up)
+        grow_large = 0.5 * (coef_plus * exp_plus * up + coef_minus * exp_minus * down)
+        radicand = (slack_small + grow_small) * (slack_large + grow_large)
+        vertical = radicand <= 0.0
+        root = np.sqrt(np.where(vertical, 1.0, radicand))
+        return np.where(vertical, 0.0, 2.0 * s * (2.0 * h * np.cosh(r0 + d) + C) / root)
+
     cosh0, sinh0 = math.cosh(r0), math.sinh(r0)
     points = layer_breakpoints(
         ((slack_small, cosh0 - 2.0 * h * sinh0), (slack_large, cosh0 + 2.0 * h * sinh0))
     )
-    return g, points
-
-
-def _tabulate(g: Callable[[float], float], points: list[float], nodes, tol: float) -> np.ndarray:
-    """Integrals of g from 0 to each of the ascending nodes, accumulated panel by panel."""
-    out = np.empty(len(nodes))
-    total = lo = 0.0
-    for k, hi in enumerate(nodes):
-        total += adaptive_quad(g, lo, float(hi), tol, points=points)
-        out[k] = total
-        lo = float(hi)
-    return out
+    return g, g_array, points
 
 
 def _anchored_graph(
@@ -321,10 +322,10 @@ def _anchored_graph(
     """The flux-C graph over [a, b], translated to the value ``top`` at b.
 
     ``slacks`` are the radicand slacks at a (see ``_flux_kernel``). The value
-    callable takes a radius, or an array of radii, which is tabulated panel by
-    panel in one pass; both give exactly ``top`` at b.
+    callable takes a radius, one point quadrature, or an array of radii, all
+    panels of the sorted radii in one pass; both give exactly ``top`` at b.
     """
-    g, points = _flux_kernel(h, C, a, *slacks)
+    g, g_array, points = _flux_kernel(h, C, a, *slacks)
     s_b = math.sqrt(b - a)
     lo, hi = a - _BOUNDARY_SLACK, b + _BOUNDARY_SLACK
 
@@ -338,7 +339,7 @@ def _anchored_graph(
                 raise outside(radii)
             s = np.sqrt(np.maximum(radii - a, 0.0)).ravel()
             order = np.argsort(s)
-            rises = _tabulate(g, points, np.append(s[order], s_b), tol)
+            rises = adaptive_quad_panels(g_array, np.append(s[order], s_b), tol, points)
             out = np.empty_like(s)
             out[order] = top - (rises[-1] - rises[:-1])
             return out.reshape(radii.shape)
@@ -378,7 +379,7 @@ def height(h, alpha, rho, tol: float = DEFAULT_TOL) -> float:
     rho0 = _start_radius(h, param, rho)
     if rho <= rho0:
         return 0.0
-    g, points = _profile_kernel(h, param, rho0)
+    g, _, points = _profile_kernel(h, param, rho0)
     return adaptive_quad(g, 0.0, math.sqrt(rho - rho0), tol, points=points)
 
 
@@ -403,8 +404,8 @@ def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.nd
         )
 
     radii = np.linspace(rho0, rho_max, n)
-    g, points = _profile_kernel(h, param, rho0)
-    heights = _tabulate(g, points, np.sqrt(radii - rho0), tol)
+    _, g_array, points = _profile_kernel(h, param, rho0)
+    heights = adaptive_quad_panels(g_array, np.sqrt(radii - rho0), tol, points)
     slopes = [_START_SLOPE[param.branch]]
     slopes += [_flux_slope(h, -param.alpha, r) for r in radii[1:].tolist()]
     return np.column_stack([radii, heights, slopes])

@@ -13,15 +13,18 @@ root find in C, and the achievable drops u(a) - u(b) form an open interval
 whose endpoints are exactly the envelope drops of the a-priori estimates:
 both are the flux graphs at the ends of the flux interval, anchored at
 rho = a. The envelopes and this solver share the flux kernel of ``profiles``;
-the mpmath reference in the test suite checks them independently.
+the mpmath reference in the test suite checks them independently. The root
+find is Brent's method (R. P. Brent, Algorithms for Minimization without
+Derivatives, Prentice-Hall 1973, ch. 4): inverse quadratic interpolation
+with bisection safeguards, in the step sequence of the classic ``brentq``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
+from typing import Callable
 
 from .errors import InfeasibleBoundaryError, InfeasibleFluxError, NonConvergenceError
 from .estimates import Annulus
@@ -75,9 +78,59 @@ def feasible_flux_interval(h, annulus: Annulus) -> tuple[float, float]:
     return (-_large_value(h, annulus.a), -_small_value(h, annulus.a))
 
 
+#: Brent's stopping test: |step| below (XTOL + RTOL*|x|)/2, at most MAXITER steps.
+_XTOL, _RTOL, _MAXITER = 1e-15, 4.0 * sys.float_info.epsilon, 200
+
+
+def _brent(f: Callable[[float], float], xa: float, xb: float) -> float:
+    """A root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    Inverse quadratic interpolation or a secant step when it stays well
+    inside the bracket, bisection otherwise. Raises NonConvergenceError after
+    _MAXITER steps.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("the root is not bracketed")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (_XTOL + _RTOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise NonConvergenceError(f"flux root find did not converge in {_MAXITER} steps")
+
+
 def _drop(h: float, annulus: Annulus, C: float, slacks: tuple[float, float], tol: float) -> float:
     """u(a) - u(b) of the flux-C graph with the given radicand slacks at a."""
-    g, points = _flux_kernel(h, C, annulus.a, *slacks)
+    g, _, points = _flux_kernel(h, C, annulus.a, *slacks)
     return -adaptive_quad(g, 0.0, math.sqrt(annulus.b - annulus.a), tol, points=points)
 
 
@@ -147,8 +200,8 @@ def solve_radial(
         sin2, cos2 = math.sin(theta) ** 2, math.cos(theta) ** 2
         return c_lo + span * sin2, (span * cos2, span * sin2)
 
-    # every drop evaluated so far: brentq starts with both bracket ends and
-    # returns a theta it has already evaluated
+    # every drop evaluated so far: the root find starts with both bracket ends
+    # and returns a theta it has already evaluated
     drops: dict[float, float] = {}
 
     def drop_at(theta: float) -> float:
@@ -162,7 +215,7 @@ def solve_radial(
     if not d_min < target < d_max:
         raise InfeasibleBoundaryError(target, d_min, d_max)
 
-    theta = brentq(lambda t: drop_at(t) - target, 0.0, 0.5 * math.pi, xtol=1e-15, maxiter=200)
+    theta = _brent(lambda t: drop_at(t) - target, 0.0, 0.5 * math.pi)
     c_star, slacks = flux_at(theta)
     achieved = drop_at(theta) - target
     if abs(achieved) > tol:

@@ -1,0 +1,74 @@
+"""Only the 2D solver loads scipy; everything else runs on numpy alone.
+
+Each check runs in a fresh interpreter, since this test session has scipy
+loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run(code: str, tmp_path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+_SCIPY_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+
+def test_package_and_cli_import_without_scipy(tmp_path):
+    proc = _run(f"import json, sys\nimport cmc_annuli, cmc_annuli.cli\n{_SCIPY_LOADED}", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--h", "0.4", "--a", "0.5", "--b", "2", "--inner", "5", "--outer", "0"],
+        ["bounds", "--h", "0.4", "--a", "0.5", "--b", "2", "--m", "0", "--M", "0", "--n", "16",
+         "--out", "bounds.csv"],
+        ["solve", "--h", "0.4", "--a", "0.5", "--b", "2", "--u-a", "0.1", "--u-b", "0", "--n", "16",
+         "--out", "radial.csv"],
+        ["figure", "box", "--h", "0.5", "--a", "1", "--b", "2", "--m", "0", "--M", "0", "--n", "16",
+         "--out", "box.svg"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_light_commands_run_without_scipy(tmp_path, argv):
+    code = f"import json, sys\nfrom cmc_annuli.cli import main\nassert main({argv!r}) == 0\n{_SCIPY_LOADED}"
+    proc = _run(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_two_d_names_resolve_on_first_use(tmp_path):
+    code = """
+import sys
+import cmc_annuli
+assert "cmc_annuli.pde2d" not in sys.modules
+solve = cmc_annuli.solve_dirichlet_2d
+assert "scipy" in sys.modules and "solve_dirichlet_2d" in vars(cmc_annuli)
+from cmc_annuli import SolverReport
+from cmc_annuli.pde2d import solve_dirichlet_2d
+assert solve is solve_dirichlet_2d and SolverReport.__module__ == "cmc_annuli.pde2d"
+namespace = {}
+exec("from cmc_annuli import *", namespace)
+assert all(name in namespace for name in cmc_annuli.__all__)
+try:
+    cmc_annuli.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown names must raise AttributeError")
+"""
+    proc = _run(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -18,6 +18,7 @@ from cmc_annuli import (
     solve_radial,
     upper_envelope,
 )
+from cmc_annuli.radial import _brent
 
 
 class TestFeasibleFluxInterval:
@@ -195,3 +196,29 @@ class TestSolveRadial:
         for rho in np.linspace(0.6, 1.9, 9):
             conserved = flux(solution.evaluator.derivative(rho), rho) - 0.8 * math.cosh(rho)
             assert conserved == pytest.approx(solution.C, abs=1e-10)
+
+
+class TestBrent:
+    """The in-package root finder takes the same steps as scipy's ``brentq``."""
+
+    CASES = [
+        (lambda x: math.cos(x) - x, 0.0, 1.5),
+        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: math.exp(x) - 1e-3, -10.0, 1.0),
+        (lambda x: (x - 0.3) ** 5, 0.0, 1.0),
+        (lambda x: math.tanh(50 * (x - 0.7)), 0.0, 0.5 * math.pi),
+    ]
+
+    @pytest.mark.parametrize("f, lo, hi", CASES)
+    def test_same_evaluations_as_scipy(self, f, lo, hi):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        ours, theirs = [], []
+        root = _brent(lambda x: ours.append(x) or f(x), lo, hi)
+        expected = brentq(lambda x: theirs.append(x) or f(x), lo, hi, xtol=1e-15, maxiter=200)
+        assert root == expected
+        assert ours == theirs
+
+    def test_endpoint_root_and_unbracketed(self):
+        assert _brent(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        with pytest.raises(ValueError):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0)
