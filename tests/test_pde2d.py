@@ -17,6 +17,7 @@ from cmc_annuli import (
     solve_dirichlet_2d,
     solve_radial,
 )
+from cmc_annuli.krylov import _armijo, givens, gmres
 
 ANN = Annulus(0.5, 1.5)
 H = 0.4
@@ -103,7 +104,7 @@ class TestDiscreteOperator:
         mid, rows = v[1:-1, :], _padded(v[1:-1, :])
         applied = c_out * (v[2:, :] - mid) + c_in * (v[:-2, :] - mid)
         applied = applied + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
-        back = _preconditioner(grid, u).matvec(applied.ravel())
+        back = _preconditioner(grid, u)(applied.ravel())
         assert np.abs(back - mid.ravel()).max() <= 1e-12 * np.abs(mid).max()
 
     def test_max_gradient_of_tilted_plane(self):
@@ -239,3 +240,140 @@ class TestSolver:
         expected = np.array([inner(t) for t in field.grid.theta])
         assert np.array_equal(field.values[0, :], expected)
         assert np.all(field.values[-1, :] == 0.1)
+
+    def test_report_carries_residual_history(self):
+        _, report = solve_dirichlet_2d(H, ANN, 0.1, lambda t: 0.05 * math.cos(t), grid=(24, 16))
+        assert report.converged
+        assert len(report.residual_history) == report.iterations + 1
+        assert report.residual_history[-1] == report.residual
+        assert report.residual_history[0] > report.residual
+        assert report.krylov_iterations >= report.iterations
+
+    def test_failed_report_carries_residual_history(self):
+        # W overflows on the interpolant, so no Newton step is taken
+        with pytest.raises(NonConvergenceError) as excinfo:
+            solve_dirichlet_2d(0.4, Annulus(0.5, 2.0), 1e300, 0.0, grid=(24, 12))
+        report = excinfo.value.report
+        assert (report.iterations, report.krylov_iterations) == (0, 0)
+        assert report.residual_history == (report.residual,)
+
+
+class TestNewtonKrylov:
+    """The in-package Newton-GMRES against scipy's ``newton_krylov`` and ``gmres``."""
+
+    def test_givens_matches_lapack(self):
+        lartg = pytest.importorskip("scipy.linalg").get_lapack_funcs("lartg", dtype=np.float64)
+        rng = np.random.default_rng(3)
+        pairs = rng.standard_normal((20000, 2)) * 10.0 ** rng.uniform(-6, 6, (20000, 2))
+        extremes = [(0.0, 0.0), (0.0, -2.0), (3.0, 0.0), (-0.0, 1.0), (1e200, -3e190),
+                    (-2e-160, 5e-170), (1e-300, 1e-310), (5e153, 5e153), (1.0, 1e160)]
+        for f, g in list(map(tuple, pairs)) + extremes:
+            assert givens(f, g) == tuple(lartg(f, g)), (f, g)
+
+    @pytest.mark.parametrize(
+        "slope, quadratic, cubic",
+        [
+            (1.0, 0.99, 0.0),  # full step, decrease 1e-2
+            (1.0, 1.0 - 1.2e-4, 0.0),  # full step, decrease 1.2e-4 just above c1
+            (1.0, 1.0 - 0.8e-4, 0.0),  # decrease 0.8e-4 just below c1: quadratic step
+            (1.0, 0.0, 30.0),  # quadratic step
+            (0.1, 1.0, 0.0),  # cubic steps
+            (0.01, 1.0, 0.0),  # cubic steps below the smallest step
+            (-1.0, 0.0, 0.0),  # ascent: no step
+        ],
+    )
+    def test_armijo_matches_scipy(self, slope, quadratic, cubic):
+        search = pytest.importorskip("scipy.optimize._linesearch").scalar_search_armijo
+        phi = lambda s: 1.0 - slope * s + quadratic * s**2 + cubic * s**3
+        ours, theirs = [], []
+        step = _armijo(lambda s: ours.append(s) or phi(s), 1.0)
+        expected, _ = search(lambda s: theirs.append(s) or phi(s), 1.0, -1.0, amin=1e-2)
+        assert step == expected
+        assert ours == theirs
+
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-14])
+    def test_gmres_cycle_matches_scipy(self, rtol):
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        from cmc_annuli.pde2d import _padded, _preconditioner, _stencil
+
+        # the frozen-W stencil of wavy data, preconditioned by its theta average;
+        # rtol = 1e-6 takes 9 steps, 1e-14 stops at the cycle's 20
+        grid = PolarGrid(ANN, 12, 10)
+        mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
+        u = 0.3 * mesh_r + np.cos(2 * mesh_t) * np.sin(3 * mesh_r)
+        c_out, c_in, c_east, c_west = _stencil(grid, u)
+        shape = (grid.n_rho - 2, grid.n_theta)
+
+        def apply(x):
+            v = np.zeros_like(u)
+            v[1:-1, :] = x.reshape(shape)
+            mid, rows = v[1:-1, :], _padded(v[1:-1, :])
+            out = c_out * (v[2:, :] - mid) + c_in * (v[:-2, :] - mid)
+            return (out + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)).ravel()
+
+        psolve = _preconditioner(grid, u)
+        b = np.random.default_rng(7).standard_normal(shape).ravel()
+        x, steps = gmres(apply, b, psolve, rtol)
+
+        n, counted = b.size, []
+        expected, _ = linalg.gmres(
+            linalg.LinearOperator((n, n), matvec=apply), b, rtol=rtol, atol=0, restart=20, maxiter=1,
+            M=linalg.LinearOperator((n, n), matvec=psolve), callback=counted.append,
+            callback_type="pr_norm",
+        )
+        assert steps == len(counted)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @staticmethod
+    def scipy_newton_krylov(F, x, psolve, f_tol, maxiter):
+        """``krylov.newton_krylov``'s contract on top of scipy's ``newton_krylov``."""
+        optimize = pytest.importorskip("scipy.optimize")
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        history, last, krylov = [float(np.abs(F(x)).max())], [x], []
+
+        def record(x, fx):
+            last[0] = x
+            history.append(float(np.abs(fx).max()))
+
+        try:
+            optimize.newton_krylov(
+                F, x, f_tol=f_tol, maxiter=maxiter, method="gmres", callback=record,
+                inner_M=linalg.LinearOperator((x.size,) * 2, matvec=psolve),
+                inner_callback=krylov.append, inner_callback_type="pr_norm",
+            )
+        except (optimize.NoConvergence, ValueError):
+            pass
+        return last[0], history, len(krylov)
+
+    @staticmethod
+    def steep_wavy_case():
+        # near the upper envelope: the line search backtracks twice
+        ann = Annulus(1.2, 2.0)
+        box = bounding_box(0.45, ann, OuterBoundaryData(-0.1, 0.1))
+        level = box.lower.value(ann.a) + 0.98 * (box.upper.value(ann.a) - box.lower.value(ann.a))
+        return 0.45, ann, lambda t: level + 0.02 * math.cos(2 * t), lambda t: 0.1 * math.cos(5 * t)
+
+    @staticmethod
+    def wavy_case():
+        box = bounding_box(H, ANN, OuterBoundaryData(0.2, 0.4))
+        inner = 0.5 * (box.lower.value(ANN.a) + box.upper.value(ANN.a))
+        return H, ANN, inner, lambda t: 0.3 + 0.1 * math.cos(t)
+
+    @pytest.mark.parametrize(
+        "case, tol",
+        [("radial", 1e-9), ("wavy", 1e-9), ("steep wavy", 1e-9), ("radial", 1.0)],
+        ids=["radial", "wavy", "steep-wavy-backtracking", "start-within-tol-one-step"],
+    )
+    def test_solves_match_scipy(self, case, tol, monkeypatch):
+        from cmc_annuli import pde2d
+
+        if case == "radial":
+            drops = extremal_drops(H, ANN)
+            data = (H, ANN, 0.5 * (drops.d_min + drops.d_max), 0.0)
+        else:
+            data = self.wavy_case() if case == "wavy" else self.steep_wavy_case()
+        field, report = solve_dirichlet_2d(*data, grid=(32, 32), tol=tol)
+        monkeypatch.setattr(pde2d, "newton_krylov", self.scipy_newton_krylov)
+        expected_field, expected = solve_dirichlet_2d(*data, grid=(32, 32), tol=tol)
+        assert (report.iterations, report.krylov_iterations) == (expected.iterations, expected.krylov_iterations)
+        assert np.abs(field.values - expected_field.values).max() <= 1e-9
