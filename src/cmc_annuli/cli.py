@@ -18,8 +18,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-import numpy as np
-
 from .errors import InfeasibleBoundaryError, NonConvergenceError, QuadratureError
 from .estimates import Annulus, OuterBoundaryData, bounding_box, dirichlet_feasibility
 from .hyperbolic import euclidean_to_hyperbolic
@@ -286,8 +284,8 @@ def _cmd_check(ns: SimpleNamespace) -> int:
 def _cmd_solve(ns: SimpleNamespace) -> int:
     annulus = Annulus(ns.a, ns.b)
     if ns.two_d:
-        # imported here: pde2d and its Newton-Krylov module take about 8 ms to
-        # load, which every other command skips
+        # imported here: pde2d and its Newton-Krylov module take about 10 ms
+        # to load on top of numpy, which every other command skips
         from .pde2d import solve_dirichlet_2d
 
         tol = 1e-8 if ns.tol is None else ns.tol
@@ -310,6 +308,9 @@ def _cmd_solve(ns: SimpleNamespace) -> int:
         return 0
     tol = 1e-10 if ns.tol is None else ns.tol
     solution = solve_radial(ns.h, annulus, ns.u_a, ns.u_b, tol)
+    # an infeasible drop has raised by now, so exit 3 never loads numpy
+    import numpy as np
+
     radii = np.linspace(annulus.a, annulus.b, ns.n)
     values = solution.evaluator.value(radii)
     _write_csv(ns.out, "rho,u", ([_fmt(rho), _fmt(u)] for rho, u in zip(radii, values)))

@@ -16,9 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import HoleTooLargeError
 from .hyperbolic import MAX_RADIUS, RadialFunction
@@ -31,6 +29,9 @@ from .profiles import (
     param_large,
     param_small,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,8 @@ class AprioriBounds:
         """Tabulate (rho, lower, upper) on a uniform grid; lower is NaN when absent."""
         if n < 2:
             raise ValueError(f"need at least 2 sample rows, got n = {n}")
+        import numpy as np
+
         radii = np.linspace(self.annulus.a, self.annulus.b, int(n))
         upper = self.upper.value(radii)
         lower = np.full_like(upper, np.nan) if self.lower is None else self.lower.value(radii)

@@ -38,14 +38,16 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import HoleTooLargeError
 from .hyperbolic import MAX_RADIUS, RadialFunction, check_radius
 from .quadrature import adaptive_quad, adaptive_quad_panels, layer_breakpoints
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default absolute tolerance for height quadrature.
 DEFAULT_TOL = 1e-10
@@ -293,6 +295,8 @@ def _flux_kernel(
         return 2.0 * s * (2.0 * h * math.cosh(r0 + d) + C) / math.sqrt(radicand)
 
     def g_array(s: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         d = s * s
         up = np.expm1(d)
         down = -np.expm1(-d)
@@ -310,6 +314,14 @@ def _flux_kernel(
     return g, g_array, points
 
 
+def _is_array_like(x) -> bool:
+    """np.ndim(x) > 0 without numpy: an array of one or more dimensions, or a sequence."""
+    ndim = getattr(x, "ndim", None)
+    if ndim is not None:
+        return ndim > 0
+    return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
+
+
 def _anchored_graph(
     h: float,
     C: float,
@@ -324,6 +336,8 @@ def _anchored_graph(
     ``slacks`` are the radicand slacks at a (see ``_flux_kernel``). The value
     callable takes a radius, one point quadrature, or an array of radii, all
     panels of the sorted radii in one pass; both give exactly ``top`` at b.
+    A number or a 0-d array is a radius and gives a float; a list, a tuple or
+    an array of one or more dimensions gives an array of its shape.
     """
     g, g_array, points = _flux_kernel(h, C, a, *slacks)
     s_b = math.sqrt(b - a)
@@ -333,7 +347,9 @@ def _anchored_graph(
         return ValueError(f"rho = {rho} outside the annulus [{a:g}, {b:g}]")
 
     def value(rho):
-        if np.ndim(rho):
+        if _is_array_like(rho):
+            import numpy as np
+
             radii = np.asarray(rho, dtype=float)
             if not np.all((radii >= lo) & (radii <= hi)):
                 raise outside(radii)
@@ -402,6 +418,8 @@ def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.nd
         raise ValueError(
             f"rho_max = {rho_max:g} must exceed the starting radius rho0 = {rho0:g}"
         )
+
+    import numpy as np
 
     radii = np.linspace(rho0, rho_max, n)
     _, g_array, points = _profile_kernel(h, param, rho0)

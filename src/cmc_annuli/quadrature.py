@@ -12,6 +12,9 @@ summed estimate meets the tolerance. Two drivers share the rule:
 * ``adaptive_quad_panels`` integrates an array callable over every panel of
   a table at once, each panel to the same tolerance a point query would get.
 
+Only the panel driver uses numpy, and imports it when called, so a point
+query never loads it.
+
 Both raise QuadratureError when the tolerance is not reached within
 ``SUBDIVISION_LIMIT`` sub-intervals, a non-finite integrand included.
 """
@@ -22,11 +25,12 @@ import heapq
 import math
 import sys
 from operator import mul
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import QuadratureError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Abscissae of the 21-point Kronrod rule on [-1, 1] in ascending order; the
 # odd positions are the nodes of the 10-point Gauss rule (QUADPACK's QK21).
@@ -66,10 +70,6 @@ _WG_POS = (
 NODES = tuple(-x for x in _X_POS) + (0.0,) + _X_POS[::-1]
 KRONROD_WEIGHTS = _WK_POS + (_WK_CENTRE,) + _WK_POS[::-1]
 GAUSS_WEIGHTS = _WG_POS + _WG_POS[::-1]  # at NODES[1::2]
-
-_NODES = np.array(NODES)
-_KRONROD = np.array(KRONROD_WEIGHTS)
-_GAUSS = np.array(GAUSS_WEIGHTS)
 
 _EPS = sys.float_info.epsilon
 _ROUNDOFF_FLOOR = sys.float_info.min / (50.0 * _EPS)  # QUADPACK's uflow/(50*epmach)
@@ -169,17 +169,20 @@ def adaptive_quad(
 
 def _gk21_array(F: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """``_gk21`` of F over each of the intervals [lo, hi], in one call of F."""
+    import numpy as np
+
+    nodes, kronrod_weights = np.array(NODES), np.array(KRONROD_WEIGHTS)
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    values = F(centre[:, None] + half[:, None] * _NODES)
-    kronrod = values @ _KRONROD
-    gauss = values[:, 1::2] @ _GAUSS
+    values = F(centre[:, None] + half[:, None] * nodes)
+    kronrod = values @ kronrod_weights
+    gauss = values[:, 1::2] @ np.array(GAUSS_WEIGHTS)
     width = np.abs(half)
     err = np.abs(kronrod - gauss) * width
-    resasc = (np.abs(values - 0.5 * kronrod[:, None]) @ _KRONROD) * width
+    resasc = (np.abs(values - 0.5 * kronrod[:, None]) @ kronrod_weights) * width
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    resabs = (np.abs(values) @ _KRONROD) * width
+    resabs = (np.abs(values) @ kronrod_weights) * width
     err = np.where(resabs > _ROUNDOFF_FLOOR, np.maximum(50.0 * _EPS * resabs, err), err)
     return kronrod * half, err
 
@@ -202,6 +205,8 @@ def adaptive_quad_panels(
     pending panel with nothing to split. Raises QuadratureError when a panel needs more than
     SUBDIVISION_LIMIT sub-intervals, or when F is not finite.
     """
+    import numpy as np
+
     if tol <= 0.0:
         raise ValueError("quadrature tolerance must be positive")
     edges = np.asarray(edges, dtype=float)

@@ -9,13 +9,14 @@ bytes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .estimates import Annulus, OuterBoundaryData, bounding_box
 from .profiles import DEFAULT_TOL, as_mean_curvature, as_parameter, boundary_radius, sample_profile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 24, 24, 56
@@ -27,6 +28,8 @@ def _fmt(x: float) -> str:
 
 
 def _render(curves: list[tuple[str, np.ndarray]], x_label: str, y_label: str) -> str:
+    import numpy as np
+
     xs = np.concatenate([c[:, 0] for _, c in curves])
     ys = np.concatenate([c[:, 1] for _, c in curves])
     x_lo, x_hi = float(xs.min()), float(xs.max())
