@@ -276,11 +276,18 @@ def _flux_kernel(
     flux. The caller supplies the slacks, so one that C cannot carry stays
     exact: a family profile has one slack exactly 0 on its own circle, and a
     flux t^2 above the lower end of its interval has slack_large = t^2 even
-    where t^2 is below the rounding of C. The array form evaluates the same
-    expressions elementwise, for ``adaptive_quad_panels``.
+    where t^2 is below the rounding of C. The flux F = 2h*cosh(r0 + d) + C is
+    likewise its value at r0, (slack_large - slack_small)/2, plus its growth
+    h*(cosh(r0)*up*down + sinh(r0)*(up + down)), with up*down = 4 sinh(d/2)^2
+    and up + down = 2 sinh(d). The growth is a sum of nonnegative terms, so
+    F keeps its digits where the graph turns horizontal, as at the neck,
+    where F(r0) = 0. The array form evaluates the same expressions
+    elementwise, for ``adaptive_quad_panels``.
     """
     exp_plus, exp_minus = math.exp(r0), math.exp(-r0)
+    cosh0, sinh0 = math.cosh(r0), math.sinh(r0)
     coef_plus, coef_minus = 1.0 + 2.0 * h, 1.0 - 2.0 * h
+    flux0 = 0.5 * (slack_large - slack_small)
 
     def g(s: float) -> float:
         d = s * s
@@ -292,7 +299,8 @@ def _flux_kernel(
         radicand = (slack_small + grow_small) * (slack_large + grow_large)
         if radicand <= 0.0:
             return 0.0  # s = 0 on a vertical circle, a node Gauss-Kronrod never samples
-        return 2.0 * s * (2.0 * h * math.cosh(r0 + d) + C) / math.sqrt(radicand)
+        flux = flux0 + h * (cosh0 * up * down + sinh0 * (up + down))
+        return 2.0 * s * flux / math.sqrt(radicand)
 
     def g_array(s: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -305,9 +313,9 @@ def _flux_kernel(
         radicand = (slack_small + grow_small) * (slack_large + grow_large)
         vertical = radicand <= 0.0
         root = np.sqrt(np.where(vertical, 1.0, radicand))
-        return np.where(vertical, 0.0, 2.0 * s * (2.0 * h * np.cosh(r0 + d) + C) / root)
+        flux = flux0 + h * (cosh0 * up * down + sinh0 * (up + down))
+        return np.where(vertical, 0.0, 2.0 * s * flux / root)
 
-    cosh0, sinh0 = math.cosh(r0), math.sinh(r0)
     points = layer_breakpoints(
         ((slack_small, cosh0 - 2.0 * h * sinh0), (slack_large, cosh0 + 2.0 * h * sinh0))
     )

@@ -1,4 +1,4 @@
-"""Extremal drops, feasibility thresholds and neck slopes against mpmath references.
+"""Extremal drops, feasibility thresholds, neck slopes and the neck integrand against mpmath.
 
 The envelopes and the radial solver share one flux kernel, so agreeing with
 each other shows little; this reference shares nothing with the package. It
@@ -14,9 +14,11 @@ so the integrand is smooth in s up to s = 0 and nothing cancels.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import cmc_annuli as ca
+from cmc_annuli.profiles import _flux_kernel
 
 DIGITS = 50
 
@@ -87,3 +89,18 @@ def test_neck_slope(h, rho):
         f = 2 * mp.mpf(h) * mp.cosh(r) - 2 * mp.mpf(h)
         expected = float(f / mp.sqrt(mp.sinh(r) ** 2 - f**2))
     assert ca.slope(h, 2 * h, rho) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.95e-4, 1e-3, 0.1])
+def test_neck_integrand(s):
+    # the kernel's integrand 2s*u'(s^2) of the neck graph (r0 = 0, C = -2h),
+    # where F = 2h*cosh(r) - 2h = 4h*sinh(r/2)^2 is far below the rounding of
+    # either term; both forms must keep their relative digits
+    h = 0.4
+    with mp.workdps(DIGITS):
+        r = mp.mpf(s) ** 2
+        f = 4 * mp.mpf(h) * mp.sinh(r / 2) ** 2
+        expected = float(2 * mp.mpf(s) * f / mp.sqrt(mp.sinh(r) ** 2 - f**2))
+    g, g_array, _ = _flux_kernel(h, -2 * h, 0.0, 0.0, 0.0)
+    assert g(s) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert g_array(np.array([s]))[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
