@@ -28,6 +28,7 @@ from typing import Callable
 
 from .errors import InfeasibleBoundaryError, InfeasibleFluxError, NonConvergenceError
 from .estimates import Annulus
+from .hyperbolic import RadialFunction
 from .profiles import (
     DEFAULT_TOL,
     _anchored_graph,

@@ -1,16 +1,24 @@
-"""The package runs on numpy alone: no command or first use loads scipy.
+"""Which heavy modules each entry point loads.
 
-Each check runs in a fresh interpreter, since this test session has scipy
-loaded already (the tests use it as a reference).
+Point queries run on the standard library alone: importing the package and
+its CLI, a ``check`` verdict and a radial solve that ends in exit 3 load no
+numpy. numpy loads with the first table, figure or 2D solve, and no command
+or first use loads scipy. Each check runs in a fresh interpreter, since this
+test session has numpy and scipy loaded already (the tests use scipy as a
+reference).
 """
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
+
+import cmc_annuli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -21,7 +29,13 @@ def _run(code: str, tmp_path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-_SCIPY_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+def _loaded(package: str) -> str:
+    """Code printing, as a JSON list, the loaded modules of one top-level package."""
+    return f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
+
+
+_SCIPY_LOADED = _loaded("scipy")
+_NUMPY_LOADED = _loaded("numpy")
 
 
 def test_package_and_cli_import_without_scipy(tmp_path):
@@ -52,6 +66,33 @@ def test_light_commands_run_without_scipy(tmp_path, argv):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def test_package_and_cli_import_without_numpy(tmp_path):
+    proc = _run(f"import json, sys\nimport cmc_annuli, cmc_annuli.cli\n{_NUMPY_LOADED}", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+_ANNULUS = ["--h", "0.4", "--a", "0.5", "--b", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["check", *_ANNULUS, "--inner", "5", "--outer", "0"], 0),
+        (["check", *_ANNULUS, "--inner", "inner.csv", "--outer", "outer.csv"], 0),
+        (["solve", *_ANNULUS, "--u-a", "5", "--u-b", "0", "--out", "unused.csv"], 3),
+    ],
+    ids=["check-number", "check-csv", "solve-infeasible"],
+)
+def test_point_queries_run_without_numpy(tmp_path, argv, exit_code):
+    (tmp_path / "inner.csv").write_text("theta,u\n0,4.5\n1.5,5\n3,4.75\n")
+    (tmp_path / "outer.csv").write_text("theta,u\n0,-0.25\n3,0.25\n")
+    code = f"import json, sys\nfrom cmc_annuli.cli import main\nassert main({argv!r}) == {exit_code}\n{_NUMPY_LOADED}"
+    proc = _run(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_two_d_names_resolve_on_first_use(tmp_path):
     code = """
 import sys
@@ -75,3 +116,10 @@ else:
 """
     proc = _run(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in cmc_annuli.__all__ if dataclasses.is_dataclass(getattr(cmc_annuli, n))]
+)
+def test_public_dataclass_annotations_resolve(name):
+    assert typing.get_type_hints(getattr(cmc_annuli, name))

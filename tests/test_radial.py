@@ -222,3 +222,39 @@ class TestBrent:
         assert _brent(lambda x: x - 1.0, 1.0, 2.0) == 1.0
         with pytest.raises(ValueError):
             _brent(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+class TestValueDispatch:
+    """A radius, whatever its type, takes the point quadrature and gives a float;
+    radii in a list, a tuple or an array take the panel path and keep their shape."""
+
+    RADII = [[0.5, 1.25, 2.0], [1.75, 0.75, 1.0]]
+
+    @pytest.fixture(params=["envelope", "radial"])
+    def graph(self, request):
+        annulus = Annulus(0.5, 2.0)
+        if request.param == "envelope":
+            return upper_envelope(0.4, annulus, M=0.25)
+        return solve_radial(0.4, annulus, 0.1, 0.0).evaluator
+
+    @pytest.mark.parametrize(
+        "rho", [1.0, 1, np.float64(1.0), np.array(1.0)], ids=["float", "int", "float64", "0-d"]
+    )
+    def test_radius_gives_float(self, graph, rho):
+        value = graph.value(rho)
+        assert type(value) is float
+        assert value == graph.value(1.0)
+
+    @pytest.mark.parametrize(
+        "radii",
+        [RADII[0], tuple(RADII[0]), np.array(RADII[0]), np.array(RADII)],
+        ids=["list", "tuple", "1-d", "2-d"],
+    )
+    def test_radii_give_array_of_their_shape(self, graph, radii):
+        flat = np.ravel(radii)
+        values = graph.value(radii)
+        assert isinstance(values, np.ndarray) and values.shape == np.shape(radii)
+        np.testing.assert_array_equal(values.ravel(), graph.value(np.array(flat)))
+        # the panel and point paths agree to the quadrature tolerance
+        points = [graph.value(float(rho)) for rho in flat]
+        np.testing.assert_allclose(values.ravel(), points, rtol=0.0, atol=1e-9)
