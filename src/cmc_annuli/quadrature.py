@@ -12,8 +12,8 @@ summed estimate meets the tolerance. Two drivers share the rule:
 * ``adaptive_quad_panels`` integrates an array callable over every panel of
   a table at once, each panel to the same tolerance a point query would get.
 
-Only the panel driver uses numpy, and imports it when called, so a point
-query never loads it.
+Only ``adaptive_quad_panels`` uses numpy, and imports it when called, so a
+point query never loads it.
 
 Both raise QuadratureError when the tolerance is not reached within
 ``SUBDIVISION_LIMIT`` sub-intervals, a non-finite integrand included.
