@@ -53,9 +53,10 @@ def hyperbolic_to_euclidean(rho: float) -> float:
 class RadialFunction:
     """A rotationally symmetric height function rho -> value.
 
-    Carries its first derivative in closed form; the curvature checker below
-    reads only the derivative, never the value. ``domain`` is the closed
-    interval of radii on which both callables are valid.
+    Carries its first derivative, which for the package's graphs comes from
+    the same flux kernel as the value; the curvature checker below reads only
+    the derivative, never the value. ``domain`` is the closed interval of
+    radii on which both callables are valid.
     """
 
     value: Callable[[float], float]

@@ -29,9 +29,10 @@ Every graph of constant mean curvature h over an annulus has a conserved flux,
 sinh(rho) u'/sqrt(1 + u'^2) = 2h*cosh(rho) + C; a profile is the C = -alpha
 member. One private kernel integrates the slope of any such graph from a base
 radius r0 after the substitution r = r0 + s^2, which removes the
-inverse-square-root singularity where the graph is vertical. Profile heights,
-the envelopes of ``estimates`` and the drops and solutions of ``radial`` all
-go through it.
+inverse-square-root singularity where the graph is vertical. Profile heights
+and slopes, the envelopes of ``estimates`` and the drops and solutions of
+``radial``, values and derivatives alike, all go through it: the integrand
+g(s) = 2s*u'(r0 + s^2) divided by 2s is the slope.
 """
 
 from __future__ import annotations
@@ -214,46 +215,6 @@ def _start_radius(h: float, param: ProfileParameter, rho: float) -> float:
     return rho0
 
 
-def _flux_slope(h: float, C: float, rho: float) -> float:
-    """Slope F/sqrt(sinh^2 - F^2), F = 2h*cosh(rho) + C, of the flux-C graph.
-
-    F = 4h*sinh(rho/2)^2 + (C + 2h) and the radicand is the product
-    (-small(rho) - C) * (F + sinh(rho)), so nothing is squared. For C <= -h
-    the first factor is the positive sum 2h - small(rho) minus C + 2h, which
-    is exact for the neck (C = -2h) and keeps its digits as rho -> 0; above
-    -h it is the closed-form value, exact for a small C at h = 1/2. At or
-    below zero (a few ulp from a vertical circle) the slope is the signed
-    infinity of F.
-    """
-    offset, half = C + 2.0 * h, 0.5 * rho
-    f = 4.0 * h * math.sinh(half) ** 2 + offset
-    if C <= -h:
-        grow, decay = math.exp(half), math.exp(-half)
-        slack_small = math.sinh(half) * ((1.0 - 2.0 * h) * grow + (1.0 + 2.0 * h) * decay) - offset
-    else:
-        slack_small = -_small_value(h, rho) - C
-    radicand = slack_small * (f + math.sinh(rho))
-    if radicand <= 0.0:
-        return math.copysign(math.inf, f)
-    return f / math.sqrt(radicand)
-
-
-def slope(h, alpha, rho) -> float:
-    """Slope u(rho) of the profile, signed infinity on its starting circle.
-
-    The profile is the flux graph with C = -alpha. On the small branch the
-    vertical approach is from +inf, on the large branch from -inf; the neck
-    profile has the finite limit 0 at rho = 0 (slope ~ h*rho).
-    """
-    h = as_mean_curvature(h)
-    param = as_parameter(h, alpha)
-    rho = check_radius(rho)
-    rho0 = _start_radius(h, param, rho)
-    if rho <= rho0:
-        return _START_SLOPE[param.branch]
-    return _flux_slope(h, -param.alpha, rho)
-
-
 def _slacks_at(h: float, r0: float, C: float) -> tuple[float, float]:
     """The radicand factors -small(r0) - C and large(r0) + C of the flux-C graph.
 
@@ -345,7 +306,8 @@ def _anchored_graph(
     callable takes a radius, one point quadrature, or an array of radii, all
     panels of the sorted radii in one pass; both give exactly ``top`` at b.
     A number or a 0-d array is a radius and gives a float; a list, a tuple or
-    an array of one or more dimensions gives an array of its shape.
+    an array of one or more dimensions gives an array of its shape. The
+    derivative takes a radius and is the same integrand g(s)/(2s).
     """
     g, g_array, points = _flux_kernel(h, C, a, *slacks)
     s_b = math.sqrt(b - a)
@@ -376,7 +338,11 @@ def _anchored_graph(
         rho = float(rho)
         if not lo <= rho <= hi:
             raise outside(rho)
-        return _flux_slope(h, C, rho)
+        if rho <= a:  # g(s)/(2s) is 0/0 at s = 0: F/sqrt(radicand) at a, vertical if a slack is 0
+            flux0, radicand = 0.5 * (slacks[1] - slacks[0]), slacks[0] * slacks[1]
+            return flux0 / math.sqrt(radicand) if radicand > 0.0 else math.copysign(math.inf, flux0)
+        s = math.sqrt(rho - a)
+        return g(s) / (2.0 * s)
 
     return RadialFunction(value, derivative, (a, b))
 
@@ -387,6 +353,25 @@ def _profile_kernel(h: float, param: ProfileParameter, rho0: float):
     if param.branch is Branch.LARGE:
         return _flux_kernel(h, -param.alpha, rho0, other, 0.0)
     return _flux_kernel(h, -param.alpha, rho0, 0.0, other)
+
+
+def slope(h, alpha, rho) -> float:
+    """Slope u(rho) of the profile, signed infinity on its starting circle.
+
+    The profile is the flux graph with C = -alpha, and the slope is its
+    kernel's integrand g(s)/(2s) at s = sqrt(rho - rho0). On the small branch
+    the vertical approach is from +inf, on the large branch from -inf; the
+    neck profile has the finite limit 0 at rho = 0 (slope ~ h*rho).
+    """
+    h = as_mean_curvature(h)
+    param = as_parameter(h, alpha)
+    rho = check_radius(rho)
+    rho0 = _start_radius(h, param, rho)
+    if rho <= rho0:
+        return _START_SLOPE[param.branch]
+    g, _, _ = _profile_kernel(h, param, rho0)
+    s = math.sqrt(rho - rho0)
+    return g(s) / (2.0 * s)
 
 
 def height(h, alpha, rho, tol: float = DEFAULT_TOL) -> float:
@@ -430,10 +415,10 @@ def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.nd
     import numpy as np
 
     radii = np.linspace(rho0, rho_max, n)
+    s = np.sqrt(radii - rho0)
     _, g_array, points = _profile_kernel(h, param, rho0)
-    heights = adaptive_quad_panels(g_array, np.sqrt(radii - rho0), tol, points)
-    slopes = [_START_SLOPE[param.branch]]
-    slopes += [_flux_slope(h, -param.alpha, r) for r in radii[1:].tolist()]
+    heights = adaptive_quad_panels(g_array, s, tol, points)
+    slopes = np.divide(g_array(s), 2.0 * s, out=np.full(n, _START_SLOPE[param.branch]), where=s > 0.0)
     return np.column_stack([radii, heights, slopes])
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cmc_annuli import (
     Annulus,
     HoleTooLargeError,
     OuterBoundaryData,
     Verdict,
+    boundary_radius,
     bounding_box,
     dirichlet_feasibility,
     height,
@@ -17,6 +19,7 @@ from cmc_annuli import (
     slope,
     upper_envelope,
 )
+from test_oracle import vertical_slope
 
 
 class TestDomainTypes:
@@ -53,10 +56,18 @@ class TestUpperEnvelope:
         assert env.value(1.0) == pytest.approx(expected, abs=1e-7)
 
     def test_derivative_is_profile_slope(self):
+        # the envelope is the beta profile, but each side is vertical on its
+        # own circle: the envelope on a = 0.5, the profile on
+        # boundary_radius(beta) = 0.49999999999999983
         ann = Annulus(0.5, 2.0)
         env = upper_envelope(0.4, ann, M=0.0)
         beta = param_large(0.4, 0.5)
-        assert env.derivative(1.2) == slope(0.4, beta, 1.2)
+        rho0 = boundary_radius(0.4, beta)
+        expected = vertical_slope(0.4, 0.5, 1.2, -1)
+        assert env.derivative(1.2) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        expected = vertical_slope(0.4, rho0, 1.2, -1)
+        assert slope(0.4, beta, 1.2) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert env.derivative(1.2) == pytest.approx(slope(0.4, beta, 1.2), rel=1e-14, abs=0.0)
 
 
 class TestLowerEnvelope:
@@ -176,6 +187,35 @@ class TestDirichletFeasibility:
         )
         assert moved.verdict is base.verdict
         assert moved.margin == pytest.approx(base.margin, abs=1e-9)
+
+    @settings(deadline=None)
+    @given(
+        h=st.floats(0.01, 0.5),
+        a=st.floats(0.05, 3.0),
+        width=st.floats(0.05, 3.0),
+        m=st.floats(-2.0, 2.0),
+        spread=st.floats(0.0, 2.0),
+        data=st.data(),
+    )
+    def test_verdict_invariant_under_common_shift(self, h, a, width, m, spread, data):
+        # inner data 1e-6 to 1 from a threshold, on either side, and at least
+        # 1e-6 from each: far beyond the rounding that a shift of up to 10
+        # brings into either side
+        ann, outer = Annulus(a, a + width), OuterBoundaryData(m, m + spread)
+        base = dirichlet_feasibility(h, ann, 0.0, 0.0, outer)
+        thresholds = [t for t in (base.threshold_upper, base.threshold_lower) if t is not None]
+        near = st.builds(
+            lambda t, sign, exponent: t + sign * 10.0**exponent,
+            st.sampled_from(thresholds), st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 0.0),
+        )
+        inner_min, inner_max = sorted(data.draw(st.tuples(near, near)))
+        assume(all(abs(x - t) >= 1e-6 for x in (inner_min, inner_max) for t in thresholds))
+        t = data.draw(st.floats(-10.0, 10.0))
+        verdict = dirichlet_feasibility(h, ann, inner_min, inner_max, outer).verdict
+        moved = dirichlet_feasibility(
+            h, ann, inner_min + t, inner_max + t, OuterBoundaryData(m + t, m + spread + t)
+        )
+        assert moved.verdict is verdict
 
     def test_rejects_disordered_inner_data(self):
         with pytest.raises(ValueError):

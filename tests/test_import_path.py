@@ -1,8 +1,9 @@
 """Which heavy modules each entry point loads.
 
 Point queries run on the standard library alone: importing the package and
-its CLI, a ``check`` verdict and a radial solve that ends in exit 3 load no
-numpy. numpy loads with the first table, figure or 2D solve, and no command
+its CLI, a ``check`` verdict, a radial solve that ends in exit 3, and the
+library's slopes, heights, envelopes and radial solutions at single radii load
+no numpy. numpy loads with the first table, figure or 2D solve, and no command
 or first use loads scipy. Each check runs in a fresh interpreter, since this
 test session has numpy and scipy loaded already (the tests use scipy as a
 reference).
@@ -91,6 +92,24 @@ def test_point_queries_run_without_numpy(tmp_path, argv, exit_code):
     proc = _run(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_library_point_path_runs_without_numpy(tmp_path):
+    code = f"""
+import json, math, sys
+import cmc_annuli as ca
+annulus = ca.Annulus(0.5, 2.0)
+assert ca.slope(0.4, 0.5, 1.2) > 0 and ca.height(0.4, 0.5, 1.2) > 0
+upper = ca.upper_envelope(0.4, annulus, 0.0)
+assert isinstance(upper.value(1.2), float) and upper.derivative(0.5) == -math.inf
+assert upper.derivative(1.2) > upper.derivative(0.6)
+evaluator = ca.solve_radial(0.4, annulus, -0.5, 0.0).evaluator
+assert isinstance(evaluator.value(1.2), float)
+assert math.isfinite(evaluator.derivative(0.5)) and math.isfinite(evaluator.derivative(1.2))
+{_NUMPY_LOADED}"""
+    proc = _run(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_two_d_names_resolve_on_first_use(tmp_path):

@@ -1,4 +1,4 @@
-"""Extremal drops, feasibility thresholds, neck slopes and the neck integrand against mpmath.
+"""Extremal drops, feasibility thresholds, slopes and the neck integrand against mpmath.
 
 The envelopes and the radial solver share one flux kernel, so agreeing with
 each other shows little; this reference shares nothing with the package. It
@@ -104,3 +104,72 @@ def test_neck_integrand(s):
     g, g_array, _ = _flux_kernel(h, -2 * h, 0.0, 0.0, 0.0)
     assert g(s) == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert g_array(np.array([s]))[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+SLOPE_DIGITS = 60
+SLOPE_GAPS = [1e-12, 1e-9, 1e-6, 1e-3]
+
+
+def flux_slope(h, rho, flux):
+    """F/sqrt(sinh^2 - F^2) at the float radius rho, to 60 digits; ``flux(r)`` gives F(r)."""
+    with mp.workdps(SLOPE_DIGITS):
+        r = mp.mpf(rho)
+        f = flux(mp.mpf(h), r)
+        return float(f / mp.sqrt(mp.sinh(r) ** 2 - f**2))
+
+
+def vertical_slope(h, r0, rho, sign):
+    """Slope at rho of the flux graph vertical at r0; sign +1 rises from r0, -1 dips.
+
+    F(r0) = sign*sinh(r0), so F(r) = sign*sinh(r0) + 2h*(cosh(r) - cosh(r0)).
+    """
+    r0 = mp.mpf(r0)
+    return flux_slope(h, rho, lambda hm, r: sign * mp.sinh(r0) + 2 * hm * (mp.cosh(r) - mp.cosh(r0)))
+
+
+# Each graph is compared at the float radius actually passed: the rounding of
+# anchor + gap alone moves a near-vertical slope by about 1e-4 at gap = 1e-12.
+@pytest.mark.parametrize("h, a, b", CASES)
+@pytest.mark.parametrize("gap", SLOPE_GAPS)
+def test_envelope_slopes_near_inner_circle(h, a, b, gap):
+    annulus, rho = ca.Annulus(a, b), a + gap
+    upper = ca.upper_envelope(h, annulus, 0.0)
+    assert upper.derivative(rho) == pytest.approx(vertical_slope(h, a, rho, -1), rel=1e-14, abs=0.0)
+    if h == 0.5 or a < math.atanh(2 * h):
+        lower = ca.lower_envelope(h, annulus, 0.0)
+        assert lower.derivative(rho) == pytest.approx(vertical_slope(h, a, rho, +1), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("h, a, b", CASES)
+@pytest.mark.parametrize("gap", SLOPE_GAPS)
+def test_profile_slopes_near_starting_circle(h, a, b, gap):
+    # each profile is vertical on its own circle boundary_radius(alpha), which
+    # need not round back to the a it was made from
+    branches = [(ca.param_large(h, a), -1)]
+    if h == 0.5 or a < math.atanh(2 * h):
+        branches.append((ca.param_small(h, a), +1))
+    for param, sign in branches:
+        rho0 = ca.boundary_radius(h, param)
+        rho = rho0 + gap
+        expected = vertical_slope(h, rho0, rho, sign)
+        assert ca.slope(h, param, rho) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("h, a, b, u_a", [(0.4, 0.5, 2.0, -0.5), (0.3, 1.0, 2.0, 0.0)])
+@pytest.mark.parametrize("gap", [0.0, *SLOPE_GAPS])
+def test_radial_solution_slope_near_inner_circle(h, a, b, u_a, gap):
+    # C a third of the way into its interval or more, where C itself carries
+    # the slacks at a to full precision; the slope at a is finite
+    solution = ca.solve_radial(h, ca.Annulus(a, b), u_a, 0.0)
+    rho = a + gap
+    expected = flux_slope(h, rho, lambda hm, r: 2 * hm * mp.cosh(r) + mp.mpf(solution.C))
+    assert math.isfinite(expected)
+    assert solution.evaluator.derivative(rho) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("h, alpha", [(0.3, 1.5), (0.4, 0.5), (0.5, 1.0), (0.4, 0.8)])
+def test_sample_profile_slope_column_is_slope(h, alpha):
+    # the column is the array form of the kernel, whose numpy expm1 may differ
+    # from math.expm1 in the last bit
+    for rho, _, column in ca.sample_profile(h, alpha, 3.0, 200):
+        assert column == pytest.approx(ca.slope(h, alpha, rho), rel=1e-14, abs=1e-15)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmc_annuli import (
     Annulus,
@@ -75,6 +76,16 @@ class TestIntegrateRadial:
         lo, hi = feasible_flux_interval(0.4, ann)
         grid = np.linspace(lo + 1e-9, hi - 1e-9, 12)
         drops = [integrate_radial(0.4, ann, c) for c in grid]
+        assert all(x > y for x, y in zip(drops, drops[1:]))
+
+    @settings(deadline=None)
+    @given(h=st.floats(0.01, 0.5), a=st.floats(0.05, 3.0), width=st.floats(0.05, 3.0))
+    def test_strictly_decreasing_in_flux_property(self, h, a, width):
+        # fluxes a tenth of the open interval apart, so that each step in C
+        # moves the drop far more than the quadrature tolerance
+        ann = Annulus(a, a + width)
+        lo, hi = feasible_flux_interval(h, ann)
+        drops = [integrate_radial(h, ann, lo + k / 10 * (hi - lo)) for k in range(1, 10)]
         assert all(x > y for x, y in zip(drops, drops[1:]))
 
     def test_infeasible_flux_raises(self):
