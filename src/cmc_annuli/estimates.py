@@ -7,8 +7,12 @@ the outer maximum M, and the small-branch profile (which exists for every
 annulus at h = 1/2, and for a < artanh(2h) otherwise) bounds it from below
 once shifted to the outer minimum m. Both envelopes depend only on the
 annulus and the outer boundary values. Inner Dirichlet data that exits the
-box at rho = a therefore certifies that no solution exists. Envelope values
-take a radius or an array of radii; an array is tabulated in one pass.
+box at rho = a therefore certifies that no solution exists. The envelopes
+are the graphs at the ends of the flux interval at a, with radicand slacks
+(span, 0) and (0, span) there, so a threshold is the outer extreme plus an
+extremal drop, M + d_max or m + d_min: one drop quadrature, as in
+``radial.extremal_drops``. Envelope values take a radius or an array of
+radii; an array is tabulated in one pass.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from .profiles import (
     DEFAULT_TOL,
     ProfileParameter,
     _anchored_graph,
-    _slacks_at,
+    _drop,
+    _flux_interval,
     as_mean_curvature,
     param_large,
     param_small,
@@ -65,12 +70,11 @@ class OuterBoundaryData:
             raise ValueError(f"need m <= M, got m={self.m:g} > M={self.M:g}")
 
 
-def _envelope(
-    h: float, annulus: Annulus, param: ProfileParameter, top: float, tol: float
-) -> RadialFunction:
-    """The profile vertical at a (flux C = -param), translated to ``top`` at b."""
-    C = -param.alpha
-    return _anchored_graph(h, C, annulus.a, annulus.b, _slacks_at(h, annulus.a, C), top, tol)
+def _vertical_slacks(h: float, annulus: Annulus) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Slacks at a of the graphs vertical there: (span, 0) for the upper
+    envelope and d_max, (0, span) for the lower envelope and d_min."""
+    c_lo, c_hi = _flux_interval(h, annulus.a)
+    return (c_hi - c_lo, 0.0), (0.0, c_hi - c_lo)
 
 
 def upper_envelope(h, annulus: Annulus, M: float, tol: float = DEFAULT_TOL) -> RadialFunction:
@@ -80,7 +84,8 @@ def upper_envelope(h, annulus: Annulus, M: float, tol: float = DEFAULT_TOL) -> R
     value at rho = b equals M. Exists for every annulus and every h.
     """
     h = as_mean_curvature(h)
-    return _envelope(h, annulus, param_large(h, annulus.a), M, tol)
+    large, _ = _vertical_slacks(h, annulus)
+    return _anchored_graph(h, annulus.a, annulus.b, large, M, tol)
 
 
 def lower_envelope(h, annulus: Annulus, m: float, tol: float = DEFAULT_TOL) -> RadialFunction:
@@ -91,7 +96,9 @@ def lower_envelope(h, annulus: Annulus, m: float, tol: float = DEFAULT_TOL) -> R
     a >= artanh(2h), where no such profile exists.
     """
     h = as_mean_curvature(h)
-    return _envelope(h, annulus, param_small(h, annulus.a), m, tol)
+    param_small(h, annulus.a)  # raises where the hole is too large
+    _, small = _vertical_slacks(h, annulus)
+    return _anchored_graph(h, annulus.a, annulus.b, small, m, tol)
 
 
 @dataclass(frozen=True)
@@ -121,12 +128,12 @@ def bounding_box(h, annulus: Annulus, data: OuterBoundaryData, tol: float = DEFA
     """Assemble both envelopes; the lower one is omitted when the hole is too large."""
     h = as_mean_curvature(h)
     beta = param_large(h, annulus.a)
-    upper = _envelope(h, annulus, beta, data.M, tol)
+    upper = upper_envelope(h, annulus, data.M, tol)
     try:
         alpha = param_small(h, annulus.a)
     except HoleTooLargeError:
         return AprioriBounds(annulus, upper, None, beta, None, False)
-    lower = _envelope(h, annulus, alpha, data.m, tol)
+    lower = lower_envelope(h, annulus, data.m, tol)
     return AprioriBounds(annulus, upper, lower, beta, alpha, True)
 
 
@@ -167,9 +174,15 @@ def dirichlet_feasibility(
         raise ValueError(f"inner data must be finite, got {inner_min!r} and {inner_max!r}")
     if inner_min > inner_max:
         raise ValueError(f"need inner_min <= inner_max, got {inner_min:g} > {inner_max:g}")
-    box = bounding_box(h, annulus, data, tol)
-    t_upper = box.upper.value(annulus.a)
-    t_lower = box.lower.value(annulus.a) if box.lower is not None else None
+    h = as_mean_curvature(h)
+    large, small = _vertical_slacks(h, annulus)
+    t_upper = data.M + _drop(h, annulus.a, annulus.b, large, tol)
+    try:
+        param_small(h, annulus.a)
+    except HoleTooLargeError:
+        t_lower = None
+    else:
+        t_lower = data.m + _drop(h, annulus.a, annulus.b, small, tol)
     if inner_max > t_upper:
         return FeasibilityResult(Verdict.VIOLATES_UPPER, t_upper, t_lower, inner_max - t_upper)
     if t_lower is not None and inner_min < t_lower:

@@ -27,12 +27,15 @@ h = 1/2 exactly.
 
 Every graph of constant mean curvature h over an annulus has a conserved flux,
 sinh(rho) u'/sqrt(1 + u'^2) = 2h*cosh(rho) + C; a profile is the C = -alpha
-member. One private kernel integrates the slope of any such graph from a base
-radius r0 after the substitution r = r0 + s^2, which removes the
-inverse-square-root singularity where the graph is vertical. Profile heights
-and slopes, the envelopes of ``estimates`` and the drops and solutions of
-``radial``, values and derivatives alike, all go through it: the integrand
-g(s) = 2s*u'(r0 + s^2) divided by 2s is the slope.
+member. A graph reaching out from the circle rho = r0 has C in the flux
+interval [-large(r0), -small(r0)], and is given by its two radicand slacks
+there, its distances to the ends of that interval. One private kernel
+integrates its slope from r0 after the substitution r = r0 + s^2, which
+removes the inverse-square-root singularity where the graph is vertical.
+Profile heights and slopes, the envelopes of ``estimates`` and the drops and
+solutions of ``radial``, values and derivatives alike, all go through it and
+one drop quadrature: the integrand g(s) = 2s*u'(r0 + s^2) divided by 2s is
+the slope, and one closed form gives it on the anchor circle.
 """
 
 from __future__ import annotations
@@ -140,6 +143,11 @@ def _large_value(h: float, rho: float) -> float:
     return 0.5 * ((1.0 + 2.0 * h) * math.exp(rho) - (1.0 - 2.0 * h) * math.exp(-rho))
 
 
+def _flux_interval(h: float, a: float) -> tuple[float, float]:
+    """Fluxes (-large(a), -small(a)) of the large- and small-branch graphs vertical at rho = a."""
+    return -_large_value(h, a), -_small_value(h, a)
+
+
 def hole_threshold(h) -> float:
     """Largest starting radius reached by the small branch.
 
@@ -199,11 +207,6 @@ def param_large(h, rho) -> ProfileParameter:
     return ProfileParameter.classify(h, _large_value(h, rho))
 
 
-#: Slope of a family profile on its own starting circle: vertical on both
-#: branches, flat for the neck (which starts at rho0 = 0).
-_START_SLOPE = {Branch.SMALL: math.inf, Branch.NECK: 0.0, Branch.LARGE: -math.inf}
-
-
 def _start_radius(h: float, param: ProfileParameter, rho: float) -> float:
     """rho0 of the profile, after checking that rho is not inside its starting circle."""
     rho0 = boundary_radius(h, param)
@@ -215,30 +218,22 @@ def _start_radius(h: float, param: ProfileParameter, rho: float) -> float:
     return rho0
 
 
-def _slacks_at(h: float, r0: float, C: float) -> tuple[float, float]:
-    """The radicand factors -small(r0) - C and large(r0) + C of the flux-C graph.
-
-    Both are exactly zero at their own end of the flux interval at r0.
-    """
-    return -_small_value(h, r0) - C, _large_value(h, r0) + C
-
-
 def _flux_kernel(
-    h: float, C: float, r0: float, slack_small: float, slack_large: float
+    h: float, r0: float, slack_small: float, slack_large: float
 ) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray], list[float]]:
-    """Integrand, its array form and breakpoints for the rise of the flux-C graph above r0.
+    """Integrand, its array form and breakpoints for the rise above r0 of the graph with these slacks.
 
     The rise from r0 to rho is the integral of g(s) = 2s * u'(r0 + s^2) over
     0 <= s <= sqrt(rho - r0); the substitution removes the inverse-square-root
-    singularity where the graph is vertical. The radicand factors are
-    evaluated as their slacks at r0, ``slack_small = -small(r0) - C`` and
-    ``slack_large = large(r0) + C``, plus their growth since r0 in expm1 form,
-    which keeps full relative accuracy however close C sits to a vertical
-    flux. The caller supplies the slacks, so one that C cannot carry stays
-    exact: a family profile has one slack exactly 0 on its own circle, and a
-    flux t^2 above the lower end of its interval has slack_large = t^2 even
-    where t^2 is below the rounding of C. The flux F = 2h*cosh(r0 + d) + C is
-    likewise its value at r0, (slack_large - slack_small)/2, plus its growth
+    singularity where the graph is vertical. The slacks fix the graph: they
+    are its flux's distances to the ends of the flux interval at r0,
+    ``slack_small`` to -small(r0) and ``slack_large`` to -large(r0). The
+    radicand factors are these slacks plus their growth since r0 in expm1
+    form, which keeps full relative accuracy however close the flux is to an
+    end. A slack that no flux constant could carry stays exact: a graph
+    vertical at r0 has one slack exactly 0, and a flux t^2 above the lower end
+    has slack_large = t^2 even below the rounding of the flux. The flux
+    F(r0 + d) is its value at r0, (slack_large - slack_small)/2, plus its growth
     h*(cosh(r0)*up*down + sinh(r0)*(up + down)), with up*down = 4 sinh(d/2)^2
     and up + down = 2 sinh(d). The growth is a sum of nonnegative terms, so
     F keeps its digits where the graph turns horizontal, as at the neck,
@@ -291,25 +286,33 @@ def _is_array_like(x) -> bool:
     return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
 
 
-def _anchored_graph(
-    h: float,
-    C: float,
-    a: float,
-    b: float,
-    slacks: tuple[float, float],
-    top: float,
-    tol: float,
-) -> RadialFunction:
-    """The flux-C graph over [a, b], translated to the value ``top`` at b.
+def _anchor_slope(slacks: tuple[float, float]) -> float:
+    """Slope on the anchor circle, where g(s)/(2s) is 0/0: F/sqrt(radicand), the
+    signed infinity of F where one slack is 0, and 0 where both are (the neck)."""
+    flux0, radicand = 0.5 * (slacks[1] - slacks[0]), slacks[0] * slacks[1]
+    if radicand > 0.0:
+        return flux0 / math.sqrt(radicand)
+    return math.copysign(math.inf, flux0) if flux0 else 0.0
 
-    ``slacks`` are the radicand slacks at a (see ``_flux_kernel``). The value
-    callable takes a radius, one point quadrature, or an array of radii, all
-    panels of the sorted radii in one pass; both give exactly ``top`` at b.
-    A number or a 0-d array is a radius and gives a float; a list, a tuple or
-    an array of one or more dimensions gives an array of its shape. The
-    derivative takes a radius and is the same integrand g(s)/(2s).
+
+def _drop(h: float, a: float, b: float, slacks: tuple[float, float], tol: float) -> float:
+    """u(a) - u(b) of the graph anchored at a with the given radicand slacks there."""
+    g, _, points = _flux_kernel(h, a, *slacks)
+    return -adaptive_quad(g, 0.0, math.sqrt(b - a), tol, points=points)
+
+
+def _anchored_graph(
+    h: float, a: float, b: float, slacks: tuple[float, float], top: float, tol: float
+) -> RadialFunction:
+    """The graph with radicand ``slacks`` at a, over [a, b], translated to the value ``top`` at b.
+
+    The value callable takes a radius, one point quadrature, or an array of
+    radii, all panels of the sorted radii in one pass; both give exactly
+    ``top`` at b. A number or a 0-d array is a radius and gives a float; a
+    list, a tuple or an array of one or more dimensions gives an array of its
+    shape. The derivative takes a radius and is the same integrand g(s)/(2s).
     """
-    g, g_array, points = _flux_kernel(h, C, a, *slacks)
+    g, g_array, points = _flux_kernel(h, a, *slacks)
     s_b = math.sqrt(b - a)
     lo, hi = a - _BOUNDARY_SLACK, b + _BOUNDARY_SLACK
 
@@ -338,21 +341,18 @@ def _anchored_graph(
         rho = float(rho)
         if not lo <= rho <= hi:
             raise outside(rho)
-        if rho <= a:  # g(s)/(2s) is 0/0 at s = 0: F/sqrt(radicand) at a, vertical if a slack is 0
-            flux0, radicand = 0.5 * (slacks[1] - slacks[0]), slacks[0] * slacks[1]
-            return flux0 / math.sqrt(radicand) if radicand > 0.0 else math.copysign(math.inf, flux0)
+        if rho <= a:
+            return _anchor_slope(slacks)
         s = math.sqrt(rho - a)
         return g(s) / (2.0 * s)
 
     return RadialFunction(value, derivative, (a, b))
 
 
-def _profile_kernel(h: float, param: ProfileParameter, rho0: float):
-    """Flux kernel of a family profile: C = -alpha, vertical at its own circle."""
-    other = 2.0 * math.sinh(rho0)  # large(rho0) - small(rho0); 0 for the neck
-    if param.branch is Branch.LARGE:
-        return _flux_kernel(h, -param.alpha, rho0, other, 0.0)
-    return _flux_kernel(h, -param.alpha, rho0, 0.0, other)
+def _profile_slacks(param: ProfileParameter, rho0: float) -> tuple[float, float]:
+    """Slacks of a family profile on its own circle: 0 at its end of the flux interval, 2*sinh(rho0) at the other."""
+    span = 2.0 * math.sinh(rho0)  # large(rho0) - small(rho0); 0 for the neck
+    return (span, 0.0) if param.branch is Branch.LARGE else (0.0, span)
 
 
 def slope(h, alpha, rho) -> float:
@@ -367,9 +367,10 @@ def slope(h, alpha, rho) -> float:
     param = as_parameter(h, alpha)
     rho = check_radius(rho)
     rho0 = _start_radius(h, param, rho)
+    slacks = _profile_slacks(param, rho0)
     if rho <= rho0:
-        return _START_SLOPE[param.branch]
-    g, _, _ = _profile_kernel(h, param, rho0)
+        return _anchor_slope(slacks)
+    g, _, _ = _flux_kernel(h, rho0, *slacks)
     s = math.sqrt(rho - rho0)
     return g(s) / (2.0 * s)
 
@@ -388,8 +389,7 @@ def height(h, alpha, rho, tol: float = DEFAULT_TOL) -> float:
     rho0 = _start_radius(h, param, rho)
     if rho <= rho0:
         return 0.0
-    g, _, points = _profile_kernel(h, param, rho0)
-    return adaptive_quad(g, 0.0, math.sqrt(rho - rho0), tol, points=points)
+    return -_drop(h, rho0, rho, _profile_slacks(param, rho0), tol)
 
 
 def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -416,9 +416,10 @@ def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.nd
 
     radii = np.linspace(rho0, rho_max, n)
     s = np.sqrt(radii - rho0)
-    _, g_array, points = _profile_kernel(h, param, rho0)
+    slacks = _profile_slacks(param, rho0)
+    _, g_array, points = _flux_kernel(h, rho0, *slacks)
     heights = adaptive_quad_panels(g_array, s, tol, points)
-    slopes = np.divide(g_array(s), 2.0 * s, out=np.full(n, _START_SLOPE[param.branch]), where=s > 0.0)
+    slopes = np.divide(g_array(s), 2.0 * s, out=np.full(n, _anchor_slope(slacks)), where=s > 0.0)
     return np.column_stack([radii, heights, slopes])
 
 

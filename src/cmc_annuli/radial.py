@@ -12,9 +12,13 @@ radial Dirichlet problem on an annulus therefore reduces to a one-dimensional
 root find in C, and the achievable drops u(a) - u(b) form an open interval
 whose endpoints are exactly the envelope drops of the a-priori estimates:
 both are the flux graphs at the ends of the flux interval, anchored at
-rho = a. The envelopes and this solver share the flux kernel of ``profiles``;
-the mpmath reference in the test suite checks them independently. The root
-find is Brent's method (R. P. Brent, Algorithms for Minimization without
+rho = a. A flux is handed to the kernel as its distances to those ends, its
+slacks at a: (c_hi - C, C - c_lo) in ``integrate_radial``, (span*cos^2,
+span*sin^2) of theta in the root find, exactly (span, 0) and (0, span) at the
+ends. So the thresholds, ``extremal_drops`` and the interval of an
+infeasible solve are one computation and agree bit for bit. The mpmath
+reference in the test suite checks them independently. The root find is
+Brent's method (R. P. Brent, Algorithms for Minimization without
 Derivatives, Prentice-Hall 1973, ch. 4): inverse quadratic interpolation
 with bisection safeguards, in the step sequence of the classic ``brentq``.
 """
@@ -27,19 +31,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InfeasibleBoundaryError, InfeasibleFluxError, NonConvergenceError
-from .estimates import Annulus
+from .estimates import Annulus, _vertical_slacks
 from .hyperbolic import RadialFunction
-from .profiles import (
-    DEFAULT_TOL,
-    _anchored_graph,
-    _flux_kernel,
-    _large_value,
-    _slacks_at,
-    _small_value,
-    as_mean_curvature,
-    height,
-)
-from .quadrature import adaptive_quad
+from .profiles import DEFAULT_TOL, _anchored_graph, _drop, _flux_interval, as_mean_curvature, height
 
 
 @dataclass(frozen=True)
@@ -75,8 +69,7 @@ def feasible_flux_interval(h, annulus: Annulus) -> tuple[float, float]:
     the inner circle (the upper endpoint is >= 0 when the hole is too large
     for a small-branch profile).
     """
-    h = as_mean_curvature(h)
-    return (-_large_value(h, annulus.a), -_small_value(h, annulus.a))
+    return _flux_interval(as_mean_curvature(h), annulus.a)
 
 
 #: Brent's stopping test: |step| below (XTOL + RTOL*|x|)/2, at most MAXITER steps.
@@ -129,12 +122,6 @@ def _brent(f: Callable[[float], float], xa: float, xb: float) -> float:
     raise NonConvergenceError(f"flux root find did not converge in {_MAXITER} steps")
 
 
-def _drop(h: float, annulus: Annulus, C: float, slacks: tuple[float, float], tol: float) -> float:
-    """u(a) - u(b) of the flux-C graph with the given radicand slacks at a."""
-    g, _, points = _flux_kernel(h, C, annulus.a, *slacks)
-    return -adaptive_quad(g, 0.0, math.sqrt(annulus.b - annulus.a), tol, points=points)
-
-
 def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) -> float:
     """Drop u(a) - u(b) of the radial solution with flux constant C.
 
@@ -151,7 +138,7 @@ def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) ->
             f"flux constant {C:g} outside the graph interval [{c_lo:g}, {c_hi:g}] "
             f"for the annulus [{annulus.a:g}, {annulus.b:g}]"
         )
-    return _drop(h, annulus, C, _slacks_at(h, annulus.a, C), tol)
+    return _drop(h, annulus.a, annulus.b, (c_hi - C, C - c_lo), tol)
 
 
 def extremal_drops(h, annulus: Annulus, tol: float = DEFAULT_TOL) -> FeasibleDropInterval:
@@ -163,12 +150,9 @@ def extremal_drops(h, annulus: Annulus, tol: float = DEFAULT_TOL) -> FeasibleDro
     flux graph (which is no family profile, but still spans the annulus).
     """
     h = as_mean_curvature(h)
-    c_lo, c_hi = feasible_flux_interval(h, annulus)
-    a = annulus.a
-    return FeasibleDropInterval(
-        _drop(h, annulus, c_hi, _slacks_at(h, a, c_hi), tol),
-        _drop(h, annulus, c_lo, _slacks_at(h, a, c_lo), tol),
-    )
+    large, small = _vertical_slacks(h, annulus)
+    a, b = annulus.a, annulus.b
+    return FeasibleDropInterval(_drop(h, a, b, small, tol), _drop(h, a, b, large, tol))
 
 
 def solve_radial(
@@ -190,34 +174,32 @@ def solve_radial(
     if not (math.isfinite(u_a) and math.isfinite(u_b)):
         raise ValueError(f"boundary values must be finite, got u_a={u_a!r}, u_b={u_b!r}")
     target = u_a - u_b
-    c_lo, c_hi = feasible_flux_interval(h, annulus)
-    span = c_hi - c_lo
+    # the bracket is the closed flux interval, so exactly the open drop interval is solvable
+    extremal = extremal_drops(h, annulus, tol)
+    if not extremal.d_min < target < extremal.d_max:
+        raise InfeasibleBoundaryError(target, extremal.d_min, extremal.d_max)
 
     # The drop has a square-root singularity in C at both ends of the flux
     # interval. C = c_lo + span*sin(theta)^2 makes it Lipschitz in theta at
     # both, and hands the kernel the slacks at a as span*cos^2 and span*sin^2:
     # exact next to either end, where C itself cannot hold the offset.
-    def flux_at(theta: float) -> tuple[float, tuple[float, float]]:
-        sin2, cos2 = math.sin(theta) ** 2, math.cos(theta) ** 2
-        return c_lo + span * sin2, (span * cos2, span * sin2)
+    c_lo, c_hi = feasible_flux_interval(h, annulus)
+    span = c_hi - c_lo
 
-    # every drop evaluated so far: the root find starts with both bracket ends
-    # and returns a theta it has already evaluated
-    drops: dict[float, float] = {}
+    def slacks_at(theta: float) -> tuple[float, float]:
+        return span * math.cos(theta) ** 2, span * math.sin(theta) ** 2
+
+    # every drop evaluated so far, bracket ends included: Brent returns a theta it has evaluated
+    drops = {0.0: extremal.d_max, 0.5 * math.pi: extremal.d_min}
 
     def drop_at(theta: float) -> float:
         if theta not in drops:
-            drops[theta] = _drop(h, annulus, *flux_at(theta), tol)
+            drops[theta] = _drop(h, annulus.a, annulus.b, slacks_at(theta), tol)
         return drops[theta]
 
-    # extremal fluxes are valid integrands (vertical profiles), so the bracket
-    # is the closed interval and exactly the open drop interval is solvable
-    d_max, d_min = drop_at(0.0), drop_at(0.5 * math.pi)
-    if not d_min < target < d_max:
-        raise InfeasibleBoundaryError(target, d_min, d_max)
-
     theta = _brent(lambda t: drop_at(t) - target, 0.0, 0.5 * math.pi)
-    c_star, slacks = flux_at(theta)
+    slacks = slacks_at(theta)
+    c_star = c_lo + slacks[1]
     achieved = drop_at(theta) - target
     if abs(achieved) > tol:
         raise NonConvergenceError(
@@ -228,5 +210,5 @@ def solve_radial(
         shift = u_b - height(h, -c_star, annulus.b, tol)
     else:
         shift = u_a  # no family anchor; the inner value fixes the translate
-    evaluator = _anchored_graph(h, c_star, annulus.a, annulus.b, slacks, u_b, tol)
+    evaluator = _anchored_graph(h, annulus.a, annulus.b, slacks, u_b, tol)
     return RadialSolution(c_star, shift, evaluator)

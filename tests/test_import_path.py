@@ -102,6 +102,7 @@ annulus = ca.Annulus(0.5, 2.0)
 assert ca.slope(0.4, 0.5, 1.2) > 0 and ca.height(0.4, 0.5, 1.2) > 0
 upper = ca.upper_envelope(0.4, annulus, 0.0)
 assert isinstance(upper.value(1.2), float) and upper.derivative(0.5) == -math.inf
+assert ca.lower_envelope(0.4, annulus, 0.0).derivative(0.5) == math.inf
 assert upper.derivative(1.2) > upper.derivative(0.6)
 evaluator = ca.solve_radial(0.4, annulus, -0.5, 0.0).evaluator
 assert isinstance(evaluator.value(1.2), float)

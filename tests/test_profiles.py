@@ -153,6 +153,7 @@ class TestSlope:
     def test_neck_limit_is_finite(self):
         # series: u ~ h*rho near the origin
         assert slope(0.4, 0.8, 0.0) == 0.0
+        assert slope(0.4, 0.8 * (1 + 1e-13), 0.0) == 0.0  # a neck within PARAM_RTOL
         assert slope(0.4, 0.8, 1e-2) == pytest.approx(0.4e-2, rel=1e-3)
         assert slope(0.4, 0.8, 1e-3) == pytest.approx(0.4e-3, rel=1e-3)
 

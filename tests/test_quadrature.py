@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmc_annuli import Annulus, QuadratureError, feasible_flux_interval, param_large, param_small
-from cmc_annuli.profiles import _flux_kernel, _profile_kernel, _slacks_at
+from cmc_annuli.profiles import _flux_kernel
 from cmc_annuli.quadrature import (
     EPSREL,
     GAUSS_WEIGHTS,
@@ -53,7 +53,7 @@ def _acceptance_kernels():
         for a, b in annuli:
             c_lo, c_hi = feasible_flux_interval(h, Annulus(a, b))
             for C in (c_lo, c_hi, 0.7 * c_lo + 0.3 * c_hi):
-                yield (h, a, b, C), _flux_kernel(h, C, a, *_slacks_at(h, a, C))
+                yield (h, a, b, C), _flux_kernel(h, a, c_hi - C, C - c_lo)
 
 
 KERNELS = list(_acceptance_kernels())
@@ -154,14 +154,14 @@ def _kernel_cases():
     c_lo, c_hi = -param_large(h, a).alpha, -param_small(h, a).alpha
     mid = 0.5 * (c_lo + c_hi)
     beyond = -param_large(h, 1.5).alpha
-    yield "large branch", (h, c_lo, a), _profile_kernel(h, param_large(h, a), a)
-    yield "small branch", (h, c_hi, a), _profile_kernel(h, param_small(h, a), a)
-    yield "neck", (h, -2 * h, 0.0), _flux_kernel(h, -2 * h, 0.0, 0.0, 0.0)
-    yield "interior flux", (h, mid, a), _flux_kernel(h, mid, a, *_slacks_at(h, a, mid))
-    yield "exact-zero slack", (h, c_lo, a), _flux_kernel(h, c_lo, a, *_slacks_at(h, a, c_lo))
-    yield "beyond the hole", (h, beyond, 1.5), _flux_kernel(h, beyond, 1.5, 2 * math.sinh(1.5), 0.0)
-    yield "h = 1/2", (0.5, -math.exp(-1.0), 1.0), _flux_kernel(0.5, -math.exp(-1.0), 1.0, 0.0, 2 * math.sinh(1.0))
-    yield "outside the interval", (h, c_lo - 0.05, a), _flux_kernel(h, c_lo - 0.05, a, *_slacks_at(h, a, c_lo - 0.05))
+    yield "large branch", (h, c_lo, a), _flux_kernel(h, a, 2 * math.sinh(a), 0.0)
+    yield "small branch", (h, c_hi, a), _flux_kernel(h, a, 0.0, 2 * math.sinh(a))
+    yield "neck", (h, -2 * h, 0.0), _flux_kernel(h, 0.0, 0.0, 0.0)
+    yield "interior flux", (h, mid, a), _flux_kernel(h, a, c_hi - mid, mid - c_lo)
+    yield "exact-zero slack", (h, c_lo, a), _flux_kernel(h, a, c_hi - c_lo, 0.0)
+    yield "beyond the hole", (h, beyond, 1.5), _flux_kernel(h, 1.5, 2 * math.sinh(1.5), 0.0)
+    yield "h = 1/2", (0.5, -math.exp(-1.0), 1.0), _flux_kernel(0.5, 1.0, 0.0, 2 * math.sinh(1.0))
+    yield "outside the interval", (h, c_lo - 0.05, a), _flux_kernel(h, a, c_hi - (c_lo - 0.05), -0.05)
 
 
 CASES = list(_kernel_cases())

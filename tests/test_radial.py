@@ -8,7 +8,9 @@ from cmc_annuli import (
     Annulus,
     InfeasibleBoundaryError,
     InfeasibleFluxError,
+    OuterBoundaryData,
     boundary_radius,
+    dirichlet_feasibility,
     extremal_drops,
     feasible_flux_interval,
     height,
@@ -114,8 +116,8 @@ class TestExtremalDrops:
         for h, a, b in [(0.4, 0.5, 2.0), (0.2, 0.3, 1.5), (0.5, 1.0, 2.0)]:
             ann = Annulus(a, b)
             drops = extremal_drops(h, ann)
-            assert upper_envelope(h, ann, 0.0).value(a) == pytest.approx(drops.d_max, abs=1e-7)
-            assert lower_envelope(h, ann, 0.0).value(a) == pytest.approx(drops.d_min, abs=1e-7)
+            assert upper_envelope(h, ann, 0.0).value(a) == drops.d_max
+            assert lower_envelope(h, ann, 0.0).value(a) == drops.d_min
 
     def test_large_hole_uses_limiting_quadrature(self):
         ann = Annulus(1.2, 2.0)  # beyond artanh(0.8)
@@ -138,8 +140,31 @@ class TestExtremalDrops:
         ann = Annulus(0.5, 2.0)
         lo, hi = feasible_flux_interval(0.4, ann)
         drops = extremal_drops(0.4, ann)
-        assert integrate_radial(0.4, ann, lo) == pytest.approx(drops.d_max, abs=1e-9)
-        assert integrate_radial(0.4, ann, hi) == pytest.approx(drops.d_min, abs=1e-9)
+        assert integrate_radial(0.4, ann, lo) == drops.d_max
+        assert integrate_radial(0.4, ann, hi) == drops.d_min
+
+    @pytest.mark.parametrize("h, a, b", [
+        (0.4, 0.5, 2.0), (0.2, 0.3, 1.5), (0.5, 1.0, 2.0),
+        (0.4, 1.2, 2.0),  # hole too large: d_min is the limiting flux graph
+        # the annuli of tests/test_oracle.py
+        (0.3, 1.0, 2.0), (0.05, 0.3, 1.3), (0.45, 0.9, 2.3), (0.5, 0.7, 1.9),
+        (0.4, math.atanh(0.8) - 1e-9, math.atanh(0.8) + 1.0),
+    ])
+    def test_thresholds_and_infeasible_interval_are_the_extremal_drops(self, h, a, b):
+        ann = Annulus(a, b)
+        drops = extremal_drops(h, ann)
+        for target in (drops.d_max + 0.01, drops.d_min - 0.01):
+            with pytest.raises(InfeasibleBoundaryError) as excinfo:
+                solve_radial(h, ann, target, 0.0)
+            assert excinfo.value.d_min == drops.d_min
+            assert excinfo.value.d_max == drops.d_max
+        m, M = -0.25, 0.5
+        result = dirichlet_feasibility(h, ann, m, M, OuterBoundaryData(m, M))
+        assert result.threshold_upper == M + drops.d_max
+        if h == 0.5 or a < math.atanh(2 * h):
+            assert result.threshold_lower == m + drops.d_min
+        else:
+            assert result.threshold_lower is None
 
 
 class TestSolveRadial:
