@@ -18,15 +18,13 @@ span*sin^2) of theta in the root find, exactly (span, 0) and (0, span) at the
 ends. So the thresholds, ``extremal_drops`` and the interval of an
 infeasible solve are one computation and agree bit for bit. The mpmath
 reference in the test suite checks them independently. The root find is
-Brent's method (R. P. Brent, Algorithms for Minimization without
-Derivatives, Prentice-Hall 1973, ch. 4): inverse quadratic interpolation
-with bisection safeguards, in the step sequence of the classic ``brentq``.
+false position in theta with the Anderson-Björck weighting, from the two
+extremal drops to a drop within tol/10 of the target.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,53 +70,40 @@ def feasible_flux_interval(h, annulus: Annulus) -> tuple[float, float]:
     return _flux_interval(as_mean_curvature(h), annulus.a)
 
 
-#: Brent's stopping test: |step| below (XTOL + RTOL*|x|)/2, at most MAXITER steps.
-_XTOL, _RTOL, _MAXITER = 1e-15, 4.0 * sys.float_info.epsilon, 200
+#: False-position steps before the root find gives up.
+_MAXITER = 100
 
 
-def _brent(f: Callable[[float], float], xa: float, xb: float) -> float:
-    """A root of f in [xa, xb], where f changes sign, by Brent's method.
+def _false_position(
+    f: Callable[[float], float], x0: float, f0: float, x1: float, f1: float, ftol: float
+) -> tuple[float, float]:
+    """A point x of [x0, x1] with |f(x)| <= ftol, and f(x), by false position.
 
-    Inverse quadratic interpolation or a secant step when it stays well
-    inside the bracket, bisection otherwise. Raises NonConvergenceError after
-    _MAXITER steps.
+    f0 and f1 are f at the ends and differ in sign. Each step takes the secant
+    point of the bracket; when the same end is kept twice in a row its residual
+    is scaled by m = 1 - f_new/f_old, or by 1/2 when m <= 0 (N. Anderson and
+    Å. Björck, BIT 13, 1973). Returns the better end once the secant point
+    rounds onto an end; raises NonConvergenceError after _MAXITER steps.
     """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    for x, fx in ((x0, f0), (x1, f1)):
+        if abs(fx) <= ftol:
+            return x, fx
+    if (f0 < 0.0) == (f1 < 0.0):
         raise ValueError("the root is not bracketed")
-    xblk = fblk = spre = scur = 0.0
+    w0 = f0  # the kept end's residual as the secant weighs it
     for _ in range(_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (_XTOL + _RTOL * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+        x = x1 - f1 * (x1 - x0) / (f1 - w0)
+        if not min(x0, x1) < x < max(x0, x1):
+            return (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
+        fx = f(x)
+        if abs(fx) <= ftol:
+            return x, fx
+        if (fx < 0.0) == (f1 < 0.0):
+            m = 1.0 - fx / f1
+            w0 *= m if m > 0.0 else 0.5
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
+            x0, f0, w0 = x1, f1, f1
+        x1, f1 = x, fx
     raise NonConvergenceError(f"flux root find did not converge in {_MAXITER} steps")
 
 
@@ -189,22 +174,17 @@ def solve_radial(
     def slacks_at(theta: float) -> tuple[float, float]:
         return span * math.cos(theta) ** 2, span * math.sin(theta) ** 2
 
-    # every drop evaluated so far, bracket ends included: Brent returns a theta it has evaluated
-    drops = {0.0: extremal.d_max, 0.5 * math.pi: extremal.d_min}
-
-    def drop_at(theta: float) -> float:
-        if theta not in drops:
-            drops[theta] = _drop(h, annulus.a, annulus.b, slacks_at(theta), tol)
-        return drops[theta]
-
-    theta = _brent(lambda t: drop_at(t) - target, 0.0, 0.5 * math.pi)
+    # the bracket ends are the extremal graphs, whose drops are already known
+    theta, residual = _false_position(
+        lambda t: _drop(h, annulus.a, annulus.b, slacks_at(t), tol) - target,
+        0.0, extremal.d_max - target, 0.5 * math.pi, extremal.d_min - target, 0.1 * tol,
+    )
+    if abs(residual) > tol:
+        raise NonConvergenceError(
+            f"flux root find stalled: drop residual {residual:g} exceeds tolerance {tol:g}"
+        )
     slacks = slacks_at(theta)
     c_star = c_lo + slacks[1]
-    achieved = drop_at(theta) - target
-    if abs(achieved) > tol:
-        raise NonConvergenceError(
-            f"flux bisection stalled: drop residual {achieved:g} exceeds tolerance {tol:g}"
-        )
 
     if c_star < 0.0:
         shift = u_b - height(h, -c_star, annulus.b, tol)

@@ -1,14 +1,16 @@
-"""Extremal drops, feasibility thresholds, slopes and the neck integrand against mpmath.
+"""Extremal drops, feasibility thresholds, profile heights, slopes and the neck integrand against mpmath.
 
 The envelopes and the radial solver share one flux kernel, so agreeing with
 each other shows little; this reference shares nothing with the package. It
-integrates the slope F/sqrt(sinh^2 - F^2), F = 2h*cosh(r) + C, of the two
-flux graphs that are vertical at r = a, after the substitution r = a + s^2.
-The factor of the radicand that vanishes at a is written as a product,
+integrates the slope F/sqrt(sinh^2 - F^2), F = 2h*cosh(r) + C, of a flux
+graph that is vertical at r = a, after the substitution r = a + s^2. The
+factor of the radicand that vanishes at a is written as a product,
 
     sinh(r) -/+ F(r) = 2 sinh(d/2) * (cosh(a + d/2) -/+ 2h sinh(a + d/2)),  d = r - a,
 
-so the integrand is smooth in s up to s = 0 and nothing cancels.
+so the integrand is smooth in s up to s = 0 and nothing cancels. For the
+extremal drops a is the inner radius; for a profile it is the starting
+radius, found from alpha by ``mpmath.findroot``.
 """
 
 import math
@@ -74,6 +76,41 @@ def test_feasibility_thresholds(h, a, b):
         assert result.threshold_lower == pytest.approx(m + d_min, abs=1e-12)
     else:
         assert result.threshold_lower is None
+
+
+# (h, alpha): both branches, either side of the neck alpha = 2h, and h = 1/2
+PROFILES = [(0.3, 0.3), (0.3, 1.5), (0.4, 0.8 * (1 - 1e-3)), (0.4, 0.8 * (1 + 1e-3)), (0.5, 0.5), (0.5, 3.0)]
+
+
+def profile_heights(h, alpha, radii):
+    """Heights at the float radii of the profile with the float alpha, to 50 digits.
+
+    The starting radius solves 2h*cosh(r) -/+ sinh(r) = alpha (small branch
+    minus, large plus), a root of a monotone function on [0, 40].
+    """
+    sign = 1 if alpha < 2 * h else -1  # the small branch rises from its circle
+    with mp.workdps(DIGITS):
+        hm, am = mp.mpf(h), mp.mpf(alpha)
+        rho0 = mp.findroot(lambda r: 2 * hm * mp.cosh(r) - sign * mp.sinh(r) - am, (0, 40), solver="anderson")
+        return [float(-_drop(hm, rho0, mp.mpf(rho), sign)) for rho in radii]
+
+
+# The package starts each profile on the rounded radius boundary_radius(alpha)
+# with exact slacks, so it integrates the profile of a parameter within
+# rounding of alpha: heights keep their digits, except within about the
+# rounding of rho0 times the slope, which exceeds 1e-12 only within about
+# 1e-8 of the circle. The first row lies on that circle, at height 0.
+@pytest.mark.parametrize("h, alpha", PROFILES)
+def test_profile_heights(h, alpha):
+    rho0 = ca.boundary_radius(h, alpha)
+    rows = ca.sample_profile(h, alpha, rho0 + 2.0, 9)
+    assert rows[0, 1] == 0.0
+    radii = [float(r) for r in rows[1:, 0]] + [rho0 + 1e-4, rho0 + 3.5]
+    expected = profile_heights(h, alpha, radii)
+    for column, want in zip(rows[1:, 1], expected):
+        assert column == pytest.approx(want, abs=1e-12)
+    for rho, want in zip(radii, expected):
+        assert ca.height(h, alpha, rho) == pytest.approx(want, abs=1e-12)
 
 
 NECK_RADII = [1e-17, 1e-12, 1e-8, 1e-6, 1e-3]

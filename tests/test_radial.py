@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmc_annuli import (
     Annulus,
@@ -21,7 +22,10 @@ from cmc_annuli import (
     solve_radial,
     upper_envelope,
 )
-from cmc_annuli.radial import _brent
+from cmc_annuli import radial
+from cmc_annuli.errors import NonConvergenceError
+from cmc_annuli.profiles import DEFAULT_TOL
+from cmc_annuli.radial import _false_position
 
 
 class TestFeasibleFluxInterval:
@@ -233,31 +237,76 @@ class TestSolveRadial:
             conserved = flux(solution.evaluator.derivative(rho), rho) - 0.8 * math.cosh(rho)
             assert conserved == pytest.approx(solution.C, abs=1e-10)
 
+    @settings(deadline=None)
+    @given(
+        h=st.floats(0.01, 0.5),
+        a=st.floats(0.05, 3.0),
+        width=st.floats(0.05, 3.0),
+        exponent=st.floats(-12.0, math.log10(0.5)),
+        near_max=st.booleans(),
+        u_b=st.floats(-1.0, 1.0),
+    )
+    def test_drop_within_tolerance_property(self, h, a, width, exponent, near_max, u_b):
+        # targets from the middle of the drop interval to 1e-12 of its width from either end
+        ann = Annulus(a, a + width)
+        drops = extremal_drops(h, ann)
+        fraction = 1.0 - 10.0**exponent if near_max else 10.0**exponent
+        u_a = u_b + drops.d_min + fraction * (drops.d_max - drops.d_min)
+        assume(drops.d_min < u_a - u_b < drops.d_max)
+        calls = []
+        drop = radial._drop
 
-class TestBrent:
-    """The in-package root finder takes the same steps as scipy's ``brentq``."""
+        def counted(*args):
+            calls.append(args)
+            return drop(*args)
 
+        with mock.patch.object(radial, "_drop", counted):
+            solution = solve_radial(h, ann, u_a, u_b)
+        assert abs(solution.evaluator(a) - u_a) <= DEFAULT_TOL
+        assert solution.evaluator(a + width) == u_b
+        assert len(calls) <= 12  # bracket ends included
+
+
+class TestFalsePosition:
+    """The in-package root finder: Anderson–Björck false position on a given bracket."""
+
+    FTOL = 1e-12
+    # f, bracket, evaluations at FTOL (the ends are passed in, not counted)
     CASES = [
-        (lambda x: math.cos(x) - x, 0.0, 1.5),
-        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-        (lambda x: math.exp(x) - 1e-3, -10.0, 1.0),
-        (lambda x: (x - 0.3) ** 5, 0.0, 1.0),
-        (lambda x: math.tanh(50 * (x - 0.7)), 0.0, 0.5 * math.pi),
+        (lambda x: math.cos(x) - x, 0.0, 1.5, 6),
+        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 6),
+        (lambda x: math.exp(x) - 1e-3, -10.0, 1.0, 15),
+        (lambda x: (x - 0.3) ** 5, 0.0, 1.0, 30),  # a root of order five
+        (lambda x: math.tanh(50 * (x - 0.7)), 0.0, 0.5 * math.pi, 13),
     ]
 
-    @pytest.mark.parametrize("f, lo, hi", CASES)
-    def test_same_evaluations_as_scipy(self, f, lo, hi):
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        ours, theirs = [], []
-        root = _brent(lambda x: ours.append(x) or f(x), lo, hi)
-        expected = brentq(lambda x: theirs.append(x) or f(x), lo, hi, xtol=1e-15, maxiter=200)
-        assert root == expected
-        assert ours == theirs
+    @pytest.mark.parametrize("f, lo, hi, evals", CASES)
+    def test_residual_bracket_and_evaluations(self, f, lo, hi, evals):
+        seen = []
+        x, fx = _false_position(lambda x: seen.append(x) or f(x), lo, f(lo), hi, f(hi), self.FTOL)
+        assert abs(fx) <= self.FTOL
+        assert fx == f(x)
+        assert all(lo <= t <= hi for t in seen)
+        assert x == seen[-1]
+        assert len(seen) == evals
 
-    def test_endpoint_root_and_unbracketed(self):
-        assert _brent(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    def test_root_at_an_end_returns_at_once(self):
+        def never(x):
+            raise AssertionError("evaluated")
+
+        assert _false_position(never, 1.0, 0.0, 2.0, 1.0, 0.0) == (1.0, 0.0)
+        assert _false_position(never, 1.0, -1.0, 2.0, 0.0, 0.0) == (2.0, 0.0)
+
+    def test_unbracketed_raises(self):
+        f = lambda x: x * x + 1.0  # noqa: E731
         with pytest.raises(ValueError):
-            _brent(lambda x: x * x + 1.0, -1.0, 1.0)
+            _false_position(f, -1.0, f(-1.0), 1.0, f(1.0), self.FTOL)
+
+    def test_unreachable_tolerance_raises(self):
+        # (x - 0.3)^5 is nonzero at every double but 0.3, which the steps do not hit
+        f = lambda x: (x - 0.3) ** 5  # noqa: E731
+        with pytest.raises(NonConvergenceError):
+            _false_position(f, 0.0, f(0.0), 1.0, f(1.0), 0.0)
 
 
 class TestValueDispatch:
