@@ -17,10 +17,11 @@ GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. Its
 preconditioner is that stencil with W frozen at the interpolant and its
 weights averaged over theta, T. Chan's optimal circulant preconditioner
 (SIAM J. Sci. Stat. Comput. 9, 1988): an FFT in theta turns it into one
-tridiagonal system in rho per Fourier mode, solved by a Thomas sweep over
-all modes at once, the fast Poisson solver pattern of Swarztrauber (SIAM
-Rev. 19, 1977). For W independent of theta it is the frozen-W stencil
-itself.
+tridiagonal system in rho per Fourier mode, and one symmetric
+eigendecomposition in rho diagonalizes all of them at once, the fast
+diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964). Each
+apply is then two dense products in rho and an FFT pair in theta. For W
+independent of theta it is the frozen-W stencil itself.
 Non-convergence is reported with diagnostics, never turned into a verdict:
 steep inner data violating the a-priori envelopes typically shows up as a
 residual plateau with the inner-row gradient growing under grid refinement.
@@ -177,32 +178,43 @@ def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray
 def _preconditioner(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     """Inverse of the interior stencil with W frozen at u, its weights averaged over theta.
 
-    Averaged, east and west weigh alike, so Fourier mode k in theta is one
-    tridiagonal system in rho with diagonal -(out + in) - 4 east sin^2(k d_theta / 2);
-    the Thomas factors of all modes are computed once. Returns the solve on
-    flattened interior vectors, or None on a zero or non-finite pivot, as
-    when W overflows.
+    Averaged, east and west weigh alike, so Fourier mode k in theta is the
+    tridiagonal T0 - lambda_k diag(east) in rho, with T0 the radial part and
+    lambda_k = 4 sin^2(k d_theta / 2). With S = diag(sinh rho) the product
+    S T0 is symmetric and E = S diag(east) diagonal and positive, so one
+    eigendecomposition Q diag(mu) Q^T of E^-1/2 S T0 E^-1/2 serves every
+    mode: the fast diagonalization method (Lynch, Rice & Thomas, Numer.
+    Math. 6, 1964). An apply scales by sinh(rho) E^-1/2, multiplies by Q^T,
+    divides mode k by mu - lambda_k between rfft and irfft, and multiplies by
+    Q, then by E^-1/2. Returns the solve on flattened interior vectors, or None
+    when the theta weight of a row is 0 or the operator is singular or not
+    finite, as when W overflows.
     """
-    shape = (grid.n_rho - 2, grid.n_theta)
-    c_out, c_in, c_east, _ = (w.mean(axis=1, keepdims=True) for w in _stencil(grid, u))
-    k = np.arange(grid.n_theta // 2 + 1)
-    diag = -(c_out + c_in) - 4.0 * c_east * np.sin(0.5 * grid.d_theta * k) ** 2
-    pivot, upper = diag.copy(), np.zeros_like(diag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, shape[0]):
-            upper[i - 1] = c_out[i - 1] / pivot[i - 1]
-            pivot[i] -= c_in[i] * upper[i - 1]
-    if not np.all(np.isfinite(pivot) & (pivot != 0.0)):
+    n = grid.n_rho - 2
+    shape = (n, grid.n_theta)
+    c_out, c_in, c_east, _ = (w.mean(axis=1) for w in _stencil(grid, u))
+    if not np.all(c_east > 0.0):
         return None
-    lower = c_in / pivot
+    s = grid.sinh_rho[1:-1]
+    root = np.sqrt(s * c_east)  # E^1/2
+    m = np.zeros((n, n))
+    with np.errstate(all="ignore"):
+        # eigh reads the lower triangle
+        m.flat[:: n + 1] = -(c_out + c_in) / c_east
+        m.flat[n :: n + 1] = s[1:] * c_in[1:] / (root[1:] * root[:-1])
+    if not np.all(np.isfinite(m)):
+        return None
+    mu, q = np.linalg.eigh(m)
+    lam = 4.0 * np.sin(0.5 * grid.d_theta * np.arange(grid.n_theta // 2 + 1)) ** 2
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / (mu[:, None] - lam)
+    if not np.all(np.isfinite(inverse)):
+        return None
+    scale_in, scale_out = (s / root)[:, None], (1.0 / root)[:, None]
 
     def solve(r: np.ndarray) -> np.ndarray:
-        y = np.fft.rfft(r.reshape(shape), axis=1) / pivot
-        for i in range(1, shape[0]):
-            y[i] -= lower[i] * y[i - 1]
-        for i in range(shape[0] - 2, -1, -1):
-            y[i] -= upper[i] * y[i + 1]
-        return np.fft.irfft(y, n=grid.n_theta, axis=1).ravel()
+        y = np.fft.rfft(q.T @ (r.reshape(shape) * scale_in), axis=1) * inverse
+        return (q @ np.fft.irfft(y, n=grid.n_theta, axis=1) * scale_out).ravel()
 
     return solve
 
@@ -220,10 +232,10 @@ def solve_dirichlet_2d(
     ``g_inner``/``g_outer`` may be constants, per-theta arrays, or callables of
     theta. Newton-Krylov (``krylov.newton_krylov``, one GMRES cycle per
     Newton step) runs from the linear-in-rho interpolant, preconditioned by
-    the FFT-tridiagonal inverse of the W-lagged operator there with its
-    weights averaged over theta, until the largest interior residual is at
-    most ``tol``; the report counts its Newton and GMRES steps and keeps the
-    residual after each Newton step.
+    the inverse of the W-lagged operator there with its weights averaged over
+    theta (an FFT in theta, fast diagonalization in rho), until the largest
+    interior residual is at most ``tol``; the report counts its Newton and
+    GMRES steps and keeps the residual after each Newton step.
     Raises NonConvergenceError (report and last iterate attached) when that
     fails within the step cap, an iterate is not finite, or the averaged
     operator is singular (W overflows on data steeper than ~1e154); for inner

@@ -207,15 +207,13 @@ def param_large(h, rho) -> ProfileParameter:
     return ProfileParameter.classify(h, _large_value(h, rho))
 
 
-def _start_radius(h: float, param: ProfileParameter, rho: float) -> float:
-    """rho0 of the profile, after checking that rho is not inside its starting circle."""
-    rho0 = boundary_radius(h, param)
+def _check_outside_start(rho0: float, rho: float) -> None:
+    """Reject a radius rho inside the starting circle rho0."""
     if rho < rho0 - _BOUNDARY_SLACK:
         raise ValueError(
             f"rho = {rho:g} is inside the starting circle rho0 = {rho0:g} "
             "of this profile"
         )
-    return rho0
 
 
 def _flux_kernel(
@@ -365,8 +363,13 @@ def slope(h, alpha, rho) -> float:
     """
     h = as_mean_curvature(h)
     param = as_parameter(h, alpha)
+    return _slope(h, param, boundary_radius(h, param), rho)
+
+
+def _slope(h: float, param: ProfileParameter, rho0: float, rho) -> float:
+    """``slope`` of the profile whose starting circle rho0 is already known."""
     rho = check_radius(rho)
-    rho0 = _start_radius(h, param, rho)
+    _check_outside_start(rho0, rho)
     slacks = _profile_slacks(param, rho0)
     if rho <= rho0:
         return _anchor_slope(slacks)
@@ -386,7 +389,8 @@ def height(h, alpha, rho, tol: float = DEFAULT_TOL) -> float:
     h = as_mean_curvature(h)
     param = as_parameter(h, alpha)
     rho = check_radius(rho)
-    rho0 = _start_radius(h, param, rho)
+    rho0 = boundary_radius(h, param)
+    _check_outside_start(rho0, rho)
     if rho <= rho0:
         return 0.0
     return -_drop(h, rho0, rho, _profile_slacks(param, rho0), tol)
@@ -436,7 +440,7 @@ class HeightProfile:
         return height(self.h, self.param, rho, self.tol)
 
     def slope(self, rho) -> float:
-        return slope(self.h, self.param, rho)
+        return _slope(self.h, self.param, self.rho0, rho)
 
     def sample(self, rho_max, n: int) -> np.ndarray:
         return sample_profile(self.h, self.param, rho_max, n, self.tol)

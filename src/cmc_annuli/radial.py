@@ -166,13 +166,14 @@ def solve_radial(
 
     # The drop has a square-root singularity in C at both ends of the flux
     # interval. C = c_lo + span*sin(theta)^2 makes it Lipschitz in theta at
-    # both, and hands the kernel the slacks at a as span*cos^2 and span*sin^2:
-    # exact next to either end, where C itself cannot hold the offset.
+    # both, and hands the kernel the slacks at a as span*sin(pi/2 - theta)^2
+    # and span*sin(theta)^2: exact next to either end, where C itself cannot
+    # hold the offset, and exactly 0 at the ends theta = 0 and pi/2.
     c_lo, c_hi = feasible_flux_interval(h, annulus)
     span = c_hi - c_lo
 
     def slacks_at(theta: float) -> tuple[float, float]:
-        return span * math.cos(theta) ** 2, span * math.sin(theta) ** 2
+        return span * math.sin(0.5 * math.pi - theta) ** 2, span * math.sin(theta) ** 2
 
     # the bracket ends are the extremal graphs, whose drops are already known
     theta, residual = _false_position(

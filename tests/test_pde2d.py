@@ -107,6 +107,47 @@ class TestDiscreteOperator:
         back = _preconditioner(grid, u)(applied.ravel())
         assert np.abs(back - mid.ravel()).max() <= 1e-12 * np.abs(mid).max()
 
+    @pytest.mark.parametrize("n_rho, n_theta", [(3, 4), (3, 5), (4, 7), (12, 10), (33, 17)])
+    def test_preconditioner_matches_dense_averaged_operator(self, n_rho, n_theta):
+        # referee: the theta-averaged stencil assembled on the whole interior
+        # grid, with zero boundary rows, and solved densely
+        from cmc_annuli.pde2d import _preconditioner, _stencil
+
+        grid = PolarGrid(ANN, n_rho, n_theta)
+        mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
+        u = np.sin(3 * mesh_r) + mesh_r**2 + 0.3 * mesh_r * np.cos(mesh_t + 0.4 * np.sin(2 * mesh_t))
+        c_out, c_in, c_east, c_west = (w.mean(axis=1) for w in _stencil(grid, u))
+        radial = np.diag(-(c_out + c_in)) + np.diag(c_out[:-1], 1) + np.diag(c_in[1:], -1)
+        shift = np.roll(np.eye(n_theta), 1, axis=1)  # (shift @ v)[j] = v[j + 1]
+        dense = (
+            np.kron(radial, np.eye(n_theta))
+            + np.kron(np.diag(c_east), shift - np.eye(n_theta))
+            + np.kron(np.diag(c_west), shift.T - np.eye(n_theta))
+        )
+        r = np.random.default_rng(5).standard_normal((n_rho - 2) * n_theta)
+        expected = np.linalg.solve(dense, r)
+        got = _preconditioner(grid, u)(r)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("rows", ["inner", "all"])
+    def test_preconditioner_is_none_when_weights_overflow(self, rows):
+        # W overflows to inf and the theta weights to 0, next to the inner
+        # row or on every row; the diagonalization scales each row by its
+        # theta weight, so it needs all of them positive
+        from cmc_annuli.pde2d import _preconditioner, _stencil
+
+        grid = PolarGrid(ANN, 12, 10)
+        u = np.zeros((12, 10))
+        if rows == "inner":
+            u[0, :] = 1e300
+        else:
+            u[:] = 1e300 * (grid.rho[:, None] - ANN.b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert not np.all(_stencil(grid, u)[2].mean(axis=1) > 0.0)
+            assert _preconditioner(grid, u) is None
+        assert caught == []
+
     def test_max_gradient_of_tilted_plane(self):
         grid = PolarGrid(ANN, 32, 16)
         field = radial_field(grid, lambda r: 3.0 * r)

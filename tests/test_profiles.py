@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cmc_annuli import (
     sample_profile,
     slope,
 )
+from cmc_annuli import profiles
 
 H_GRID = [0.05, 0.25, 0.4, 0.499, 0.5]
 
@@ -311,3 +313,16 @@ class TestHeightProfileWrapper:
         assert profile.slope(1.5) == slope(0.4, 0.5, 1.5)
         table = profile.sample(2.0, 4)
         assert table.shape == (4, 3)
+
+    @pytest.mark.parametrize(
+        "h, alpha", [(0.4, 0.5), (0.4, param_large(0.4, 1.0)), (0.5, 1.0), (0.4, 0.8)]
+    )
+    def test_slope_uses_the_stored_starting_circle(self, h, alpha):
+        profile = height_profile(h, alpha)
+        radii = [profile.rho0, profile.rho0 + 1e-9, 1.3, 3.0]
+        expected = [slope(h, alpha, rho) for rho in radii]
+        with mock.patch.object(profiles, "boundary_radius", side_effect=AssertionError):
+            assert [profile.slope(rho) for rho in radii] == expected
+            if profile.rho0 > 1e-6:
+                with pytest.raises(ValueError, match="inside the starting circle"):
+                    profile.slope(profile.rho0 - 1e-6)

@@ -11,6 +11,7 @@ from cmc_annuli import (
     InfeasibleFluxError,
     OuterBoundaryData,
     boundary_radius,
+    bounding_box,
     dirichlet_feasibility,
     extremal_drops,
     feasible_flux_interval,
@@ -218,6 +219,17 @@ class TestSolveRadial:
                 solve_radial(0.4, ann, drops.d_max + offset, 0.0)
             with pytest.raises(InfeasibleBoundaryError):
                 solve_radial(0.4, ann, drops.d_min - offset, 0.0)
+
+    def test_root_on_the_flux_interval_end_is_vertical_at_a(self):
+        # a target within tol/10 above d_min ends the root find on the bracket
+        # end theta = pi/2, whose slacks are exactly (0, span): the solution is
+        # the extremal graph, vertical at a with the lower envelope's sign
+        ann = Annulus(0.5, 2.0)
+        solution = solve_radial(0.4, ann, extremal_drops(0.4, ann).d_min + 5e-12, 0.0)
+        assert solution.C == feasible_flux_interval(0.4, ann)[1]
+        expected = bounding_box(0.4, ann, OuterBoundaryData(0.0, 0.0)).lower.derivative(ann.a)
+        assert math.isinf(expected)
+        assert solution.evaluator.derivative(ann.a) == expected
 
     @pytest.mark.parametrize("t", [-3.0, 4.5])
     def test_translation_invariance(self, t):
