@@ -15,7 +15,12 @@ as the 2D solver calls it:
   sqrt(eps) max(1, |x|) / max(1, |F|) in the max-norm;
 - one cycle of left-preconditioned GMRES (Saad & Schultz, SIAM J. Sci.
   Stat. Comput. 7, 1986) of at most 20 steps from zero, with modified
-  Gram-Schmidt and LAPACK's Givens rotation ``dlartg``.
+  Gram-Schmidt and LAPACK's Givens rotation ``dlartg``;
+- one departure from scipy: the relative tolerance handed to GMRES is at
+  least 0.5 f_tol / |F|_2, Kelley's terminal safeguard. The forcing term
+  shrinks quadratically, so without it the last Newton step asks for
+  relative residuals near rounding, far below what ``f_tol`` needs, and
+  runs the whole cycle. The carried forcing term is scipy's.
 
 As in scipy, the solve stops early when an iterate's residual or a
 Jacobian product is not finite, or when GMRES returns a zero step. It
@@ -40,6 +45,9 @@ _EPS = float(np.finfo(float).eps)
 _RDIFF = math.sqrt(_EPS)
 #: Eisenstat-Walker forcing: first term, gamma, cap, safeguard threshold
 _ETA_FIRST, _GAMMA, _ETA_MAX, _ETA_THRESHOLD = 1e-3, 0.9, 0.9999, 0.1
+#: Kelley's terminal safeguard: GMRES is asked for no less than this fraction
+#: of f_tol / |F| (Iterative Methods for Linear and Nonlinear Equations, 1995)
+_ETA_FLOOR = 0.5
 #: Armijo sufficient-decrease constant and smallest backtracked step
 _C1, _STEP_MIN = 1e-4, 1e-2
 #: GMRES steps per Newton step
@@ -219,7 +227,9 @@ def newton_krylov(
             jv = (F(x + sc * v) - fx) / sc
             return jv if np.isfinite(jv).all() else None
 
-        solved = gmres(jacobian_product, fx, psolve, min(eta, eta * fx_norm))
+        # |F|_inf <= |F|_2, so a linear residual of 2-norm _ETA_FLOOR * f_tol suffices
+        rtol = min(_ETA_MAX, max(min(eta, eta * fx_norm), _ETA_FLOOR * f_tol / fx_norm))
+        solved = gmres(jacobian_product, fx, psolve, rtol)
         if solved is None:
             break
         dx, steps = -solved[0], solved[1]

@@ -97,7 +97,9 @@ class SolverReport:
     ``iterations`` counts Newton steps and ``krylov_iterations`` the GMRES
     steps over all of them; ``residual_history`` holds the largest interior
     residual at the start and after each Newton step, so its last entry is
-    ``residual``.
+    ``residual``. ``residual_evaluations`` counts the evaluations of the
+    interior residual: the start's, one per Jacobian product and one per
+    line-search trial.
     """
 
     converged: bool
@@ -106,6 +108,7 @@ class SolverReport:
     max_gradient: float
     krylov_iterations: int
     residual_history: tuple[float, ...]
+    residual_evaluations: int
 
 
 def _padded(u: np.ndarray) -> np.ndarray:
@@ -235,7 +238,8 @@ def solve_dirichlet_2d(
     the inverse of the W-lagged operator there with its weights averaged over
     theta (an FFT in theta, fast diagonalization in rho), until the largest
     interior residual is at most ``tol``; the report counts its Newton and
-    GMRES steps and keeps the residual after each Newton step.
+    GMRES steps and its residual evaluations, and keeps the residual after
+    each Newton step.
     Raises NonConvergenceError (report and last iterate attached) when that
     fails within the step cap, an iterate is not finite, or the averaged
     operator is singular (W overflows on data steeper than ~1e154); for inner
@@ -257,7 +261,11 @@ def solve_dirichlet_2d(
     u = (1.0 - weight) * inner[None, :] + weight * outer[None, :]
     shape = (grid.n_rho - 2, grid.n_theta)
 
+    evaluations = 0
+
     def interior_residual(x: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
         padded = u.copy()
         padded[1:-1, :] = x.reshape(shape)
         return cmc_residual(Field2D(grid, padded), h).ravel()
@@ -279,7 +287,9 @@ def solve_dirichlet_2d(
     u[1:-1, :] = x.reshape(shape)
     field2d = Field2D(grid, u)
     res, steps = history[-1], len(history) - 1
-    report = SolverReport(res <= tol, steps, res, max_gradient(field2d), krylov_steps, tuple(history))
+    report = SolverReport(
+        res <= tol, steps, res, max_gradient(field2d), krylov_steps, tuple(history), evaluations
+    )
     if not report.converged:
         raise NonConvergenceError(
             f"residual {res:g} above tolerance {tol:g} after {steps} Newton steps",

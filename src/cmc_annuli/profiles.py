@@ -388,8 +388,12 @@ def height(h, alpha, rho, tol: float = DEFAULT_TOL) -> float:
     """
     h = as_mean_curvature(h)
     param = as_parameter(h, alpha)
+    return _height(h, param, boundary_radius(h, param), rho, tol)
+
+
+def _height(h: float, param: ProfileParameter, rho0: float, rho, tol: float) -> float:
+    """``height`` of the profile whose starting circle rho0 is already known."""
     rho = check_radius(rho)
-    rho0 = boundary_radius(h, param)
     _check_outside_start(rho0, rho)
     if rho <= rho0:
         return 0.0
@@ -437,7 +441,7 @@ class HeightProfile:
     tol: float = DEFAULT_TOL
 
     def height(self, rho) -> float:
-        return height(self.h, self.param, rho, self.tol)
+        return _height(self.h, self.param, self.rho0, rho, self.tol)
 
     def slope(self, rho) -> float:
         return _slope(self.h, self.param, self.rho0, rho)

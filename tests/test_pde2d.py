@@ -289,6 +289,8 @@ class TestSolver:
         assert report.residual_history[-1] == report.residual
         assert report.residual_history[0] > report.residual
         assert report.krylov_iterations >= report.iterations
+        # the start, one per Jacobian product, at least one line-search trial per step
+        assert report.residual_evaluations >= report.krylov_iterations + report.iterations + 1
 
     def test_failed_report_carries_residual_history(self):
         # W overflows on the interpolant, so no Newton step is taken
@@ -297,10 +299,31 @@ class TestSolver:
         report = excinfo.value.report
         assert (report.iterations, report.krylov_iterations) == (0, 0)
         assert report.residual_history == (report.residual,)
+        assert report.residual_evaluations == 1
+
+    def test_last_newton_step_stops_at_the_tolerance(self, monkeypatch):
+        # the 128x128 radial rung of the grid-2d ladder: the forcing term asks
+        # its last Newton step for a relative residual near 1e-17, which GMRES
+        # would chase through the whole cycle without the floor at 0.5 tol / |F|_2
+        from cmc_annuli import krylov
+
+        steps, tol = [], 1e-8
+        cycle = krylov.gmres
+
+        def counted(*args):
+            solved = cycle(*args)
+            steps.append(None if solved is None else solved[1])
+            return solved
+
+        monkeypatch.setattr(krylov, "gmres", counted)
+        _, report = solve_dirichlet_2d(H, ANN, 0.1, 0.0, grid=(128, 128), tol=tol)
+        assert report.iterations == len(steps) == 6
+        assert steps[-1] < krylov._RESTART
+        assert report.residual <= tol
 
 
 class TestNewtonKrylov:
-    """The in-package Newton-GMRES against scipy's ``newton_krylov`` and ``gmres``."""
+    """The in-package Newton-GMRES against scipy's ``nonlin_solve`` and ``gmres``."""
 
     def test_givens_matches_lapack(self):
         lartg = pytest.importorskip("scipy.linalg").get_lapack_funcs("lartg", dtype=np.float64)
@@ -367,8 +390,14 @@ class TestNewtonKrylov:
 
     @staticmethod
     def scipy_newton_krylov(F, x, psolve, f_tol, maxiter):
-        """``krylov.newton_krylov``'s contract on top of scipy's ``newton_krylov``."""
+        """``krylov.newton_krylov``'s contract on top of scipy's ``nonlin_solve``.
+
+        scipy's ``newton_krylov`` with GMRES's relative tolerance floored at
+        0.5 f_tol / |F|_2, as the package floors it: ``nonlin_solve`` hands the
+        forcing term min(eta, eta |F|) to the Jacobian's ``solve``.
+        """
         optimize = pytest.importorskip("scipy.optimize")
+        nonlin = pytest.importorskip("scipy.optimize._nonlin")
         linalg = pytest.importorskip("scipy.sparse.linalg")
         history, last, krylov = [float(np.abs(F(x)).max())], [x], []
 
@@ -376,12 +405,17 @@ class TestNewtonKrylov:
             last[0] = x
             history.append(float(np.abs(fx).max()))
 
+        class FlooredJacobian(nonlin.KrylovJacobian):
+            def solve(self, rhs, tol=0):
+                return super().solve(rhs, min(0.9999, max(tol, 0.5 * f_tol / np.linalg.norm(rhs))))
+
+        jacobian = FlooredJacobian(
+            method="gmres", inner_M=linalg.LinearOperator((x.size,) * 2, matvec=psolve),
+            inner_callback=krylov.append, inner_callback_type="pr_norm",
+        )
         try:
-            optimize.newton_krylov(
-                F, x, f_tol=f_tol, maxiter=maxiter, method="gmres", callback=record,
-                inner_M=linalg.LinearOperator((x.size,) * 2, matvec=psolve),
-                inner_callback=krylov.append, inner_callback_type="pr_norm",
-            )
+            nonlin.nonlin_solve(F, x, jacobian, f_tol=f_tol, maxiter=maxiter, line_search="armijo",
+                                callback=record)
         except (optimize.NoConvergence, ValueError):
             pass
         return last[0], history, len(krylov)

@@ -326,3 +326,17 @@ class TestHeightProfileWrapper:
             if profile.rho0 > 1e-6:
                 with pytest.raises(ValueError, match="inside the starting circle"):
                     profile.slope(profile.rho0 - 1e-6)
+
+    @pytest.mark.parametrize(
+        "h, alpha", [(0.4, 0.5), (0.4, param_large(0.4, 1.0)), (0.5, 1.0), (0.4, 0.8)]
+    )
+    def test_height_uses_the_stored_starting_circle(self, h, alpha):
+        profile = height_profile(h, alpha)
+        radii = [profile.rho0, profile.rho0 + 1e-9, 1.3, 3.0]
+        expected = [height(h, alpha, rho) for rho in radii]
+        with mock.patch.object(profiles, "boundary_radius", wraps=profiles.boundary_radius) as spy:
+            assert [profile.height(rho) for rho in radii] == expected
+            if profile.rho0 > 1e-6:
+                with pytest.raises(ValueError, match="inside the starting circle"):
+                    profile.height(profile.rho0 - 1e-6)
+        assert spy.call_count == 0
