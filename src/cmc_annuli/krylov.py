@@ -1,7 +1,7 @@
-"""Jacobian-free Newton-Krylov with one GMRES cycle per step, on numpy alone.
+"""Newton-Krylov with one GMRES cycle per step, on numpy alone.
 
 A port of scipy 1.17.1's ``newton_krylov(F, x0, method="gmres", inner_M=M)``
-as the 2D solver calls it:
+as the 2D solver would call it, with the caller's exact Jacobian product:
 
 - the inexact Newton loop of ``nonlin_solve`` (Kelley, *Iterative Methods
   for Linear and Nonlinear Equations*, SIAM 1995): stop when the max-norm
@@ -11,24 +11,25 @@ as the 2D solver calls it:
 - Armijo backtracking on |F|^2 (``scalar_search_armijo``: c1 = 1e-4,
   quadratic then cubic interpolation down to a step of 1e-2, the full step
   when that fails);
-- ``KrylovJacobian``'s forward-difference product, with its step scaled by
-  sqrt(eps) max(1, |x|) / max(1, |F|) in the max-norm;
 - one cycle of left-preconditioned GMRES (Saad & Schultz, SIAM J. Sci.
   Stat. Comput. 7, 1986) of at most 20 steps from zero, with modified
   Gram-Schmidt and LAPACK's Givens rotation ``dlartg``;
-- one departure from scipy: the relative tolerance handed to GMRES is at
-  least 0.5 f_tol / |F|_2, Kelley's terminal safeguard. The forcing term
-  shrinks quadratically, so without it the last Newton step asks for
-  relative residuals near rounding, far below what ``f_tol`` needs, and
-  runs the whole cycle. The carried forcing term is scipy's.
+- two departures from scipy. The Jacobian products are the caller's
+  linearization of F at each accepted iterate, in place of
+  ``KrylovJacobian``'s matrix-free one, so a product costs no evaluation of
+  F. And the relative tolerance handed to GMRES is at least
+  0.5 f_tol / |F|_2, Kelley's terminal safeguard. The forcing term shrinks
+  quadratically, so without it the last Newton step asks for relative
+  residuals near rounding, far below what ``f_tol`` needs, and runs the
+  whole cycle. The carried forcing term is scipy's.
 
 As in scipy, the solve stops early when an iterate's residual or a
 Jacobian product is not finite, or when GMRES returns a zero step. It
 skips two results that scipy computes and never reads with one cycle: a
 second preconditioner apply to the right-hand side and the residual of
-the GMRES solution. Iterates match scipy's to about sqrt(eps), not bit for
-bit: scipy takes its norms with BLAS ``dnrm2``, which differs from numpy's
-in the last bit, and the difference quotient amplifies that.
+the GMRES solution. Given the same products, iterates match scipy's to
+rounding, not bit for bit: scipy takes its norms with BLAS ``dnrm2``,
+which differs from numpy's in the last bit.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from typing import Callable
 import numpy as np
 
 Operator = Callable[[np.ndarray], np.ndarray]
+#: a Jacobian product, None where it is not finite
+Product = Callable[[np.ndarray], np.ndarray | None]
 
 _EPS = float(np.finfo(float).eps)
-#: forward-difference step relative to max(1, |x|) / max(1, |F|)
-_RDIFF = math.sqrt(_EPS)
 #: Eisenstat-Walker forcing: first term, gamma, cap, safeguard threshold
 _ETA_FIRST, _GAMMA, _ETA_MAX, _ETA_THRESHOLD = 1e-3, 0.9, 0.9999, 0.1
 #: Kelley's terminal safeguard: GMRES is asked for no less than this fraction
@@ -77,7 +78,7 @@ def givens(f: float, g: float) -> tuple[float, float, float]:
 
 
 def gmres(
-    matvec: Callable[[np.ndarray], np.ndarray | None],
+    matvec: Product,
     b: np.ndarray,
     psolve: Operator,
     rtol: float,
@@ -197,10 +198,17 @@ def _max_norm(v: np.ndarray) -> float:
 
 
 def newton_krylov(
-    F: Operator, x: np.ndarray, psolve: Operator, f_tol: float, maxiter: int
+    F: Operator,
+    jacobian: Callable[[np.ndarray], Product],
+    x: np.ndarray,
+    psolve: Operator,
+    f_tol: float,
+    maxiter: int,
 ) -> tuple[np.ndarray, list[float], int]:
     """Solve F(x) = 0 by inexact Newton steps, each one GMRES cycle preconditioned by ``psolve``.
 
+    ``jacobian(x)`` linearizes F at x once per Newton step. It returns the
+    product v -> F'(x) v, which returns None where it is not finite.
     Returns the last iterate, the max-norm of F at the start and after each
     Newton step (one entry more than steps taken), and the total GMRES
     steps. Stops once that max-norm is at most ``f_tol`` after a step, after
@@ -217,19 +225,9 @@ def newton_krylov(
     for step in range(maxiter):
         if history[-1] == 0 or (step > 0 and history[-1] <= f_tol):
             break
-        omega = _RDIFF * max(1, np.abs(x).max()) / max(1, history[-1])
-
-        def jacobian_product(v: np.ndarray) -> np.ndarray | None:
-            nv = np.linalg.norm(v)
-            if nv == 0:
-                return 0 * v
-            sc = omega / nv
-            jv = (F(x + sc * v) - fx) / sc
-            return jv if np.isfinite(jv).all() else None
-
         # |F|_inf <= |F|_2, so a linear residual of 2-norm _ETA_FLOOR * f_tol suffices
         rtol = min(_ETA_MAX, max(min(eta, eta * fx_norm), _ETA_FLOOR * f_tol / fx_norm))
-        solved = gmres(jacobian_product, fx, psolve, rtol)
+        solved = gmres(jacobian(x), fx, psolve, rtol)
         if solved is None:
             break
         dx, steps = -solved[0], solved[1]

@@ -9,11 +9,14 @@ of u(rho, theta) reads
 
 The discretization puts fluxes at half nodes with centered differences,
 second-order consistent on the uniform periodic grid. With W frozen it is one
-five-point stencil, which the residual applies. The solve is one Jacobian-free
+five-point stencil, which the residual applies. The solve is one
 Newton-Krylov iteration from the linear-in-rho interpolant of the boundary
 rows (Knoll & Keyes, J. Comput. Phys. 193, 2004): inexact Newton steps
 (Kelley 1995) with Eisenstat-Walker forcing, each one cycle of restarted
-GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. Its
+GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. GMRES
+multiplies by the residual's exact Jacobian, linearized once per Newton
+step: the derivative of each half-node flux, slope over W, in both gradient
+components, so a product costs less than half a residual. Its
 preconditioner is that stencil with W frozen at the interpolant and its
 weights averaged over theta, T. Chan's optimal circulant preconditioner
 (SIAM J. Sci. Stat. Comput. 9, 1988): an FFT in theta turns it into one
@@ -98,8 +101,9 @@ class SolverReport:
     steps over all of them; ``residual_history`` holds the largest interior
     residual at the start and after each Newton step, so its last entry is
     ``residual``. ``residual_evaluations`` counts the evaluations of the
-    interior residual: the start's, one per Jacobian product and one per
-    line-search trial.
+    interior residual: the start's and one per line-search trial, so
+    ``iterations + 1`` when every Newton step is taken in full. Jacobian
+    products evaluate none.
     """
 
     converged: bool
@@ -123,24 +127,85 @@ def _centered_differences(grid: PolarGrid, up: np.ndarray) -> tuple[np.ndarray, 
     return ur, ut
 
 
+def _half_nodes(grid: PolarGrid, u: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Gradient and W at the half nodes: (u_rho, u_theta / sinh, W) at the rho half
+    nodes, and (u_rho, u_theta / sinh, W) at the theta half nodes -1/2 ... n_theta - 1/2
+    of the interior rows.
+
+    The across components are half-sums of centered differences.
+    """
+    s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
+    up = _padded(u)
+    ur, ut = _centered_differences(grid, up)
+    ur_rho = (u[1:, :] - u[:-1, :]) / grid.d_rho
+    ut_rho = 0.5 * (ut[:-1, :] + ut[1:, :]) / s_half
+    ur_theta = 0.5 * (ur[:, :-1] + ur[:, 1:])
+    ut_theta = (up[1:-1, 1:] - up[1:-1, :-1]) / grid.d_theta / s
+    # W overflows to inf, and its weights to 0, on slopes past ~1e154
+    with np.errstate(over="ignore"):
+        w_rho = np.sqrt(1.0 + ur_rho**2 + ut_rho**2)
+        w_theta = np.sqrt(1.0 + ur_theta**2 + ut_theta**2)
+    return (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta)
+
+
 def _stencil(grid: PolarGrid, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """Five-point weights (out, in, east, west) at the interior nodes, W frozen at u.
 
     Q(u) at a node sums weight * (neighbour - node) over its four neighbours.
     """
     s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
-    up = _padded(u)
-    ur, ut = _centered_differences(grid, up)
-    du_r = (u[1:, :] - u[:-1, :]) / grid.d_rho
-    # theta half nodes -1/2 ... n_theta - 1/2 of the interior rows
-    du_t = (up[1:-1, 1:] - up[1:-1, :-1]) / grid.d_theta
-    # W overflows to inf, and its weights to 0, on slopes past ~1e154
-    with np.errstate(over="ignore"):
-        w_rho = np.sqrt(1.0 + du_r**2 + (0.5 * (ut[:-1, :] + ut[1:, :]) / s_half) ** 2)
-        w_theta = np.sqrt(1.0 + (0.5 * (ur[:, :-1] + ur[:, 1:])) ** 2 + (du_t / s) ** 2)
+    (_, _, w_rho), (_, _, w_theta) = _half_nodes(grid, u)
     g = s_half / (grid.d_rho**2 * w_rho)
     c_theta = 1.0 / (grid.d_theta**2 * s**2 * w_theta)
     return g[1:, :] / s, g[:-1, :] / s, c_theta[:, 1:], c_theta[:, :-1]
+
+
+def _flux_derivatives(along: np.ndarray, across: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of along / W, W = sqrt(1 + along^2 + across^2), in along and in across.
+
+    They are (1 + across^2) / W^3 and -along * across / W^3, written in the
+    bounded ratios along / W and across / W, so they are 0, not inf / inf,
+    where W overflows.
+    """
+    iw = 1.0 / w
+    along_w, across_w = along * iw, across * iw
+    return iw * (iw * iw + across_w * across_w), -iw * along_w * across_w
+
+
+def _jacobian(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray | None]:
+    """The derivative of ``cmc_residual`` at u, as a product on flattened interior vectors.
+
+    Each half-node flux of the residual is a slope over W: s_half u_rho / (d_rho W)
+    across a rho half node, u_theta / (d_theta sinh^2 W) across a theta half
+    node, with the other gradient component in W a half-sum of centered
+    differences, so it enters the product with a factor 1/4. The product
+    returns None where it is not finite.
+    """
+    s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
+    d_rho, d_theta = grid.d_rho, grid.d_theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta) = _half_nodes(grid, u)
+        along, across = _flux_derivatives(ur_rho, ut_rho, w_rho)
+        a_rho = along * (s_half / d_rho**2)
+        b_rho = across * (0.25 / (d_rho * d_theta))
+        along, across = _flux_derivatives(ut_theta, ur_theta, w_theta)
+        a_theta = along * (1.0 / (d_theta * s) ** 2)
+        b_theta = across * (0.25 / (d_rho * d_theta * s))
+    inv_s = 1.0 / s
+    v = np.zeros_like(u)  # boundary rows stay 0
+
+    def product(x: np.ndarray) -> np.ndarray | None:
+        v[1:-1, :] = x.reshape(v.shape[0] - 2, -1)
+        vp = _padded(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vt = vp[:, 2:] - vp[:, :-2]
+            vr = vp[2:, :] - vp[:-2, :]
+            flux_rho = a_rho * (v[1:, :] - v[:-1, :]) + b_rho * (vt[:-1, :] + vt[1:, :])
+            flux_theta = a_theta * (vp[1:-1, 1:] - vp[1:-1, :-1]) + b_theta * (vr[:, :-1] + vr[:, 1:])
+            jv = (flux_rho[1:, :] - flux_rho[:-1, :]) * inv_s + (flux_theta[:, 1:] - flux_theta[:, :-1])
+        return jv.ravel() if np.isfinite(jv).all() else None
+
+    return product
 
 
 def cmc_residual(field2d: Field2D, h) -> np.ndarray:
@@ -233,10 +298,11 @@ def solve_dirichlet_2d(
     """Solve Q(u) = 2h on the annulus with Dirichlet rows at rho = a and b.
 
     ``g_inner``/``g_outer`` may be constants, per-theta arrays, or callables of
-    theta. Newton-Krylov (``krylov.newton_krylov``, one GMRES cycle per
-    Newton step) runs from the linear-in-rho interpolant, preconditioned by
-    the inverse of the W-lagged operator there with its weights averaged over
-    theta (an FFT in theta, fast diagonalization in rho), until the largest
+    theta. Newton-Krylov (``krylov.newton_krylov``, one GMRES cycle on exact
+    Jacobian products per Newton step) runs from the linear-in-rho
+    interpolant, preconditioned by the inverse of the W-lagged operator there
+    with its weights averaged over theta (an FFT in theta, fast
+    diagonalization in rho), until the largest
     interior residual is at most ``tol``; the report counts its Newton and
     GMRES steps and its residual evaluations, and keeps the residual after
     each Newton step.
@@ -263,12 +329,18 @@ def solve_dirichlet_2d(
 
     evaluations = 0
 
+    def with_interior(x: np.ndarray) -> np.ndarray:
+        padded = u.copy()
+        padded[1:-1, :] = x.reshape(shape)
+        return padded
+
     def interior_residual(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        padded = u.copy()
-        padded[1:-1, :] = x.reshape(shape)
-        return cmc_residual(Field2D(grid, padded), h).ravel()
+        return cmc_residual(Field2D(grid, with_interior(x)), h).ravel()
+
+    def interior_jacobian(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray | None]:
+        return _jacobian(grid, with_interior(x))
 
     x = u[1:-1, :].ravel()
     precondition = _preconditioner(grid, u)
@@ -281,7 +353,7 @@ def solve_dirichlet_2d(
         # reports such a solve
         with np.errstate(over="ignore", invalid="ignore"):
             x, history, krylov_steps = newton_krylov(
-                interior_residual, x, precondition, tol, _MAX_NEWTON_STEPS
+                interior_residual, interior_jacobian, x, precondition, tol, _MAX_NEWTON_STEPS
             )
 
     u[1:-1, :] = x.reshape(shape)

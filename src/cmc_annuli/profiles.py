@@ -218,8 +218,8 @@ def _check_outside_start(rho0: float, rho: float) -> None:
 
 def _flux_kernel(
     h: float, r0: float, slack_small: float, slack_large: float
-) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray], list[float]]:
-    """Integrand, its array form and breakpoints for the rise above r0 of the graph with these slacks.
+) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray]]:
+    """Integrand and its array form for the rise above r0 of the graph with these slacks.
 
     The rise from r0 to rho is the integral of g(s) = 2s * u'(r0 + s^2) over
     0 <= s <= sqrt(rho - r0); the substitution removes the inverse-square-root
@@ -270,10 +270,16 @@ def _flux_kernel(
         flux = flux0 + h * (cosh0 * up * down + sinh0 * (up + down))
         return np.where(vertical, 0.0, 2.0 * s * flux / root)
 
-    points = layer_breakpoints(
+    return g, g_array
+
+
+def _kernel_breakpoints(h: float, r0: float, slack_small: float, slack_large: float) -> list[float]:
+    """Quadrature breakpoints of ``_flux_kernel``'s integrand: the turnover scales
+    of its radicand factors, slack + growth * s^2 with growth cosh(r0) -+ 2h sinh(r0)."""
+    cosh0, sinh0 = math.cosh(r0), math.sinh(r0)
+    return layer_breakpoints(
         ((slack_small, cosh0 - 2.0 * h * sinh0), (slack_large, cosh0 + 2.0 * h * sinh0))
     )
-    return g, g_array, points
 
 
 def _is_array_like(x) -> bool:
@@ -295,8 +301,8 @@ def _anchor_slope(slacks: tuple[float, float]) -> float:
 
 def _drop(h: float, a: float, b: float, slacks: tuple[float, float], tol: float) -> float:
     """u(a) - u(b) of the graph anchored at a with the given radicand slacks there."""
-    g, _, points = _flux_kernel(h, a, *slacks)
-    return -adaptive_quad(g, 0.0, math.sqrt(b - a), tol, points=points)
+    g, _ = _flux_kernel(h, a, *slacks)
+    return -adaptive_quad(g, 0.0, math.sqrt(b - a), tol, points=_kernel_breakpoints(h, a, *slacks))
 
 
 def _anchored_graph(
@@ -310,7 +316,8 @@ def _anchored_graph(
     list, a tuple or an array of one or more dimensions gives an array of its
     shape. The derivative takes a radius and is the same integrand g(s)/(2s).
     """
-    g, g_array, points = _flux_kernel(h, a, *slacks)
+    g, g_array = _flux_kernel(h, a, *slacks)
+    points = _kernel_breakpoints(h, a, *slacks)
     s_b = math.sqrt(b - a)
     lo, hi = a - _BOUNDARY_SLACK, b + _BOUNDARY_SLACK
 
@@ -373,7 +380,7 @@ def _slope(h: float, param: ProfileParameter, rho0: float, rho) -> float:
     slacks = _profile_slacks(param, rho0)
     if rho <= rho0:
         return _anchor_slope(slacks)
-    g, _, _ = _flux_kernel(h, rho0, *slacks)
+    g, _ = _flux_kernel(h, rho0, *slacks)
     s = math.sqrt(rho - rho0)
     return g(s) / (2.0 * s)
 
@@ -425,8 +432,8 @@ def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.nd
     radii = np.linspace(rho0, rho_max, n)
     s = np.sqrt(radii - rho0)
     slacks = _profile_slacks(param, rho0)
-    _, g_array, points = _flux_kernel(h, rho0, *slacks)
-    heights = adaptive_quad_panels(g_array, s, tol, points)
+    _, g_array = _flux_kernel(h, rho0, *slacks)
+    heights = adaptive_quad_panels(g_array, s, tol, _kernel_breakpoints(h, rho0, *slacks))
     slopes = np.divide(g_array(s), 2.0 * s, out=np.full(n, _anchor_slope(slacks)), where=s > 0.0)
     return np.column_stack([radii, heights, slopes])
 

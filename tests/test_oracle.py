@@ -138,7 +138,7 @@ def test_neck_integrand(s):
         r = mp.mpf(s) ** 2
         f = 4 * mp.mpf(h) * mp.sinh(r / 2) ** 2
         expected = float(2 * mp.mpf(s) * f / mp.sqrt(mp.sinh(r) ** 2 - f**2))
-    g, g_array, _ = _flux_kernel(h, 0.0, 0.0, 0.0)
+    g, g_array = _flux_kernel(h, 0.0, 0.0, 0.0)
     assert g(s) == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert g_array(np.array([s]))[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 

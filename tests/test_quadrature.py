@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmc_annuli import Annulus, QuadratureError, feasible_flux_interval, param_large, param_small
-from cmc_annuli.profiles import _flux_kernel
+from cmc_annuli.profiles import _flux_kernel, _kernel_breakpoints
 from cmc_annuli.quadrature import (
     EPSREL,
     GAUSS_WEIGHTS,
@@ -53,7 +53,8 @@ def _acceptance_kernels():
         for a, b in annuli:
             c_lo, c_hi = feasible_flux_interval(h, Annulus(a, b))
             for C in (c_lo, c_hi, 0.7 * c_lo + 0.3 * c_hi):
-                yield (h, a, b, C), _flux_kernel(h, a, c_hi - C, C - c_lo)
+                slacks = (c_hi - C, C - c_lo)
+                yield (h, a, b, C), (*_flux_kernel(h, a, *slacks), _kernel_breakpoints(h, a, *slacks))
 
 
 KERNELS = list(_acceptance_kernels())
@@ -177,7 +178,7 @@ def test_array_integrand_matches_scalar(name, params, kernel):
     condition number of F; where F keeps its digits that is 4 ulp of g.
     """
     h, C, r0 = params
-    g, g_array, _ = kernel
+    g, g_array = kernel
     rng = np.random.default_rng(20)
     s = np.concatenate(([0.0, 1e-12, 1e-6], rng.uniform(0.0, 1.5, 400), 10.0 ** rng.uniform(-9, 0, 100)))
     scalar = np.array([g(x) for x in s.tolist()])
