@@ -18,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-from .errors import InfeasibleBoundaryError, NonConvergenceError, QuadratureError
+from .errors import InfeasibleBoundaryError, NonConvergenceError
 from .estimates import Annulus, OuterBoundaryData, bounding_box, dirichlet_feasibility
 from .hyperbolic import euclidean_to_hyperbolic
 from .profiles import sample_profile
@@ -57,7 +57,7 @@ class _Opt:
 _RADIUS_FLAGS = {"a", "b", "rho_max"}
 
 _COMMON_TAIL = [
-    _Opt("--tol", float, default=1e-10, help="quadrature tolerance (absolute)"),
+    _Opt("--tol", float, default=1e-10, help="absolute tolerance, finite and positive (drops are closed forms)"),
     _Opt("--euclidean", is_flag=True, help="radii flags are unit-disc coordinates"),
 ]
 
@@ -375,7 +375,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             payload.update(_report_fields(exc.report))
         _print_json(payload)
         return 4
-    except (ValueError, QuadratureError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

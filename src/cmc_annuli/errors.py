@@ -26,7 +26,11 @@ class InfeasibleFluxError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Adaptive quadrature could not reach the requested tolerance.
+
+    Kept in the public API for compatibility: drops, heights and envelopes are
+    closed forms now, and nothing in the package raises it.
+    """
 
 
 class InfeasibleBoundaryError(Exception):

@@ -10,9 +10,9 @@ annulus and the outer boundary values. Inner Dirichlet data that exits the
 box at rho = a therefore certifies that no solution exists. The envelopes
 are the graphs at the ends of the flux interval at a, with radicand slacks
 (span, 0) and (0, span) there, so a threshold is the outer extreme plus an
-extremal drop, M + d_max or m + d_min: one drop quadrature, as in
+extremal drop, M + d_max or m + d_min: one closed-form drop, as in
 ``radial.extremal_drops``. Envelope values take a radius or an array of
-radii; an array is tabulated in one pass.
+radii; an array is tabulated in one pass of the same closed form.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .profiles import (
     DEFAULT_TOL,
     ProfileParameter,
     _anchored_graph,
+    _check_tol,
     _drop,
     _flux_interval,
     as_mean_curvature,
@@ -84,8 +85,9 @@ def upper_envelope(h, annulus: Annulus, M: float, tol: float = DEFAULT_TOL) -> R
     value at rho = b equals M. Exists for every annulus and every h.
     """
     h = as_mean_curvature(h)
+    _check_tol(tol)
     large, _ = _vertical_slacks(h, annulus)
-    return _anchored_graph(h, annulus.a, annulus.b, large, M, tol)
+    return _anchored_graph(h, annulus.a, annulus.b, large, M)
 
 
 def lower_envelope(h, annulus: Annulus, m: float, tol: float = DEFAULT_TOL) -> RadialFunction:
@@ -96,9 +98,10 @@ def lower_envelope(h, annulus: Annulus, m: float, tol: float = DEFAULT_TOL) -> R
     a >= artanh(2h), where no such profile exists.
     """
     h = as_mean_curvature(h)
+    _check_tol(tol)
     param_small(h, annulus.a)  # raises where the hole is too large
     _, small = _vertical_slacks(h, annulus)
-    return _anchored_graph(h, annulus.a, annulus.b, small, m, tol)
+    return _anchored_graph(h, annulus.a, annulus.b, small, m)
 
 
 @dataclass(frozen=True)
@@ -175,14 +178,15 @@ def dirichlet_feasibility(
     if inner_min > inner_max:
         raise ValueError(f"need inner_min <= inner_max, got {inner_min:g} > {inner_max:g}")
     h = as_mean_curvature(h)
+    _check_tol(tol)
     large, small = _vertical_slacks(h, annulus)
-    t_upper = data.M + _drop(h, annulus.a, annulus.b, large, tol)
+    t_upper = data.M + _drop(h, annulus.a, annulus.b, large)
     try:
         param_small(h, annulus.a)
     except HoleTooLargeError:
         t_lower = None
     else:
-        t_lower = data.m + _drop(h, annulus.a, annulus.b, small, tol)
+        t_lower = data.m + _drop(h, annulus.a, annulus.b, small)
     if inner_max > t_upper:
         return FeasibilityResult(Verdict.VIOLATES_UPPER, t_upper, t_lower, inner_max - t_upper)
     if t_lower is not None and inner_min < t_lower:

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NonConvergenceError
 from .estimates import Annulus
 from .krylov import newton_krylov
-from .profiles import as_mean_curvature
+from .profiles import _check_tol, as_mean_curvature
 
 BoundaryData = Union[float, np.ndarray, Callable[[float], float]]
 
@@ -312,6 +312,7 @@ def solve_dirichlet_2d(
     data outside the a-priori envelopes that is the expected outcome.
     """
     h = as_mean_curvature(h)
+    _check_tol(tol)
     if grid is None:
         grid = PolarGrid(annulus)
     elif isinstance(grid, tuple):

@@ -16,10 +16,12 @@ rho = a. A flux is handed to the kernel as its distances to those ends, its
 slacks at a: (c_hi - C, C - c_lo) in ``integrate_radial``, (span*cos^2,
 span*sin^2) of theta in the root find, exactly (span, 0) and (0, span) at the
 ends. So the thresholds, ``extremal_drops`` and the interval of an
-infeasible solve are one computation and agree bit for bit. The mpmath
-reference in the test suite checks them independently. The root find is
-false position in theta with the Anderson-Björck weighting, from the two
-extremal drops to a drop within tol/10 of the target.
+infeasible solve are one computation and agree bit for bit. Each drop is a
+closed form in Carlson's elliptic integrals (``profiles._flux_graph``), good
+to about 1e-15 relative with no tolerance of its own; the mpmath reference in
+the test suite checks them independently. The root find is false position
+in theta with the Anderson-Björck weighting, from the two extremal drops to
+a drop within tol/10 of the target.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ from typing import Callable
 from .errors import InfeasibleBoundaryError, InfeasibleFluxError, NonConvergenceError
 from .estimates import Annulus, _vertical_slacks
 from .hyperbolic import RadialFunction
-from .profiles import DEFAULT_TOL, _anchored_graph, _drop, _flux_interval, as_mean_curvature, height
+from .profiles import (
+    DEFAULT_TOL,
+    _anchored_graph,
+    _check_tol,
+    _drop,
+    _flux_interval,
+    as_mean_curvature,
+    height,
+)
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,7 @@ def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) ->
     (endpoint equality, the vertical extremal profiles, is allowed).
     """
     h = as_mean_curvature(h)
+    _check_tol(tol)
     C = float(C)
     c_lo, c_hi = feasible_flux_interval(h, annulus)
     if not c_lo <= C <= c_hi:
@@ -123,7 +134,7 @@ def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) ->
             f"flux constant {C:g} outside the graph interval [{c_lo:g}, {c_hi:g}] "
             f"for the annulus [{annulus.a:g}, {annulus.b:g}]"
         )
-    return _drop(h, annulus.a, annulus.b, (c_hi - C, C - c_lo), tol)
+    return _drop(h, annulus.a, annulus.b, (c_hi - C, C - c_lo))
 
 
 def extremal_drops(h, annulus: Annulus, tol: float = DEFAULT_TOL) -> FeasibleDropInterval:
@@ -135,9 +146,10 @@ def extremal_drops(h, annulus: Annulus, tol: float = DEFAULT_TOL) -> FeasibleDro
     flux graph (which is no family profile, but still spans the annulus).
     """
     h = as_mean_curvature(h)
+    _check_tol(tol)
     large, small = _vertical_slacks(h, annulus)
     a, b = annulus.a, annulus.b
-    return FeasibleDropInterval(_drop(h, a, b, small, tol), _drop(h, a, b, large, tol))
+    return FeasibleDropInterval(_drop(h, a, b, small), _drop(h, a, b, large))
 
 
 def solve_radial(
@@ -155,6 +167,7 @@ def solve_radial(
     open achievable interval, consistent with the a-priori estimates.
     """
     h = as_mean_curvature(h)
+    tol = _check_tol(tol)
     u_a, u_b = float(u_a), float(u_b)
     if not (math.isfinite(u_a) and math.isfinite(u_b)):
         raise ValueError(f"boundary values must be finite, got u_a={u_a!r}, u_b={u_b!r}")
@@ -177,7 +190,7 @@ def solve_radial(
 
     # the bracket ends are the extremal graphs, whose drops are already known
     theta, residual = _false_position(
-        lambda t: _drop(h, annulus.a, annulus.b, slacks_at(t), tol) - target,
+        lambda t: _drop(h, annulus.a, annulus.b, slacks_at(t)) - target,
         0.0, extremal.d_max - target, 0.5 * math.pi, extremal.d_min - target, 0.1 * tol,
     )
     if abs(residual) > tol:
@@ -191,5 +204,5 @@ def solve_radial(
         shift = u_b - height(h, -c_star, annulus.b, tol)
     else:
         shift = u_a  # no family anchor; the inner value fixes the translate
-    evaluator = _anchored_graph(h, annulus.a, annulus.b, slacks, u_b, tol)
+    evaluator = _anchored_graph(h, annulus.a, annulus.b, slacks, u_b)
     return RadialSolution(c_star, shift, evaluator)

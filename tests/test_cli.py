@@ -227,6 +227,36 @@ class TestCheckCommand:
         assert f"{table}:3" in stderr
 
 
+
+BAD_TOLS = ["nan", "inf", "0", "-1"]
+_ANNULUS = ["--h", "0.4", "--a", "0.5", "--b", "2"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", *_ANNULUS, "--inner", "0.1", "--outer", "0"],
+        ["solve", *_ANNULUS, "--u-a", "0.1", "--u-b", "0"],
+        ["solve", *_ANNULUS, "--u-a", "5", "--u-b", "0"],  # outside the drop interval
+        ["solve", *_ANNULUS, "--u-a", "0.1", "--u-b", "0", "--two-d", "--n-rho", "8", "--n-theta", "8"],
+        ["bounds", *_ANNULUS, "--m", "0", "--M", "0", "--n", "4"],
+        ["profile", "--h", "0.4", "--alpha", "0.5", "--rho-max", "2", "--n", "4"],
+        ["figure", "box", *_ANNULUS, "--m", "0", "--M", "0", "--n", "4"],
+    ],
+    ids=["check", "solve", "solve-infeasible", "solve-two-d", "bounds", "profile", "figure"],
+)
+def test_bad_tol_exit_2(capsys, tmp_path, argv, tol):
+    # no verdict, solution or table comes from a tolerance that is not a
+    # finite positive number; --tol inf once reported the extremal graph as solved
+    out = tmp_path / "out"
+    needs_out = argv[0] != "check"
+    code, stdout, stderr = run(capsys, *argv, *(["--out", str(out)] if needs_out else []), f"--tol={tol}")
+    assert code == 2
+    assert stdout == ""
+    assert "tolerance must be finite and positive" in stderr
+    assert not out.exists()
+
 class TestSolveCommand:
     def test_radial_solve(self, capsys, tmp_path):
         out = tmp_path / "radial.csv"

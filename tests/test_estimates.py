@@ -37,7 +37,7 @@ class TestDomainTypes:
 class TestUpperEnvelope:
     def test_anchored_at_outer_radius(self):
         env = upper_envelope(0.4, Annulus(0.5, 2.0), M=3.25)
-        assert env.value(2.0) == 3.25  # exact: same quadrature cancels
+        assert env.value(2.0) == 3.25  # exact: the rise to b cancels itself
 
     def test_value_at_inner_radius(self):
         # H_beta vanishes at a, so upper(a) = -H_beta(b) + M

@@ -1,4 +1,4 @@
-"""Extremal drops, feasibility thresholds, profile heights, slopes and the neck integrand against mpmath.
+"""Drops, feasibility thresholds, profile heights, slopes and the neck integrand against mpmath.
 
 The envelopes and the radial solver share one flux kernel, so agreeing with
 each other shows little; this reference shares nothing with the package. It
@@ -14,13 +14,15 @@ radius, found from alpha by ``mpmath.findroot``.
 """
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import cmc_annuli as ca
-from cmc_annuli.profiles import _flux_kernel
+from cmc_annuli import radial
+from cmc_annuli.profiles import _drop as _drop_of_slacks, _flux_graph
 
 DIGITS = 50
 
@@ -78,6 +80,68 @@ def test_feasibility_thresholds(h, a, b):
         assert result.threshold_lower is None
 
 
+def flux_drop(h, a, b, slack_small, slack_large):
+    """u(a) - u(b) to 50 digits of the flux graph with these radicand slacks at a, taken as exact.
+
+    F(r) = (slack_large - slack_small)/2 + 2h*(cosh(r) - cosh(a)), and the
+    radicand factors sinh(r) -/+ F(r) are the slacks plus
+    2 sinh(d/2) * (cosh(a + d/2) -/+ 2h sinh(a + d/2)), d = r - a, the second
+    factor written as a sum of exponentials. The quadrature is split at
+    multiples of the width sqrt(slack/growth) of each layer next to a.
+    """
+    with mp.workdps(DIGITS):
+        h, a, b = mp.mpf(h), mp.mpf(a), mp.mpf(b)
+        small, large = mp.mpf(slack_small), mp.mpf(slack_large)
+
+        def integrand(s):
+            d = s * s
+            mid = a + d / 2
+            gap = 2 * mp.sinh(d / 2)
+            f = (large - small) / 2 + 2 * h * gap * mp.sinh(mid)
+            grow_small = gap * ((1 - 2 * h) * mp.exp(mid) + (1 + 2 * h) * mp.exp(-mid)) / 2
+            grow_large = gap * ((1 + 2 * h) * mp.exp(mid) + (1 - 2 * h) * mp.exp(-mid)) / 2
+            return 2 * s * f / mp.sqrt((small + grow_small) * (large + grow_large))
+
+        end = mp.sqrt(b - a)
+        cuts = {mp.mpf(0), end}
+        for slack in (small, large):
+            width = mp.sqrt(slack / (mp.cosh(a) + mp.sinh(a)))
+            cuts.update(width * m for m in (0.1, 1, 10, 100) if 0 < width * m < end)
+        return -mp.quad(integrand, sorted(cuts))
+
+
+# Within 1e-12 of the span from an end, the parent's Gauss-Kronrod drop was
+# 4e-9 to 7e-9 off at tol = 1e-10: its last breakpoint left a layer tail
+# the error estimate did not see.
+VERTICAL_CASES = [(0.4, 0.5, 2.0), (0.45, 1.2, 2.0), (0.5, 0.9, 1.9), (0.05, 0.3, 1.3)]
+
+
+@pytest.mark.parametrize("h, a, b", VERTICAL_CASES)
+@pytest.mark.parametrize("offset", [1e-12, 1e-8])
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_drop_next_to_a_vertical_circle(h, a, b, offset, end):
+    c_lo, c_hi = ca.feasible_flux_interval(h, ca.Annulus(a, b))
+    span = c_hi - c_lo
+    near = offset * span
+    slacks = (span - near, near) if end == "lower" else (near, span - near)
+    expected = float(flux_drop(h, a, b, *slacks))
+    assert _drop_of_slacks(h, a, b, slacks) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("h, a, b", VERTICAL_CASES)
+def test_near_extremal_solve_keeps_its_tolerance(h, a, b):
+    # the target sits 1e-8 of the drop interval inside d_max, where the
+    # solution's slack at a is about 1e-16 of the span, below the rounding of
+    # its flux C; so the reference takes the slacks the solver built the
+    # solution from
+    annulus = ca.Annulus(a, b)
+    drops = ca.extremal_drops(h, annulus)
+    u_a = drops.d_max - 1e-8 * (drops.d_max - drops.d_min)
+    with mock.patch.object(radial, "_anchored_graph", wraps=radial._anchored_graph) as spy:
+        ca.solve_radial(h, annulus, u_a, 0.0)
+    slacks = spy.call_args.args[3]
+    assert abs(float(flux_drop(h, a, b, *slacks)) - u_a) <= ca.DEFAULT_TOL
+
 # (h, alpha): both branches, either side of the neck alpha = 2h, and h = 1/2
 PROFILES = [(0.3, 0.3), (0.3, 1.5), (0.4, 0.8 * (1 - 1e-3)), (0.4, 0.8 * (1 + 1e-3)), (0.5, 0.5), (0.5, 3.0)]
 
@@ -130,17 +194,19 @@ def test_neck_slope(h, rho):
 
 @pytest.mark.parametrize("s", [1e-6, 1.95e-4, 1e-3, 0.1])
 def test_neck_integrand(s):
-    # the kernel's integrand 2s*u'(s^2) of the neck graph (r0 = 0, C = -2h),
-    # where F = 2h*cosh(r) - 2h = 4h*sinh(r/2)^2 is far below the rounding of
-    # either term; both forms must keep their relative digits
+    # the kernel's slope u'(r) at r = s^2 of the neck graph (r0 = 0, C = -2h),
+    # the integrand of its height, where F = 2h*cosh(r) - 2h = 4h*sinh(r/2)^2
+    # is far below the rounding of either term; float and array evaluation
+    # must keep their relative digits
     h = 0.4
+    r = s * s
     with mp.workdps(DIGITS):
-        r = mp.mpf(s) ** 2
-        f = 4 * mp.mpf(h) * mp.sinh(r / 2) ** 2
-        expected = float(2 * mp.mpf(s) * f / mp.sqrt(mp.sinh(r) ** 2 - f**2))
-    g, g_array = _flux_kernel(h, 0.0, 0.0, 0.0)
-    assert g(s) == pytest.approx(expected, rel=1e-14, abs=0.0)
-    assert g_array(np.array([s]))[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+        rm = mp.mpf(r)
+        f = 4 * mp.mpf(h) * mp.sinh(rm / 2) ** 2
+        expected = float(f / mp.sqrt(mp.sinh(rm) ** 2 - f**2))
+    _, slope = _flux_graph(h, 0.0, 0.0, 0.0)
+    assert slope(math, r) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert slope(np, np.array([r]))[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 SLOPE_DIGITS = 60

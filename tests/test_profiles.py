@@ -340,3 +340,52 @@ class TestHeightProfileWrapper:
                 with pytest.raises(ValueError, match="inside the starting circle"):
                     profile.height(profile.rho0 - 1e-6)
         assert spy.call_count == 0
+
+
+def _kernel_cases():
+    """(name, (h, C, r0), slacks) over both branches, the neck and exact-zero slacks."""
+    h, a = 0.4, 0.5
+    c_lo, c_hi = -param_large(h, a).alpha, -param_small(h, a).alpha
+    mid = 0.5 * (c_lo + c_hi)
+    beyond = -param_large(h, 1.5).alpha
+    yield "large branch", (h, c_lo, a), (2 * math.sinh(a), 0.0)
+    yield "small branch", (h, c_hi, a), (0.0, 2 * math.sinh(a))
+    yield "neck", (h, -2 * h, 0.0), (0.0, 0.0)
+    yield "interior flux", (h, mid, a), (c_hi - mid, mid - c_lo)
+    yield "exact-zero slack", (h, c_lo, a), (c_hi - c_lo, 0.0)
+    yield "beyond the hole", (h, beyond, 1.5), (2 * math.sinh(1.5), 0.0)
+    yield "h = 1/2", (0.5, -math.exp(-1.0), 1.0), (0.0, 2 * math.sinh(1.0))
+
+
+CASES = list(_kernel_cases())
+
+
+@pytest.mark.parametrize("name, params, slacks", CASES, ids=[case[0] for case in CASES])
+def test_array_integrand_matches_scalar(name, params, slacks):
+    """Float and array evaluation of the kernel's slope, the height's integrand,
+    agree to 4 ulp of its unreduced size, and its rise to 1e-14 of its largest value.
+
+    Both run the same expressions, but numpy's vectorized cosh and expm1 may
+    differ from the C library's in the last bit, and F = 2h*cosh(r) + C
+    cancels where the graph turns horizontal, so the slope bound is 4 ulp of
+    (2h*cosh(r) + |C|)/sqrt(radicand), |u'| times the condition number of F;
+    where F keeps its digits that is 4 ulp of u'.
+    """
+    h, C, r0 = params
+    rise, slope = profiles._flux_graph(h, r0, *slacks)
+    rng = np.random.default_rng(20)
+    s = np.concatenate(([1e-12, 1e-6], rng.uniform(0.0, 1.5, 400), 10.0 ** rng.uniform(-9, 0, 100)))
+    r = r0 + s * s
+    r = r[r > r0]
+    scalar = np.array([slope(math, x) for x in r.tolist()])
+    two_h_cosh = 2 * h * np.cosh(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        size = np.abs(scalar) * (two_h_cosh + abs(C)) / np.abs(two_h_cosh + C)
+    bound = np.where(np.isfinite(size), 4 * np.spacing(size), np.inf)  # F rounds to 0
+    for array in (slope(np, r), slope(np, r[:400].reshape(20, 20)).ravel()):
+        n = array.size
+        close = np.abs(array - scalar[:n]) <= bound[:n]
+        assert close.all(), (name, r[:n][~close])
+    rises = np.array([rise(math, x) for x in r.tolist()])
+    # the large branch's rise crosses 0, so the bound is relative to the largest
+    np.testing.assert_allclose(rise(np, r), rises, rtol=0.0, atol=1e-14 * np.abs(rises).max(), err_msg=name)

@@ -16,10 +16,13 @@ from cmc_annuli import (
     extremal_drops,
     feasible_flux_interval,
     height,
+    height_profile,
     integrate_radial,
     lower_envelope,
     param_large,
     param_small,
+    sample_profile,
+    solve_dirichlet_2d,
     solve_radial,
     upper_envelope,
 )
@@ -89,7 +92,7 @@ class TestIntegrateRadial:
     @given(h=st.floats(0.01, 0.5), a=st.floats(0.05, 3.0), width=st.floats(0.05, 3.0))
     def test_strictly_decreasing_in_flux_property(self, h, a, width):
         # fluxes a tenth of the open interval apart, so that each step in C
-        # moves the drop far more than the quadrature tolerance
+        # moves the drop far more than its rounding error
         ann = Annulus(a, a + width)
         lo, hi = feasible_flux_interval(h, ann)
         drops = [integrate_radial(h, ann, lo + k / 10 * (hi - lo)) for k in range(1, 10)]
@@ -132,8 +135,9 @@ class TestExtremalDrops:
         assert drops.d_min < drops.d_max
 
     def test_degenerate_annulus_drops_vanish(self):
-        # extremal drops scale like sqrt(width); the tightest annulus needs a
-        # looser quadrature tolerance (integrand noise floor near the circle)
+        # extremal drops scale like sqrt(width); a drop is a closed form that
+        # takes no tolerance, so the tightest annulus's tol=1e-8 only checks
+        # that a caller's tolerance is still accepted there
         drops = extremal_drops(0.4, Annulus(0.7, 0.7 + 1e-4))
         assert abs(drops.d_min) < 0.1
         assert abs(drops.d_max) < 0.1
@@ -322,8 +326,8 @@ class TestFalsePosition:
 
 
 class TestValueDispatch:
-    """A radius, whatever its type, takes the point quadrature and gives a float;
-    radii in a list, a tuple or an array take the panel path and keep their shape."""
+    """A radius, whatever its type, takes the point path and gives a float;
+    radii in a list, a tuple or an array take the array path and keep their shape."""
 
     RADII = [[0.5, 1.25, 2.0], [1.75, 0.75, 1.0]]
 
@@ -352,6 +356,31 @@ class TestValueDispatch:
         values = graph.value(radii)
         assert isinstance(values, np.ndarray) and values.shape == np.shape(radii)
         np.testing.assert_array_equal(values.ravel(), graph.value(np.array(flat)))
-        # the panel and point paths agree to the quadrature tolerance
+        # the array and point paths run the same closed form and agree to rounding
         points = [graph.value(float(rho)) for rho in flat]
-        np.testing.assert_allclose(values.ravel(), points, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(values.ravel(), points, rtol=0.0, atol=1e-12)
+
+
+_ANN = Annulus(0.5, 2.0)
+_DATA = OuterBoundaryData(0.0, 0.0)
+TOL_CALLS = {
+    "height": lambda tol: height(0.4, 0.5, 1.2, tol),
+    "sample_profile": lambda tol: sample_profile(0.4, 0.5, 2.0, 4, tol),
+    "height_profile": lambda tol: height_profile(0.4, 0.5, tol),
+    "upper_envelope": lambda tol: upper_envelope(0.4, _ANN, 0.0, tol),
+    "lower_envelope": lambda tol: lower_envelope(0.4, _ANN, 0.0, tol),
+    "bounding_box": lambda tol: bounding_box(0.4, _ANN, _DATA, tol),
+    "dirichlet_feasibility": lambda tol: dirichlet_feasibility(0.4, _ANN, 0.1, 0.1, _DATA, tol),
+    "integrate_radial": lambda tol: integrate_radial(0.4, _ANN, -1.0, tol),
+    "extremal_drops": lambda tol: extremal_drops(0.4, _ANN, tol),
+    "solve_radial": lambda tol: solve_radial(0.4, _ANN, 0.1, 0.0, tol),
+    "solve_radial-infeasible": lambda tol: solve_radial(0.4, _ANN, 5.0, 0.0, tol),
+    "solve_dirichlet_2d": lambda tol: solve_dirichlet_2d(0.4, _ANN, 0.1, 0.0, (8, 8), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
+def test_public_calls_reject_bad_tol(call, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        call(tol)
