@@ -1,4 +1,13 @@
-"""The in-package Gauss-Kronrod rule: its constants, both drivers and their failures."""
+"""The closed-form drops against quadrature of their slope.
+
+The rise of a flux graph from r0 is the integral of its slope. Two
+references integrate it: scipy's adaptive QUADPACK in s = sqrt(r - r0), where
+the integrand 2s u'(r0 + s^2) stays bounded next to a vertical circle; and
+QUADPACK's 21-point Gauss-Kronrod rule (QK21) in r on fixed panels, where
+|Kronrod - Gauss| certifies the value, for graphs whose slope is smooth. The
+rule is kept here, with its nodes and weights checked, so that the second
+comparison needs neither scipy nor mpmath.
+"""
 
 import math
 
@@ -6,19 +15,58 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cmc_annuli import Annulus, QuadratureError, feasible_flux_interval, param_large, param_small
-from cmc_annuli.profiles import _flux_kernel, _kernel_breakpoints
-from cmc_annuli.quadrature import (
-    EPSREL,
-    GAUSS_WEIGHTS,
-    KRONROD_WEIGHTS,
-    NODES,
-    SUBDIVISION_LIMIT,
-    adaptive_quad,
-    adaptive_quad_panels,
+from cmc_annuli import Annulus, feasible_flux_interval, height, sample_profile
+from cmc_annuli.profiles import _anchored_graph, _drop, _flux_graph
+
+# Abscissae of the 21-point Kronrod rule on [-1, 1] in ascending order; the
+# odd positions are the nodes of the 10-point Gauss rule (QUADPACK's QK21).
+_X_POS = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+)
+_WK_POS = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208175231070,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+)
+_WK_CENTRE = 0.149445554002916905664936468389821
+_WG_POS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 )
 
+NODES = tuple(-x for x in _X_POS) + (0.0,) + _X_POS[::-1]
+KRONROD_WEIGHTS = _WK_POS + (_WK_CENTRE,) + _WK_POS[::-1]
+GAUSS_WEIGHTS = _WG_POS + _WG_POS[::-1]
 GAUSS_NODES = NODES[1::2]
+
+
+def kronrod(f, lo, hi, panels):
+    """Kronrod value of f over [lo, hi] on equal panels, and the summed |Kronrod - Gauss|."""
+    edges = np.linspace(lo, hi, panels + 1)
+    centres, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    values = f(centres[:, None] + halves[:, None] * np.array(NODES))
+    k = values @ np.array(KRONROD_WEIGHTS) * halves
+    g = values[:, 1::2] @ np.array(GAUSS_WEIGHTS) * halves
+    return math.fsum(k), math.fsum(np.abs(k - g))
 
 
 class TestRule:
@@ -45,152 +93,75 @@ class TestRule:
         assert abs(self._moment(GAUSS_NODES, GAUSS_WEIGHTS, k) - exact) <= 1e-15
 
 
-def _acceptance_kernels():
-    """Flux kernels of the acceptance annuli: both envelopes and an interior flux."""
+def _acceptance_graphs():
+    """Graphs over the acceptance annuli: both envelopes and an interior flux."""
     inner = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9, 1.2, 1.5, 2.0, 2.5)
     annuli = [(a, a + w) for a in inner for w in (0.5, 1.3)] + [(0.5, 2.0), (0.5, 1.5)]
     for h in (0.2, 0.4, 0.5):
         for a, b in annuli:
             c_lo, c_hi = feasible_flux_interval(h, Annulus(a, b))
             for C in (c_lo, c_hi, 0.7 * c_lo + 0.3 * c_hi):
-                slacks = (c_hi - C, C - c_lo)
-                yield (h, a, b, C), (*_flux_kernel(h, a, *slacks), _kernel_breakpoints(h, a, *slacks))
+                yield (h, a, b, C), (c_hi - C, C - c_lo)
 
 
-KERNELS = list(_acceptance_kernels())
-TOL = 1e-10
+GRAPHS = list(_acceptance_graphs())
 
 
 class TestAgainstQuadpack:
-    """The ROADMAP gate: both drivers agree with scipy's QUADPACK to 1e-12."""
+    """Point and table drops agree with scipy's QUADPACK to 1e-12."""
 
     def test_point_queries(self):
         quad = pytest.importorskip("scipy.integrate").quad
-        for (h, a, b, C), (g, _, points) in KERNELS:
-            hi = math.sqrt(b - a)
-            inside = [p for p in points if 0.0 < p < hi] or None
-            expected = quad(g, 0.0, hi, epsabs=TOL, epsrel=EPSREL, limit=200, points=inside)[0]
-            assert adaptive_quad(g, 0.0, hi, TOL, points) == pytest.approx(expected, abs=1e-12), (h, a, b, C)
+        for (h, a, b, C), slacks in GRAPHS:
+            _, slope = _flux_graph(h, a, *slacks)
+            g = lambda s: 2.0 * s * slope(math, a + s * s)  # noqa: E731
+            expected = quad(g, 0.0, math.sqrt(b - a), epsabs=1e-10, epsrel=5e-14, limit=200)[0]
+            assert -_drop(h, a, b, slacks) == pytest.approx(expected, abs=1e-12), (h, a, b, C)
 
     def test_tables(self):
         quad = pytest.importorskip("scipy.integrate").quad
-        for (h, a, b, C), (g, g_array, points) in KERNELS[::3]:
+        for (h, a, b, C), slacks in GRAPHS[::3]:
+            _, slope = _flux_graph(h, a, *slacks)
+            g = lambda s: 2.0 * s * slope(math, a + s * s)  # noqa: E731
             edges = np.sqrt(np.linspace(0.0, b - a, 17))
-            expected = [0.0]
+            rises = [0.0]
             for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
-                inside = [p for p in points if lo < p < hi] or None
-                expected.append(expected[-1] + quad(g, lo, hi, epsabs=TOL, epsrel=EPSREL,
-                                                    limit=200, points=inside)[0])
-            got = adaptive_quad_panels(g_array, edges, TOL, points)
-            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12, err_msg=str((h, a, b, C)))
+                rises.append(rises[-1] + quad(g, lo, hi, epsabs=1e-10, epsrel=5e-14, limit=200)[0])
+            # the graph with value 0 at b is minus the rise still to come
+            got = _anchored_graph(h, a, b, slacks, 0.0).value(a + edges * edges)
+            np.testing.assert_allclose(got, np.array(rises) - rises[-1], rtol=0.0, atol=1e-12,
+                                       err_msg=str((h, a, b, C)))
 
 
 class TestDrivers:
     def test_panels_match_point_queries(self):
-        (_, _, _, _), (g, g_array, points) = KERNELS[4]
-        edges = np.array([0.0, 1e-9, 0.1, 0.1, 0.5, 1.1])  # a repeated edge is an empty panel
-        got = adaptive_quad_panels(g_array, edges, TOL, points)
-        expected = np.cumsum([0.0] + [adaptive_quad(g, lo, hi, TOL, points)
-                                      for lo, hi in zip(edges[:-1], edges[1:])])
-        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
-        assert got[3] == got[2]
-
-    def test_reversed_interval_changes_sign(self):
-        assert adaptive_quad(math.exp, 1.0, 0.0, TOL) == pytest.approx(1.0 - math.e, abs=1e-14)
-        got = adaptive_quad_panels(np.exp, [0.0, 1.0, 0.5], TOL)
-        np.testing.assert_allclose(got, [0.0, math.e - 1.0, math.exp(0.5) - 1.0], rtol=1e-14)
-
-    def test_breakpoints_start_the_subdivision(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return 1.0
-
-        assert adaptive_quad(f, 0.0, 1.0, TOL, [-1.0, 0.25, 0.5, 2.0]) == pytest.approx(1.0, abs=1e-15)
-        assert len(calls) == 3 * len(NODES)
+        # an interior flux: the slope is smooth on [a, b], so the reference runs in rho
+        (h, a, b, _), slacks = GRAPHS[5]
+        _, slope = _flux_graph(h, a, *slacks)
+        radii = a + np.array([0.0, 1e-9, 0.1, 0.1, 0.5, b - a])  # a repeated radius
+        graph = _anchored_graph(h, a, b, slacks, 1.0)
+        table = graph.value(radii)
+        points = [graph.value(rho) for rho in radii.tolist()]
+        np.testing.assert_allclose(table, points, rtol=0.0, atol=4e-16)
+        assert table[3] == table[2] and table[-1] == points[-1] == 1.0
+        rises = [0.0]
+        for lo, hi in zip(radii[:-1].tolist(), radii[1:].tolist()):
+            value, certificate = kronrod(lambda r: slope(np, r), lo, hi, 8)
+            assert certificate <= 1e-15
+            rises.append(rises[-1] + value)
+        np.testing.assert_allclose(table, 1.0 - (rises[-1] - np.array(rises)), rtol=0.0, atol=1e-14)
 
     def test_relative_floor_for_large_integrals(self):
-        # |I| = 1e6: the 1e-12 absolute tolerance is below what doubles carry
-        assert adaptive_quad(lambda x: 1e6 * math.cos(x), 0.0, math.pi / 2, 1e-12) == pytest.approx(1e6, rel=1e-13)
+        # u(30) is about 3e6: an absolute 1e-12 is below what doubles carry
+        (h, a, b, _), slacks = GRAPHS[-4]  # h = 1/2 on (0.5, 2), an interior flux
+        _, slope = _flux_graph(h, a, *slacks)
+        assert h == 0.5 and min(slacks) > 0.0
+        expected, certificate = kronrod(lambda r: slope(np, r), a, 30.0, 64)
+        assert expected > 1e6 and certificate <= 1e-15 * expected
+        assert -_drop(h, a, 30.0, slacks) == pytest.approx(expected, rel=1e-14)
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_quad(math.exp, 0.0, 1.0, 0.0)
+            height(0.4, 0.9, 1.5, tol=0.0)
         with pytest.raises(ValueError):
-            adaptive_quad_panels(np.exp, [0.0, 1.0], -1.0)
-
-
-def _nan_beyond_half(x):
-    return 1.0 if x < 0.5 else math.nan
-
-
-class TestQuadratureError:
-    """The tolerance is reached or QuadratureError is raised; no value comes back."""
-
-    @pytest.mark.parametrize("f", [lambda x: math.sin(1e5 * x), lambda x: math.nan, _nan_beyond_half],
-                             ids=["oscillatory", "nan", "nan-on-part"])
-    def test_point_query_raises(self, f):
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return f(x)
-
-        with pytest.raises(QuadratureError):
-            adaptive_quad(counted, 0.0, 1.0, TOL)
-        assert len(calls) == (2 * SUBDIVISION_LIMIT - 1) * len(NODES)
-
-    @pytest.mark.parametrize("F", [lambda x: np.sin(1e5 * x), lambda x: np.full_like(x, np.nan),
-                                   lambda x: np.where(x < 0.5, 1.0, np.nan)],
-                             ids=["oscillatory", "nan", "nan-on-part"])
-    def test_table_raises(self, F):
-        with pytest.raises(QuadratureError):
-            adaptive_quad_panels(F, [0.0, 0.25, 1.0], TOL)
-
-
-def _kernel_cases():
-    """(name, (h, C, r0), kernel) over both branches, the neck and exact-zero slacks."""
-    h, a = 0.4, 0.5
-    c_lo, c_hi = -param_large(h, a).alpha, -param_small(h, a).alpha
-    mid = 0.5 * (c_lo + c_hi)
-    beyond = -param_large(h, 1.5).alpha
-    yield "large branch", (h, c_lo, a), _flux_kernel(h, a, 2 * math.sinh(a), 0.0)
-    yield "small branch", (h, c_hi, a), _flux_kernel(h, a, 0.0, 2 * math.sinh(a))
-    yield "neck", (h, -2 * h, 0.0), _flux_kernel(h, 0.0, 0.0, 0.0)
-    yield "interior flux", (h, mid, a), _flux_kernel(h, a, c_hi - mid, mid - c_lo)
-    yield "exact-zero slack", (h, c_lo, a), _flux_kernel(h, a, c_hi - c_lo, 0.0)
-    yield "beyond the hole", (h, beyond, 1.5), _flux_kernel(h, 1.5, 2 * math.sinh(1.5), 0.0)
-    yield "h = 1/2", (0.5, -math.exp(-1.0), 1.0), _flux_kernel(0.5, 1.0, 0.0, 2 * math.sinh(1.0))
-    yield "outside the interval", (h, c_lo - 0.05, a), _flux_kernel(h, a, c_hi - (c_lo - 0.05), -0.05)
-
-
-CASES = list(_kernel_cases())
-
-
-@pytest.mark.parametrize("name, params, kernel", CASES, ids=[case[0] for case in CASES])
-def test_array_integrand_matches_scalar(name, params, kernel):
-    """The two copies of the integrand agree to 4 ulp of its unreduced size.
-
-    numpy's vectorized cosh and expm1 differ from the C library's in the last
-    bit, and F = 2h*cosh(r) + C cancels where the graph turns horizontal, so
-    the bound is 4 ulp of 2s*(2h*cosh(r) + |C|)/sqrt(radicand), |g| times the
-    condition number of F; where F keeps its digits that is 4 ulp of g.
-    """
-    h, C, r0 = params
-    g, g_array = kernel
-    rng = np.random.default_rng(20)
-    s = np.concatenate(([0.0, 1e-12, 1e-6], rng.uniform(0.0, 1.5, 400), 10.0 ** rng.uniform(-9, 0, 100)))
-    scalar = np.array([g(x) for x in s.tolist()])
-    two_h_cosh = 2 * h * np.cosh(r0 + s * s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        size = np.abs(scalar) * (two_h_cosh + abs(C)) / np.abs(two_h_cosh + C)
-    bound = np.where(np.isfinite(size), 4 * np.spacing(size), np.inf)  # F rounds to 0
-    for array in (g_array(s), g_array(s[:500].reshape(20, 25)).ravel()):
-        n = array.size
-        close = np.abs(array - scalar[:n]) <= bound[:n]
-        assert close.all(), (name, s[:n][~close])
-        if name != "interior flux":  # a zero slack: the radicand is 0 at s = 0
-            assert array[0] == scalar[0] == 0.0
-        if name == "outside the interval":  # the radicand is negative next to r0
-            assert not array[:3].any() and not scalar[:3].any()
+            sample_profile(0.4, 0.9, 1.5, 8, tol=-1.0)
