@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import HoleTooLargeError
 from .hyperbolic import MAX_RADIUS, RadialFunction, check_radius
-from .carlson import rc, rf, rj
+from .carlson import rc, rf_rj
 
 if TYPE_CHECKING:
     import numpy as np
@@ -246,7 +246,9 @@ def _flux_graph(h: float, r0: float, slack_small: float, slack_large: float) -> 
     + 2e * R_F(U12^2, U13^2, U14^2), with W^2 = U12^2 + e^2, Q = W/(X1 Y1),
     P^2 = Q^2 + k and U_ij = (X_i X_j Y_k Y_l + Y_i Y_j X_k X_l)/(cosh r - cosh r0),
     X_i = sqrt(f_i(cosh r)) and Y_i = sqrt(f_i(cosh r0)) built from half-angle
-    sinh and cosh and the factors above, without subtraction. The factors must
+    sinh and cosh and the factors above, without subtraction. R_F and R_J share
+    their first three arguments and come from one duplication loop
+    (``carlson.rf_rj``). The factors must
     be one polynomial's, so the rise takes the smaller slack as given and the
     other as 2 sinh(r0) minus it: slacks summing to the rounded width
     c_hi - c_lo would be off by a large fraction of it for r0 near 0. On the
@@ -312,8 +314,8 @@ def _flux_graph(h: float, r0: float, slack_small: float, slack_large: float) -> 
         u14 = ((x1 * x4 * y2 * y3 + y1 * y4 * x2 * x3) / gap) ** 2
         w2 = u12 + e * e
         q2 = w2 / (x1 * y1) ** 2
-        part_f1 = 2.0 * rc(q2 + k, q2) - 4.0 / 3.0 * e * e * rj(u12, u13, u14, w2)
-        return 2.0 * h * part_f1 + 2.0 * e * rf(u12, u13, u14)
+        r_f, r_j = rf_rj(u12, u13, u14, w2)
+        return 2.0 * h * (2.0 * rc(q2 + k, q2) - 4.0 / 3.0 * e * e * r_j) + 2.0 * e * r_f
 
     def beyond(f, at_r0):
         """f where r > r0 and ``at_r0`` elsewhere."""
@@ -342,17 +344,21 @@ def _drop(h: float, a: float, b: float, slacks: tuple[float, float]) -> float:
     return -rise(math, b)
 
 
-def _anchored_graph(h: float, a: float, b: float, slacks: tuple[float, float], top: float) -> RadialFunction:
+def _anchored_graph(
+    h: float, a: float, b: float, slacks: tuple[float, float], top: float, rise_b: float | None = None
+) -> RadialFunction:
     """The graph with radicand ``slacks`` at a, over [a, b], translated to the value ``top`` at b.
 
     The value at rho is top minus the difference of the rises from a to b and
-    to rho. A number or a 0-d array is a radius and gives a float, with the
-    rise to b computed once, here; a list, a tuple or an array of one or more
-    dimensions gives an array of its shape, with the rise to b in the same
-    array pass. Both give exactly ``top`` at b. The derivative takes a radius.
+    to rho. The rise to b is the float ``rise_b`` (minus the ``_drop`` of these
+    slacks), computed here when not given. A number or a 0-d array is a radius
+    and gives a float; a list, a tuple or an array of one or more dimensions
+    gives an array of its shape. Both give exactly ``top`` at b and
+    top - rise_b at a. The derivative takes a radius.
     """
     rise, slope = _flux_graph(h, a, *slacks)
-    rise_b = rise(math, b)
+    if rise_b is None:
+        rise_b = rise(math, b)
     lo, hi = a - _BOUNDARY_SLACK, b + _BOUNDARY_SLACK
 
     def outside(rho) -> ValueError:
@@ -365,8 +371,8 @@ def _anchored_graph(h: float, a: float, b: float, slacks: tuple[float, float], t
             radii = np.asarray(rho, dtype=float)
             if not np.all((radii >= lo) & (radii <= hi)):
                 raise outside(radii)
-            rises = rise(np, np.append(radii.ravel(), b))
-            return (top - (rises[-1] - rises[:-1])).reshape(radii.shape)
+            rises = np.where(radii == b, rise_b, rise(np, radii))
+            return top - (rise_b - rises)
         rho = float(rho)
         if not lo <= rho <= hi:
             raise outside(rho)

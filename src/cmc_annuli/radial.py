@@ -21,7 +21,7 @@ closed form in Carlson's elliptic integrals (``profiles._flux_graph``), good
 to about 1e-15 relative with no tolerance of its own; the mpmath reference in
 the test suite checks them independently. The root find is false position
 in theta with the Anderson-Björck weighting, from the two extremal drops to
-a drop within tol/10 of the target.
+a drop within tol/10 of the target; that drop is the solution's rise to b.
 """
 
 from __future__ import annotations
@@ -188,10 +188,16 @@ def solve_radial(
     def slacks_at(theta: float) -> tuple[float, float]:
         return span * math.sin(0.5 * math.pi - theta) ** 2, span * math.sin(theta) ** 2
 
-    # the bracket ends are the extremal graphs, whose drops are already known
+    # the bracket ends are the extremal graphs, whose drops are already known;
+    # the drop at the returned theta is kept for the evaluator
+    drops = {0.0: extremal.d_max, 0.5 * math.pi: extremal.d_min}
+
+    def drop_residual(t: float) -> float:
+        drops[t] = _drop(h, annulus.a, annulus.b, slacks_at(t))
+        return drops[t] - target
+
     theta, residual = _false_position(
-        lambda t: _drop(h, annulus.a, annulus.b, slacks_at(t)) - target,
-        0.0, extremal.d_max - target, 0.5 * math.pi, extremal.d_min - target, 0.1 * tol,
+        drop_residual, 0.0, drops[0.0] - target, 0.5 * math.pi, drops[0.5 * math.pi] - target, 0.1 * tol
     )
     if abs(residual) > tol:
         raise NonConvergenceError(
@@ -204,5 +210,5 @@ def solve_radial(
         shift = u_b - height(h, -c_star, annulus.b, tol)
     else:
         shift = u_a  # no family anchor; the inner value fixes the translate
-    evaluator = _anchored_graph(h, annulus.a, annulus.b, slacks, u_b)
+    evaluator = _anchored_graph(h, annulus.a, annulus.b, slacks, u_b, -drops[theta])
     return RadialSolution(c_star, shift, evaluator)

@@ -141,6 +141,21 @@ class TestBoundsCommand:
         _, rows = read_csv(out)
         assert all(r[1] == "" for r in rows)
 
+    @pytest.mark.parametrize("h, a", [(0.35, 0.6), (0.5, 1.0), (0.25, 0.3), (0.4, 1.2)])
+    def test_summary_equals_check_thresholds(self, capsys, tmp_path, h, a):
+        # the table's row at a and the point thresholds are one number, bit for bit
+        annulus = ["--h", repr(h), "--a", repr(a), "--b", "2"]
+        outer = tmp_path / "outer.csv"
+        outer.write_text("theta,u\n0,-0.3\n3,0.7\n")
+        _, stdout, _ = run(capsys, "bounds", *annulus, "--m", "-0.3", "--M", "0.7", "--n", "4",
+                           "--out", str(tmp_path / "bounds.csv"))
+        summary = json.loads(stdout)
+        code, stdout, _ = run(capsys, "check", *annulus, "--inner", "0", "--outer", str(outer))
+        assert code == 0
+        verdict = json.loads(stdout)
+        assert summary["upper_at_a"] == verdict["threshold_upper"]
+        assert summary["lower_at_a"] == verdict["threshold_lower"]
+
     def test_invalid_annulus_exit_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "bounds", "--h", "0.4", "--a", "2", "--b", "1", "--m", "0", "--M", "0",

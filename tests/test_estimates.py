@@ -121,6 +121,22 @@ class TestBoundingBox:
         assert table[-1, 1] == -1.0 and table[-1, 2] == 1.0
         assert np.all(table[:, 1] <= table[:, 2])
 
+    def test_sample_ends_are_the_thresholds_and_the_outer_data(self):
+        # the row at a is the verdict's threshold bit for bit, the row at b the outer data
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            h, a = rng.uniform(0.05, 0.5), rng.uniform(0.1, 2.0)
+            ann = Annulus(a, a + rng.uniform(0.1, 2.0))
+            m = rng.uniform(-1.0, 1.0)
+            data = OuterBoundaryData(m, m + rng.uniform(0.0, 1.0))
+            first, last = bounding_box(h, ann, data).sample(5)[[0, -1]]
+            result = dirichlet_feasibility(h, ann, data.m, data.M, data)
+            assert first[2] == result.threshold_upper and last[2] == data.M
+            if result.threshold_lower is None:
+                assert math.isnan(first[1]) and math.isnan(last[1])
+            else:
+                assert first[1] == result.threshold_lower and last[1] == data.m
+
     def test_sample_nan_lower_when_hole_too_large(self):
         box = bounding_box(0.4, Annulus(1.2, 2.0), OuterBoundaryData(0.0, 0.0))
         table = box.sample(9)

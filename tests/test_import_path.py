@@ -107,6 +107,8 @@ assert upper.derivative(1.2) > upper.derivative(0.6)
 evaluator = ca.solve_radial(0.4, annulus, -0.5, 0.0).evaluator
 assert isinstance(evaluator.value(1.2), float)
 assert math.isfinite(evaluator.derivative(0.5)) and math.isfinite(evaluator.derivative(1.2))
+from cmc_annuli.carlson import rf_rj
+assert all(isinstance(v, float) for v in rf_rj(0.0, 1.0, 2.0, 3.0))
 {_NUMPY_LOADED}"""
     proc = _run(code, tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -26,7 +26,7 @@ from cmc_annuli import (
     solve_radial,
     upper_envelope,
 )
-from cmc_annuli import radial
+from cmc_annuli import profiles, radial
 from cmc_annuli.errors import NonConvergenceError
 from cmc_annuli.profiles import DEFAULT_TOL
 from cmc_annuli.radial import _false_position
@@ -234,6 +234,41 @@ class TestSolveRadial:
         expected = bounding_box(0.4, ann, OuterBoundaryData(0.0, 0.0)).lower.derivative(ann.a)
         assert math.isinf(expected)
         assert solution.evaluator.derivative(ann.a) == expected
+
+    @pytest.mark.parametrize("offset", [0.5, 1e-8, 5e-12], ids=["interior", "near-end", "bracket-end"])
+    def test_evaluator_build_evaluates_no_drop(self, offset):
+        # the evaluator's rise to b is the root find's drop at the returned
+        # theta, or an extremal drop when it returns a bracket end
+        h, ann = 0.4, Annulus(0.5, 2.0)
+        drops = extremal_drops(h, ann)
+        target = drops.d_max - offset * (drops.d_max - drops.d_min)
+        real_graph, real_anchor = profiles._flux_graph, profiles._anchored_graph
+        rises, in_build = [], []
+
+        def counting_graph(*args):
+            rise, graph_slope = real_graph(*args)
+
+            def counted(xp, r):
+                rises.append(r)
+                return rise(xp, r)
+
+            return counted, graph_slope
+
+        def counting_anchor(*args):
+            before = len(rises)
+            graph = real_anchor(*args)
+            in_build.append(len(rises) - before)
+            return graph
+
+        with mock.patch.object(profiles, "_flux_graph", side_effect=counting_graph), \
+                mock.patch.object(radial, "_anchored_graph", side_effect=counting_anchor), \
+                mock.patch.object(radial, "_drop", wraps=profiles._drop) as drop:
+            solution = solve_radial(h, ann, target, 0.0)
+        assert in_build == [0] and drop.call_count >= 2
+        if offset == 5e-12:
+            assert solution.C == feasible_flux_interval(h, ann)[0]
+        assert solution.evaluator.value(ann.b) == 0.0
+        assert solution.evaluator.value(ann.a) == pytest.approx(target, abs=1e-10)
 
     @pytest.mark.parametrize("t", [-3.0, 4.5])
     def test_translation_invariance(self, t):
