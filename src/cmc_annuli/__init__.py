@@ -13,7 +13,6 @@ from .errors import (
     InfeasibleBoundaryError,
     InfeasibleFluxError,
     NonConvergenceError,
-    QuadratureError,
 )
 from .hyperbolic import (
     MAX_RADIUS,
@@ -91,7 +90,6 @@ __all__ = [
     "OuterBoundaryData",
     "PolarGrid",
     "ProfileParameter",
-    "QuadratureError",
     "RadialFunction",
     "RadialSolution",
     "SolverReport",

@@ -57,7 +57,6 @@ class _Opt:
 _RADIUS_FLAGS = {"a", "b", "rho_max"}
 
 _COMMON_TAIL = [
-    _Opt("--tol", float, default=1e-10, help="absolute tolerance, finite and positive (drops are closed forms)"),
     _Opt("--euclidean", is_flag=True, help="radii flags are unit-disc coordinates"),
 ]
 
@@ -99,8 +98,8 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("--two-d", is_flag=True, help="solve the 2D problem instead of the radial one"),
         _Opt("--n-rho", int, default=64, help="2D: radial grid nodes"),
         _Opt("--n-theta", int, default=64, help="2D: angular grid nodes"),
-        _Opt("--tol", float, default=None, help="tolerance (default 1e-10 radial, 1e-8 2D)"),
-        _Opt("--euclidean", is_flag=True, help="radii flags are unit-disc coordinates"),
+        _Opt("--tol", float, default=None, help="stopping tolerance (default 1e-10 root find, 1e-8 2D Newton)"),
+        *_COMMON_TAIL,
     ],
     "figure": [
         _Opt("--h", float, required=True, help="mean curvature in (0, 1/2]"),
@@ -235,14 +234,14 @@ def _data_extremes(datum: str) -> tuple[float, float]:
 
 
 def _cmd_profile(ns: SimpleNamespace) -> int:
-    table = sample_profile(ns.h, ns.alpha, ns.rho_max, ns.n, ns.tol)
+    table = sample_profile(ns.h, ns.alpha, ns.rho_max, ns.n)
     _write_csv(ns.out, "rho,height,slope", ([_fmt(v) for v in row] for row in table))
     return 0
 
 
 def _cmd_bounds(ns: SimpleNamespace) -> int:
     annulus = Annulus(ns.a, ns.b)
-    box = bounding_box(ns.h, annulus, OuterBoundaryData(ns.m, ns.M), ns.tol)
+    box = bounding_box(ns.h, annulus, OuterBoundaryData(ns.m, ns.M))
     table = box.sample(ns.n)
 
     def rows():
@@ -268,7 +267,7 @@ def _cmd_check(ns: SimpleNamespace) -> int:
     inner_min, inner_max = _data_extremes(ns.inner)
     outer_min, outer_max = _data_extremes(ns.outer)
     result = dirichlet_feasibility(
-        ns.h, annulus, inner_min, inner_max, OuterBoundaryData(outer_min, outer_max), ns.tol
+        ns.h, annulus, inner_min, inner_max, OuterBoundaryData(outer_min, outer_max)
     )
     _print_json(
         {
@@ -329,12 +328,12 @@ def _cmd_figure(ns: SimpleNamespace) -> int:
     if ns.which == "family":
         if ns.alphas is None:
             raise ValueError("figure family requires --alphas")
-        svg = family_figure(ns.h, ns.alphas, ns.rho_max, ns.n, ns.tol)
+        svg = family_figure(ns.h, ns.alphas, ns.rho_max, ns.n)
     else:
         for name in ("a", "b", "m", "M"):
             if getattr(ns, name) is None:
                 raise ValueError(f"figure box requires --{name}")
-        svg = box_figure(ns.h, Annulus(ns.a, ns.b), ns.m, ns.M, ns.n, ns.tol)
+        svg = box_figure(ns.h, Annulus(ns.a, ns.b), ns.m, ns.M, ns.n)
     Path(ns.out).write_text(svg, encoding="utf-8")
     return 0
 

@@ -25,14 +25,6 @@ class InfeasibleFluxError(ValueError):
     """Flux constant violates the graph condition |2h*cosh(rho) + C| <= sinh(rho)."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance.
-
-    Kept in the public API for compatibility: drops, heights and envelopes are
-    closed forms now, and nothing in the package raises it.
-    """
-
-
 class InfeasibleBoundaryError(Exception):
     """Radial Dirichlet data whose drop lies outside the achievable interval.
 

@@ -25,12 +25,9 @@ from typing import TYPE_CHECKING, Optional
 from .errors import HoleTooLargeError
 from .hyperbolic import MAX_RADIUS, RadialFunction
 from .profiles import (
-    DEFAULT_TOL,
     ProfileParameter,
     _anchored_graph,
-    _check_tol,
     _drop,
-    _flux_interval,
     as_mean_curvature,
     param_large,
     param_small,
@@ -71,26 +68,31 @@ class OuterBoundaryData:
             raise ValueError(f"need m <= M, got m={self.m:g} > M={self.M:g}")
 
 
-def _vertical_slacks(h: float, annulus: Annulus) -> tuple[tuple[float, float], tuple[float, float]]:
+def _vertical_slacks(annulus: Annulus) -> tuple[tuple[float, float], tuple[float, float]]:
     """Slacks at a of the graphs vertical there: (span, 0) for the upper
-    envelope and d_max, (0, span) for the lower envelope and d_min."""
-    c_lo, c_hi = _flux_interval(h, annulus.a)
-    return (c_hi - c_lo, 0.0), (0.0, c_hi - c_lo)
+    envelope and d_max, (0, span) for the lower envelope and d_min.
+
+    span is large(a) - small(a) written as 2 sinh(a), as in
+    ``profiles._profile_slacks``: the rounded width c_hi - c_lo of the flux
+    interval has a relative error of about 1e-16/a, which the slopes would
+    carry next to a tiny inner circle.
+    """
+    span = 2.0 * math.sinh(annulus.a)
+    return (span, 0.0), (0.0, span)
 
 
-def upper_envelope(h, annulus: Annulus, M: float, tol: float = DEFAULT_TOL) -> RadialFunction:
+def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     """Upper bound for any cmc-h graph on the annulus with outer maximum M.
 
     The large-branch profile starting at rho = a, vertically translated so its
     value at rho = b equals M. Exists for every annulus and every h.
     """
     h = as_mean_curvature(h)
-    _check_tol(tol)
-    large, _ = _vertical_slacks(h, annulus)
+    large, _ = _vertical_slacks(annulus)
     return _anchored_graph(h, annulus.a, annulus.b, large, M)
 
 
-def lower_envelope(h, annulus: Annulus, m: float, tol: float = DEFAULT_TOL) -> RadialFunction:
+def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
     """Lower bound for any cmc-h graph on the annulus with outer minimum m.
 
     The small-branch profile starting at rho = a, translated so its value at
@@ -98,9 +100,8 @@ def lower_envelope(h, annulus: Annulus, m: float, tol: float = DEFAULT_TOL) -> R
     a >= artanh(2h), where no such profile exists.
     """
     h = as_mean_curvature(h)
-    _check_tol(tol)
     param_small(h, annulus.a)  # raises where the hole is too large
-    _, small = _vertical_slacks(h, annulus)
+    _, small = _vertical_slacks(annulus)
     return _anchored_graph(h, annulus.a, annulus.b, small, m)
 
 
@@ -127,16 +128,16 @@ class AprioriBounds:
         return np.column_stack([radii, lower, upper])
 
 
-def bounding_box(h, annulus: Annulus, data: OuterBoundaryData, tol: float = DEFAULT_TOL) -> AprioriBounds:
+def bounding_box(h, annulus: Annulus, data: OuterBoundaryData) -> AprioriBounds:
     """Assemble both envelopes; the lower one is omitted when the hole is too large."""
     h = as_mean_curvature(h)
     beta = param_large(h, annulus.a)
-    upper = upper_envelope(h, annulus, data.M, tol)
+    upper = upper_envelope(h, annulus, data.M)
     try:
         alpha = param_small(h, annulus.a)
     except HoleTooLargeError:
         return AprioriBounds(annulus, upper, None, beta, None, False)
-    lower = lower_envelope(h, annulus, data.m, tol)
+    lower = lower_envelope(h, annulus, data.m)
     return AprioriBounds(annulus, upper, lower, beta, alpha, True)
 
 
@@ -162,7 +163,6 @@ def dirichlet_feasibility(
     inner_min: float,
     inner_max: float,
     data: OuterBoundaryData,
-    tol: float = DEFAULT_TOL,
 ) -> FeasibilityResult:
     """Decide whether inner Dirichlet data certifiably admits no cmc-h graph.
 
@@ -178,8 +178,7 @@ def dirichlet_feasibility(
     if inner_min > inner_max:
         raise ValueError(f"need inner_min <= inner_max, got {inner_min:g} > {inner_max:g}")
     h = as_mean_curvature(h)
-    _check_tol(tol)
-    large, small = _vertical_slacks(h, annulus)
+    large, small = _vertical_slacks(annulus)
     t_upper = data.M + _drop(h, annulus.a, annulus.b, large)
     try:
         param_small(h, annulus.a)

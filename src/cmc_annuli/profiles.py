@@ -53,8 +53,8 @@ from .carlson import rc, rf_rj
 if TYPE_CHECKING:
     import numpy as np
 
-#: Default absolute tolerance of the public calls. Drops and heights are closed
-#: forms that do not use it; the radial root find stops at it.
+#: Default absolute tolerance of ``solve_radial``'s root find. Heights, drops
+#: and envelopes are closed forms and take no tolerance.
 DEFAULT_TOL = 1e-10
 
 #: Relative tolerance used to compare a parameter against the branch point 2h.
@@ -414,16 +414,14 @@ def _slope(h: float, param: ProfileParameter, rho0: float, rho) -> float:
     return graph_slope(math, rho)
 
 
-def height(h, alpha, rho, tol: float = DEFAULT_TOL) -> float:
+def height(h, alpha, rho) -> float:
     """Profile height at radius rho, zero on the starting circle.
 
     A closed form in Carlson's elliptic integrals, good to about 1e-15
-    relative; ``tol`` is validated but no longer needed. Nonnegative and
-    nondecreasing on the small branch; dips below zero near the starting
-    circle on the large branch.
+    relative. Nonnegative and nondecreasing on the small branch; dips below
+    zero near the starting circle on the large branch.
     """
     h = as_mean_curvature(h)
-    _check_tol(tol)
     param = as_parameter(h, alpha)
     return _height(h, param, boundary_radius(h, param), rho)
 
@@ -435,7 +433,7 @@ def _height(h: float, param: ProfileParameter, rho0: float, rho) -> float:
     return -_drop(h, rho0, rho, _profile_slacks(param, rho0))
 
 
-def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sample_profile(h, alpha, rho_max, n: int) -> np.ndarray:
     """Tabulate (rho, height, slope) at n radii from the starting circle to rho_max.
 
     The first row sits on the starting circle with height exactly zero and the
@@ -443,7 +441,6 @@ def sample_profile(h, alpha, rho_max, n: int, tol: float = DEFAULT_TOL) -> np.nd
     closed form of ``height`` and ``slope``, evaluated for all rows at once.
     """
     h = as_mean_curvature(h)
-    _check_tol(tol)
     param = as_parameter(h, alpha)
     rho_max = check_radius(rho_max, name="rho_max")
     n = int(n)
@@ -470,10 +467,6 @@ class HeightProfile:
     h: float
     param: ProfileParameter
     rho0: float
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        _check_tol(self.tol)
 
     def height(self, rho) -> float:
         return _height(self.h, self.param, self.rho0, rho)
@@ -482,14 +475,14 @@ class HeightProfile:
         return _slope(self.h, self.param, self.rho0, rho)
 
     def sample(self, rho_max, n: int) -> np.ndarray:
-        return sample_profile(self.h, self.param, rho_max, n, self.tol)
+        return sample_profile(self.h, self.param, rho_max, n)
 
     def as_radial_function(self, upper: float = MAX_RADIUS) -> RadialFunction:
         return RadialFunction(self.height, self.slope, (self.rho0, upper))
 
 
-def height_profile(h, alpha, tol: float = DEFAULT_TOL) -> HeightProfile:
+def height_profile(h, alpha) -> HeightProfile:
     """Build a HeightProfile for the given curvature and parameter."""
     h = as_mean_curvature(h)
     param = as_parameter(h, alpha)
-    return HeightProfile(h, param, boundary_radius(h, param), tol)
+    return HeightProfile(h, param, boundary_radius(h, param))

@@ -117,7 +117,7 @@ def _false_position(
     raise NonConvergenceError(f"flux root find did not converge in {_MAXITER} steps")
 
 
-def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) -> float:
+def integrate_radial(h, annulus: Annulus, C: float) -> float:
     """Drop u(a) - u(b) of the radial solution with flux constant C.
 
     Equals -integral over [a, b] of (2h*cosh + C)/sqrt(sinh^2 - (2h*cosh + C)^2),
@@ -126,7 +126,6 @@ def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) ->
     (endpoint equality, the vertical extremal profiles, is allowed).
     """
     h = as_mean_curvature(h)
-    _check_tol(tol)
     C = float(C)
     c_lo, c_hi = feasible_flux_interval(h, annulus)
     if not c_lo <= C <= c_hi:
@@ -137,7 +136,7 @@ def integrate_radial(h, annulus: Annulus, C: float, tol: float = DEFAULT_TOL) ->
     return _drop(h, annulus.a, annulus.b, (c_hi - C, C - c_lo))
 
 
-def extremal_drops(h, annulus: Annulus, tol: float = DEFAULT_TOL) -> FeasibleDropInterval:
+def extremal_drops(h, annulus: Annulus) -> FeasibleDropInterval:
     """Endpoints of the achievable-drop interval.
 
     d_max is the drop at the lower end of the flux interval, the large-branch
@@ -146,8 +145,7 @@ def extremal_drops(h, annulus: Annulus, tol: float = DEFAULT_TOL) -> FeasibleDro
     flux graph (which is no family profile, but still spans the annulus).
     """
     h = as_mean_curvature(h)
-    _check_tol(tol)
-    large, small = _vertical_slacks(h, annulus)
+    large, small = _vertical_slacks(annulus)
     a, b = annulus.a, annulus.b
     return FeasibleDropInterval(_drop(h, a, b, small), _drop(h, a, b, large))
 
@@ -173,7 +171,7 @@ def solve_radial(
         raise ValueError(f"boundary values must be finite, got u_a={u_a!r}, u_b={u_b!r}")
     target = u_a - u_b
     # the bracket is the closed flux interval, so exactly the open drop interval is solvable
-    extremal = extremal_drops(h, annulus, tol)
+    extremal = extremal_drops(h, annulus)
     if not extremal.d_min < target < extremal.d_max:
         raise InfeasibleBoundaryError(target, extremal.d_min, extremal.d_max)
 
@@ -207,7 +205,7 @@ def solve_radial(
     c_star = c_lo + slacks[1]
 
     if c_star < 0.0:
-        shift = u_b - height(h, -c_star, annulus.b, tol)
+        shift = u_b - height(h, -c_star, annulus.b)
     else:
         shift = u_a  # no family anchor; the inner value fixes the translate
     evaluator = _anchored_graph(h, annulus.a, annulus.b, slacks, u_b, -drops[theta])

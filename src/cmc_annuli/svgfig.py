@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .estimates import Annulus, OuterBoundaryData, bounding_box
-from .profiles import DEFAULT_TOL, as_mean_curvature, as_parameter, boundary_radius, sample_profile
+from .profiles import as_mean_curvature, as_parameter, boundary_radius, sample_profile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,7 +104,6 @@ def family_figure(
     alphas: Sequence[float],
     rho_max: Optional[float] = None,
     n: int = 200,
-    tol: float = DEFAULT_TOL,
 ) -> str:
     """SVG of height profiles for several parameters, both branches welcome."""
     h = as_mean_curvature(h)
@@ -115,7 +114,7 @@ def family_figure(
         rho_max = max(boundary_radius(h, p) for p in params) + 2.0
     curves = []
     for p in params:
-        table = sample_profile(h, p, rho_max, n, tol)
+        table = sample_profile(h, p, rho_max, n)
         curves.append((f"α = {p.alpha:g}", table[:, :2]))
     return _render(curves, x_label="ρ", y_label="height")
 
@@ -126,10 +125,9 @@ def box_figure(
     m: float,
     M: float,
     n: int = 256,
-    tol: float = DEFAULT_TOL,
 ) -> str:
     """SVG of the two bounding envelopes over an annulus (lower one if it exists)."""
-    box = bounding_box(h, annulus, OuterBoundaryData(m, M), tol)
+    box = bounding_box(h, annulus, OuterBoundaryData(m, M))
     table = box.sample(n)
     curves = [("upper envelope", table[:, [0, 2]])]
     if box.hole_ok:

@@ -263,14 +263,26 @@ _ANNULUS = ["--h", "0.4", "--a", "0.5", "--b", "2"]
 )
 def test_bad_tol_exit_2(capsys, tmp_path, argv, tol):
     # no verdict, solution or table comes from a tolerance that is not a
-    # finite positive number; --tol inf once reported the extremal graph as solved
+    # finite positive number; --tol inf once reported the extremal graph as
+    # solved. Only solve stops on a tolerance: verdicts, tables and figures are
+    # closed forms, so there --tol is an unknown argument.
     out = tmp_path / "out"
     needs_out = argv[0] != "check"
-    code, stdout, stderr = run(capsys, *argv, *(["--out", str(out)] if needs_out else []), f"--tol={tol}")
+    cli_args = [*argv, *(["--out", str(out)] if needs_out else []), f"--tol={tol}"]
+    if argv[0] == "solve":
+        code, stdout, stderr = run(capsys, *cli_args)
+        assert "tolerance must be finite and positive" in stderr
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            main(cli_args)
+        code = exit_info.value.code
+        captured = capsys.readouterr()
+        stdout = captured.out
+        assert f"unrecognized arguments: --tol={tol}" in captured.err
     assert code == 2
     assert stdout == ""
-    assert "tolerance must be finite and positive" in stderr
     assert not out.exists()
+
 
 class TestSolveCommand:
     def test_radial_solve(self, capsys, tmp_path):

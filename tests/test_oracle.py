@@ -243,6 +243,19 @@ def test_envelope_slopes_near_inner_circle(h, a, b, gap):
         assert lower.derivative(rho) == pytest.approx(vertical_slope(h, a, rho, +1), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("h", [0.05, 0.4, 0.5])
+@pytest.mark.parametrize("a", [1e-13, 1e-10, 1e-6])
+def test_envelope_slopes_next_to_tiny_inner_circle(h, a):
+    # the slacks of the vertical graphs must sum to 2 sinh(a): the rounded
+    # width of the flux interval at a is off by about 1e-16/a relative, and
+    # slopes next to a carry that error (1.6e-4 at 2a for a = 1e-13)
+    annulus, rho = ca.Annulus(a, 1.0), 2.0 * a
+    upper = ca.upper_envelope(h, annulus, 0.0)
+    lower = ca.lower_envelope(h, annulus, 0.0)
+    assert upper.derivative(rho) == pytest.approx(vertical_slope(h, a, rho, -1), rel=1e-14, abs=0.0)
+    assert lower.derivative(rho) == pytest.approx(vertical_slope(h, a, rho, +1), rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("h, a, b", CASES)
 @pytest.mark.parametrize("gap", SLOPE_GAPS)
 def test_profile_slopes_near_starting_circle(h, a, b, gap):

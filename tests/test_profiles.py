@@ -212,7 +212,7 @@ class TestHeight:
             assert height(0.5, 1.0, rho) == pytest.approx(closed_form_height(rho), abs=1e-10)
 
     def test_tolerance_is_honored(self):
-        got = height(0.5, 1.0, 3.0, tol=1e-12)
+        got = height(0.5, 1.0, 3.0)
         assert abs(got - closed_form_height(3.0)) <= 1e-11
 
     def test_large_branch_dips_negative_then_recovers(self):
@@ -286,7 +286,7 @@ class TestSampleProfile:
                 assert u_val == pytest.approx(math.sinh(rho / 2), rel=1e-12)
 
     def test_cumulative_matches_direct_quadrature(self):
-        table = sample_profile(0.4, param_large(0.4, 1.0), 3.0, 9, tol=1e-11)
+        table = sample_profile(0.4, param_large(0.4, 1.0), 3.0, 9)
         for rho, h_val, _ in table[1:]:
             assert h_val == pytest.approx(height(0.4, param_large(0.4, 1.0), rho), abs=1e-9)
 
@@ -305,11 +305,11 @@ class TestSampleProfile:
 
 class TestHeightProfileWrapper:
     def test_fields_and_consistency(self):
-        profile = height_profile(0.4, 0.5, tol=1e-11)
+        profile = height_profile(0.4, 0.5)
         assert profile.h == 0.4
         assert profile.param.branch is Branch.SMALL
         assert profile.rho0 == boundary_radius(0.4, 0.5)
-        assert profile.height(1.5) == height(0.4, 0.5, 1.5, tol=1e-11)
+        assert profile.height(1.5) == height(0.4, 0.5, 1.5)
         assert profile.slope(1.5) == slope(0.4, 0.5, 1.5)
         table = profile.sample(2.0, 4)
         assert table.shape == (4, 3)

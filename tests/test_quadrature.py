@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cmc_annuli import Annulus, feasible_flux_interval, height, sample_profile
+from cmc_annuli import Annulus, feasible_flux_interval
 from cmc_annuli.profiles import _anchored_graph, _drop, _flux_graph
 
 # Abscissae of the 21-point Kronrod rule on [-1, 1] in ascending order; the
@@ -159,9 +159,3 @@ class TestDrivers:
         expected, certificate = kronrod(lambda r: slope(np, r), a, 30.0, 64)
         assert expected > 1e6 and certificate <= 1e-15 * expected
         assert -_drop(h, a, 30.0, slacks) == pytest.approx(expected, rel=1e-14)
-
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            height(0.4, 0.9, 1.5, tol=0.0)
-        with pytest.raises(ValueError):
-            sample_profile(0.4, 0.9, 1.5, 8, tol=-1.0)

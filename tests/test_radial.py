@@ -16,12 +16,10 @@ from cmc_annuli import (
     extremal_drops,
     feasible_flux_interval,
     height,
-    height_profile,
     integrate_radial,
     lower_envelope,
     param_large,
     param_small,
-    sample_profile,
     solve_dirichlet_2d,
     solve_radial,
     upper_envelope,
@@ -135,13 +133,11 @@ class TestExtremalDrops:
         assert drops.d_min < drops.d_max
 
     def test_degenerate_annulus_drops_vanish(self):
-        # extremal drops scale like sqrt(width); a drop is a closed form that
-        # takes no tolerance, so the tightest annulus's tol=1e-8 only checks
-        # that a caller's tolerance is still accepted there
+        # extremal drops scale like sqrt(width)
         drops = extremal_drops(0.4, Annulus(0.7, 0.7 + 1e-4))
         assert abs(drops.d_min) < 0.1
         assert abs(drops.d_max) < 0.1
-        tiny = extremal_drops(0.4, Annulus(0.7, 0.7 + 1e-8), tol=1e-8)
+        tiny = extremal_drops(0.4, Annulus(0.7, 0.7 + 1e-8))
         assert abs(tiny.d_min) < 1e-3
         assert abs(tiny.d_max) < 1e-3
 
@@ -397,17 +393,7 @@ class TestValueDispatch:
 
 
 _ANN = Annulus(0.5, 2.0)
-_DATA = OuterBoundaryData(0.0, 0.0)
 TOL_CALLS = {
-    "height": lambda tol: height(0.4, 0.5, 1.2, tol),
-    "sample_profile": lambda tol: sample_profile(0.4, 0.5, 2.0, 4, tol),
-    "height_profile": lambda tol: height_profile(0.4, 0.5, tol),
-    "upper_envelope": lambda tol: upper_envelope(0.4, _ANN, 0.0, tol),
-    "lower_envelope": lambda tol: lower_envelope(0.4, _ANN, 0.0, tol),
-    "bounding_box": lambda tol: bounding_box(0.4, _ANN, _DATA, tol),
-    "dirichlet_feasibility": lambda tol: dirichlet_feasibility(0.4, _ANN, 0.1, 0.1, _DATA, tol),
-    "integrate_radial": lambda tol: integrate_radial(0.4, _ANN, -1.0, tol),
-    "extremal_drops": lambda tol: extremal_drops(0.4, _ANN, tol),
     "solve_radial": lambda tol: solve_radial(0.4, _ANN, 0.1, 0.0, tol),
     "solve_radial-infeasible": lambda tol: solve_radial(0.4, _ANN, 5.0, 0.0, tol),
     "solve_dirichlet_2d": lambda tol: solve_dirichlet_2d(0.4, _ANN, 0.1, 0.0, (8, 8), tol),
