@@ -1,10 +1,14 @@
 """Command line surface: profiles, bounds, feasibility checks, solvers, figures.
 
 Radii are hyperbolic by default; ``--euclidean`` declares them as unit-disc
-coordinate radii instead and converts on input. Numeric CSV output carries 17
-significant digits; identical invocations produce byte-identical files.
-Exit codes: 0 success (including a non-existence verdict), 2 input error,
-3 certified-infeasible radial solve, 4 solver non-convergence.
+coordinate radii instead and converts on input. ``--config FILE`` reads
+``key=value`` lines as the flags ``--key=value`` (a key may write ``-`` as
+``_``; a switch key sets its flag on 1, true or yes), parsed before the
+explicit flags, which therefore win; an unknown key is an error like an
+unknown flag. Numeric CSV output carries 17 significant digits; identical
+invocations produce byte-identical files. Exit codes, returned by ``main``:
+0 success (including a non-existence verdict), 2 input error (argparse's
+included), 3 certified-infeasible radial solve, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -13,10 +17,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import InfeasibleBoundaryError, NonConvergenceError
 from .estimates import Annulus, OuterBoundaryData, bounding_box, dirichlet_feasibility
@@ -40,111 +42,72 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class _Opt:
-    flag: str
-    type: Callable[[str], Any] = float
-    required: bool = False
-    default: Any = None
-    help: str = ""
-    is_flag: bool = False
-
-    @property
-    def dest(self) -> str:
-        return self.flag.lstrip("-").replace("-", "_")
-
-
-_RADIUS_FLAGS = {"a", "b", "rho_max"}
-
-_COMMON_TAIL = [
-    _Opt("--euclidean", is_flag=True, help="radii flags are unit-disc coordinates"),
-]
-
-_OPTIONS: dict[str, list[_Opt]] = {
-    "profile": [
-        _Opt("--h", float, required=True, help="mean curvature in (0, 1/2]"),
-        _Opt("--alpha", float, required=True, help="profile parameter, > 0"),
-        _Opt("--rho-max", float, required=True, help="last sampled radius"),
-        _Opt("--n", int, default=100, help="number of rows"),
-        _Opt("--out", str, required=True, help="output CSV path"),
-        *_COMMON_TAIL,
-    ],
-    "bounds": [
-        _Opt("--h", float, required=True, help="mean curvature in (0, 1/2]"),
-        _Opt("--a", float, required=True, help="inner radius"),
-        _Opt("--b", float, required=True, help="outer radius"),
-        _Opt("--m", float, required=True, help="outer boundary minimum"),
-        _Opt("--M", float, required=True, help="outer boundary maximum"),
-        _Opt("--n", int, default=256, help="number of rows"),
-        _Opt("--out", str, required=True, help="output CSV path"),
-        *_COMMON_TAIL,
-    ],
-    "check": [
-        _Opt("--h", float, required=True, help="mean curvature in (0, 1/2]"),
-        _Opt("--a", float, required=True, help="inner radius"),
-        _Opt("--b", float, required=True, help="outer radius"),
-        _Opt("--inner", str, required=True, help="inner datum: number or per-theta CSV path"),
-        _Opt("--outer", str, required=True, help="outer datum: number or per-theta CSV path"),
-        *_COMMON_TAIL,
-    ],
-    "solve": [
-        _Opt("--h", float, required=True, help="mean curvature in (0, 1/2]"),
-        _Opt("--a", float, required=True, help="inner radius"),
-        _Opt("--b", float, required=True, help="outer radius"),
-        _Opt("--u-a", float, required=True, help="inner boundary value"),
-        _Opt("--u-b", float, required=True, help="outer boundary value"),
-        _Opt("--out", str, required=True, help="output CSV path"),
-        _Opt("--n", int, default=256, help="rows in the radial table"),
-        _Opt("--two-d", is_flag=True, help="solve the 2D problem instead of the radial one"),
-        _Opt("--n-rho", int, default=64, help="2D: radial grid nodes"),
-        _Opt("--n-theta", int, default=64, help="2D: angular grid nodes"),
-        _Opt("--tol", float, default=None, help="stopping tolerance (default 1e-10 root find, 1e-8 2D Newton)"),
-        *_COMMON_TAIL,
-    ],
-    "figure": [
-        _Opt("--h", float, required=True, help="mean curvature in (0, 1/2]"),
-        _Opt("--alphas", _float_list, help="family: comma-separated parameters"),
-        _Opt("--rho-max", float, help="family: last sampled radius"),
-        _Opt("--a", float, help="box: inner radius"),
-        _Opt("--b", float, help="box: outer radius"),
-        _Opt("--m", float, help="box: outer boundary minimum"),
-        _Opt("--M", float, help="box: outer boundary maximum"),
-        _Opt("--n", int, default=256, help="samples per curve"),
-        _Opt("--out", str, required=True, help="output SVG path"),
-        *_COMMON_TAIL,
-    ],
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmc-annuli",
         description="Rotational cmc profiles, a-priori height envelopes, and solvers "
         "on circular annuli of the hyperbolic plane.",
     )
-    subparsers = parser.add_subparsers(dest="command")
-    descriptions = {
-        "profile": "tabulate one height profile to CSV (rho,height,slope)",
-        "bounds": "envelope table to CSV (rho,lower,upper) plus a JSON summary",
-        "check": "feasibility verdict for inner Dirichlet data, as JSON",
-        "solve": "radial or 2D Dirichlet solve, CSV table plus JSON report",
-        "figure": "standalone SVG: 'family' profiles or the envelope 'box'",
-    }
-    for name, options in _OPTIONS.items():
-        sub = subparsers.add_parser(name, help=descriptions[name])
-        if name == "figure":
-            sub.add_argument("which", choices=["family", "box"], help="figure kind")
-        for opt in options:
-            if opt.is_flag:
-                sub.add_argument(opt.flag, action="store_const", const=True, default=None, help=opt.help)
-            else:
-                sub.add_argument(opt.flag, type=opt.type, default=None, help=opt.help)
-        sub.add_argument("--config", type=str, default=None, help="key=value file with flag defaults")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    profile, bounds, check, solve, figure = (
+        subparsers.add_parser(name, help=text)
+        for name, text in (
+            ("profile", "tabulate one height profile to CSV (rho,height,slope)"),
+            ("bounds", "envelope table to CSV (rho,lower,upper) plus a JSON summary"),
+            ("check", "feasibility verdict for inner Dirichlet data, as JSON"),
+            ("solve", "radial or 2D Dirichlet solve, CSV table plus JSON report"),
+            ("figure", "standalone SVG: 'family' profiles or the envelope 'box'"),
+        )
+    )
+    figure.add_argument("which", choices=["family", "box"], help="figure kind")
+    for sub in (profile, bounds, check, solve, figure):
+        sub.add_argument("--h", type=float, required=True, help="mean curvature in (0, 1/2]")
+    for sub in (bounds, check, solve):
+        sub.add_argument("--a", type=float, required=True, help="inner radius")
+        sub.add_argument("--b", type=float, required=True, help="outer radius")
+    profile.add_argument("--alpha", type=float, required=True, help="profile parameter, > 0")
+    profile.add_argument("--rho-max", type=float, required=True, help="last sampled radius")
+    profile.add_argument("--n", type=int, default=100, help="number of rows")
+    profile.add_argument("--out", required=True, help="output CSV path")
+    bounds.add_argument("--m", type=float, required=True, help="outer boundary minimum")
+    bounds.add_argument("--M", type=float, required=True, help="outer boundary maximum")
+    bounds.add_argument("--n", type=int, default=256, help="number of rows")
+    bounds.add_argument("--out", required=True, help="output CSV path")
+    check.add_argument("--inner", required=True, help="inner datum: number or per-theta CSV path")
+    check.add_argument("--outer", required=True, help="outer datum: number or per-theta CSV path")
+    solve.add_argument("--u-a", type=float, required=True, help="inner boundary value")
+    solve.add_argument("--u-b", type=float, required=True, help="outer boundary value")
+    solve.add_argument("--out", required=True, help="output CSV path")
+    solve.add_argument("--n", type=int, default=256, help="rows in the radial table")
+    solve.add_argument("--two-d", action="store_true", help="solve the 2D problem instead of the radial one")
+    solve.add_argument("--n-rho", type=int, default=64, help="2D: radial grid nodes")
+    solve.add_argument("--n-theta", type=int, default=64, help="2D: angular grid nodes")
+    solve.add_argument("--tol", type=float, help="stopping tolerance (default 1e-10 root find, 1e-8 2D Newton)")
+    figure.add_argument("--alphas", type=_float_list, help="family: comma-separated parameters")
+    figure.add_argument("--rho-max", type=float, help="family: last sampled radius")
+    figure.add_argument("--a", type=float, help="box: inner radius")
+    figure.add_argument("--b", type=float, help="box: outer radius")
+    figure.add_argument("--m", type=float, help="box: outer boundary minimum")
+    figure.add_argument("--M", type=float, help="box: outer boundary maximum")
+    figure.add_argument("--n", type=int, default=256, help="samples per curve")
+    figure.add_argument("--out", required=True, help="output SVG path")
+    for sub in (profile, bounds, check, solve, figure):
+        sub.add_argument("--euclidean", action="store_true", help="radii flags are unit-disc coordinates")
+        sub.add_argument("--config", metavar="FILE", help="key=value lines read as flags; explicit flags win")
     return parser
 
 
-def _read_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+#: flags that take no value: a config key naming one sets it on 1, true or yes
+_SWITCHES = ("--euclidean", "--two-d")
+
+
+def _config_tokens(path: str) -> list[str]:
+    """The key=value lines of a config file as --key=value tokens.
+
+    Blank lines and '#' comments are skipped. A key is a flag name written
+    with '-' or '_'; a switch key becomes the bare flag or nothing.
+    """
+    tokens = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -152,30 +115,30 @@ def _read_config(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
+        flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+        if flag not in _SWITCHES:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+    return tokens
 
 
-def _resolve(args: argparse.Namespace, options: list[_Opt]) -> SimpleNamespace:
-    """Merge explicit flags with config-file values; flags always win."""
-    cfg = _read_config(args.config) if args.config else {}
-    resolved: dict[str, Any] = {}
-    for opt in options:
-        value = getattr(args, opt.dest)
-        if value is None and opt.dest in cfg:
-            raw = cfg[opt.dest]
-            value = raw.lower() in ("1", "true", "yes") if opt.is_flag else opt.type(raw)
-        if value is None:
-            if opt.required:
-                raise ValueError(f"missing required option {opt.flag}")
-            value = False if opt.is_flag else opt.default
-        resolved[opt.dest] = value
-    ns = SimpleNamespace(**resolved)
-    if getattr(ns, "euclidean", False):
-        for name in _RADIUS_FLAGS:
-            if hasattr(ns, name) and getattr(ns, name) is not None:
-                setattr(ns, name, euclidean_to_hyperbolic(getattr(ns, name)))
-    return ns
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the tokens of every --config file put right after the subcommand.
+
+    argparse parses the explicit flags later, so they win wherever they stand,
+    and it rejects an unknown key or a bad value as it does on the command line.
+    """
+    tokens = []
+    for i, token in enumerate(argv):
+        flag, eq, value = token.partition("=")
+        # argparse also takes an abbreviation of --config, down to --c
+        if len(flag) > 2 and "--config".startswith(flag):
+            if eq:
+                tokens += _config_tokens(value)
+            elif i + 1 < len(argv):
+                tokens += _config_tokens(argv[i + 1])
+    return argv[:1] + tokens + argv[1:]
 
 
 def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
@@ -233,13 +196,13 @@ def _data_extremes(datum: str) -> tuple[float, float]:
     return min(values), max(values)
 
 
-def _cmd_profile(ns: SimpleNamespace) -> int:
+def _cmd_profile(ns: argparse.Namespace) -> int:
     table = sample_profile(ns.h, ns.alpha, ns.rho_max, ns.n)
     _write_csv(ns.out, "rho,height,slope", ([_fmt(v) for v in row] for row in table))
     return 0
 
 
-def _cmd_bounds(ns: SimpleNamespace) -> int:
+def _cmd_bounds(ns: argparse.Namespace) -> int:
     annulus = Annulus(ns.a, ns.b)
     box = bounding_box(ns.h, annulus, OuterBoundaryData(ns.m, ns.M))
     table = box.sample(ns.n)
@@ -262,7 +225,7 @@ def _cmd_bounds(ns: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_check(ns: SimpleNamespace) -> int:
+def _cmd_check(ns: argparse.Namespace) -> int:
     annulus = Annulus(ns.a, ns.b)
     inner_min, inner_max = _data_extremes(ns.inner)
     outer_min, outer_max = _data_extremes(ns.outer)
@@ -280,21 +243,16 @@ def _cmd_check(ns: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_solve(ns: SimpleNamespace) -> int:
+def _cmd_solve(ns: argparse.Namespace) -> int:
     annulus = Annulus(ns.a, ns.b)
+    tol = {} if ns.tol is None else {"tol": ns.tol}  # else each solver's default
     if ns.two_d:
         # imported here: pde2d and its Newton-Krylov module take about 10 ms
         # to load on top of numpy, which every other command skips
         from .pde2d import solve_dirichlet_2d
 
-        tol = 1e-8 if ns.tol is None else ns.tol
         field, report = solve_dirichlet_2d(
-            ns.h,
-            annulus,
-            ns.u_a,
-            ns.u_b,
-            grid=(ns.n_rho, ns.n_theta),
-            tol=tol,
+            ns.h, annulus, ns.u_a, ns.u_b, grid=(ns.n_rho, ns.n_theta), **tol
         )
 
         def rows():
@@ -305,8 +263,7 @@ def _cmd_solve(ns: SimpleNamespace) -> int:
         _write_csv(ns.out, "rho,theta,u", rows())
         _print_json({"status": "converged", **_report_fields(report)})
         return 0
-    tol = 1e-10 if ns.tol is None else ns.tol
-    solution = solve_radial(ns.h, annulus, ns.u_a, ns.u_b, tol)
+    solution = solve_radial(ns.h, annulus, ns.u_a, ns.u_b, **tol)
     # an infeasible drop has raised by now, so exit 3 never loads numpy
     import numpy as np
 
@@ -324,7 +281,7 @@ def _cmd_solve(ns: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_figure(ns: SimpleNamespace) -> int:
+def _cmd_figure(ns: argparse.Namespace) -> int:
     if ns.which == "family":
         if ns.alphas is None:
             raise ValueError("figure family requires --alphas")
@@ -348,16 +305,16 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _resolve(args, _OPTIONS[args.command])
-        if args.command == "figure":
-            ns.which = args.which
-        return _DISPATCH[args.command](ns)
+        args = _build_parser().parse_args(_with_config(argv))
+        if args.euclidean:
+            for name in ("a", "b", "rho_max"):
+                if getattr(args, name, None) is not None:
+                    setattr(args, name, euclidean_to_hyperbolic(getattr(args, name)))
+        return _DISPATCH[args.command](args)
+    except SystemExit as exc:  # argparse has printed the help, or the usage and the error
+        return exc.code
     except InfeasibleBoundaryError as exc:
         _print_json(
             {

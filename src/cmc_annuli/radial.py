@@ -179,9 +179,10 @@ def solve_radial(
     # interval. C = c_lo + span*sin(theta)^2 makes it Lipschitz in theta at
     # both, and hands the kernel the slacks at a as span*sin(pi/2 - theta)^2
     # and span*sin(theta)^2: exact next to either end, where C itself cannot
-    # hold the offset, and exactly 0 at the ends theta = 0 and pi/2.
+    # hold the offset, and exactly 0 at the ends theta = 0 and pi/2. span is
+    # the width of the flux interval written as 2 sinh(a), as for the envelopes.
     c_lo, c_hi = feasible_flux_interval(h, annulus)
-    span = c_hi - c_lo
+    span = 2.0 * math.sinh(annulus.a)
 
     def slacks_at(theta: float) -> tuple[float, float]:
         return span * math.sin(0.5 * math.pi - theta) ** 2, span * math.sin(theta) ** 2
@@ -202,7 +203,8 @@ def solve_radial(
             f"flux root find stalled: drop residual {residual:g} exceeds tolerance {tol:g}"
         )
     slacks = slacks_at(theta)
-    c_star = c_lo + slacks[1]
+    # C from the end its smaller slack is measured from: exactly that end there
+    c_star = c_hi - slacks[0] if slacks[0] <= slacks[1] else c_lo + slacks[1]
 
     if c_star < 0.0:
         shift = u_b - height(h, -c_star, annulus.b)

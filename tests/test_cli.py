@@ -269,16 +269,11 @@ def test_bad_tol_exit_2(capsys, tmp_path, argv, tol):
     out = tmp_path / "out"
     needs_out = argv[0] != "check"
     cli_args = [*argv, *(["--out", str(out)] if needs_out else []), f"--tol={tol}"]
+    code, stdout, stderr = run(capsys, *cli_args)
     if argv[0] == "solve":
-        code, stdout, stderr = run(capsys, *cli_args)
         assert "tolerance must be finite and positive" in stderr
     else:
-        with pytest.raises(SystemExit) as exit_info:
-            main(cli_args)
-        code = exit_info.value.code
-        captured = capsys.readouterr()
-        stdout = captured.out
-        assert f"unrecognized arguments: --tol={tol}" in captured.err
+        assert f"unrecognized arguments: --tol={tol}" in stderr
     assert code == 2
     assert stdout == ""
     assert not out.exists()
@@ -462,3 +457,43 @@ class TestConfigFile:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "key=value" in err
+
+    def test_unknown_key_exit_2(self, capsys, tmp_path):
+        # a key that names no flag of the subcommand is rejected like the flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=nan\nnn=5\n")
+        out = tmp_path / "b.csv"
+        code, stdout, err = run(capsys, "bounds", "--h", "0.4", "--a", "0.5", "--b", "2",
+                                "--m", "0", "--M", "0", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "--tol=nan" in err and "--nn=5" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, flags", [("yes", ["--euclidean"]), ("no", [])])
+    def test_switch_key_matches_flag(self, capsys, tmp_path, value, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"euclidean={value}\n")
+        base = ["profile", "--h", "0.4", "--alpha", "1.7", "--rho-max", "0.9", "--n", "5"]
+        from_config, from_flags = tmp_path / "c.csv", tmp_path / "f.csv"
+        assert run(capsys, *base, "--config", str(cfg), "--out", str(from_config))[0] == 0
+        assert run(capsys, *base, *flags, "--out", str(from_flags))[0] == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("h=0.5\nalpha=1\nrho_max=2\nn=5\n")
+        out = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "profile", f"--config={cfg}", "--out", str(out))
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 5
+
+    def test_flag_before_config_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("h=0.5\nalpha=1\nrho_max=2\nn=5\n")
+        out = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "profile", "--n", "7", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 7

@@ -283,6 +283,28 @@ def test_radial_solution_slope_near_inner_circle(h, a, b, u_a, gap):
     assert solution.evaluator.derivative(rho) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("h", [0.4, 0.5])
+@pytest.mark.parametrize("a", [1e-13, 1e-10, 1e-6])
+@pytest.mark.parametrize("frac", [0.05, 0.95])
+def test_radial_solution_slopes_next_to_tiny_inner_circle(h, a, frac):
+    # as for the envelopes, the slacks must sum to 2 sinh(a), not to the
+    # rounded width of the flux interval (1.6e-4 off at 2a for a = 1e-13).
+    # C cannot hold the smaller slack at such an a, so the reference takes it
+    # from the solver and the other as 2 sinh(a) minus it. The targets sit
+    # near the ends: mid-interval the slope at 2a is close to 0.
+    annulus, rho = ca.Annulus(a, 1.0), 2.0 * a
+    drops = ca.extremal_drops(h, annulus)
+    u_a = drops.d_min + frac * (drops.d_max - drops.d_min)
+    with mock.patch.object(radial, "_anchored_graph", wraps=radial._anchored_graph) as spy:
+        solution = ca.solve_radial(h, annulus, u_a, 0.0)
+    slacks = spy.call_args.args[3]
+    with mp.workdps(SLOPE_DIGITS):
+        sinh_a = mp.sinh(mp.mpf(a))
+        f_a = sinh_a - slacks[0] if slacks[0] <= slacks[1] else slacks[1] - sinh_a
+    expected = flux_slope(h, rho, lambda hm, r: f_a + 2 * hm * (mp.cosh(r) - mp.cosh(mp.mpf(a))))
+    assert solution.evaluator.derivative(rho) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("h, alpha", [(0.3, 1.5), (0.4, 0.5), (0.5, 1.0), (0.4, 0.8)])
 def test_sample_profile_slope_column_is_slope(h, alpha):
     # the column is the array form of the kernel, whose numpy expm1 may differ

@@ -1,12 +1,30 @@
-"""The README's Library example runs against the current API."""
+"""The README's Library and Command line examples run against the current code."""
 
 import re
+import shlex
 from pathlib import Path
+
+from cmc_annuli.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
 def test_library_example_runs():
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    blocks = _blocks("python")
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_cli_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line) for block in _blocks("sh") for line in block.splitlines()
+                if line.startswith("cmc-annuli ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv
