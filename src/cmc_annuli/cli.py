@@ -5,8 +5,9 @@ coordinate radii instead and converts on input. ``--config FILE`` reads
 ``key=value`` lines as the flags ``--key=value`` (a key may write ``-`` as
 ``_``; a switch key sets its flag on 1, true or yes), parsed before the
 explicit flags, which therefore win; an unknown key is an error like an
-unknown flag. Numeric CSV output carries 17 significant digits; identical
-invocations produce byte-identical files. Exit codes, returned by ``main``:
+unknown flag, and so is a ``config`` key. Numeric CSV output carries 17
+significant digits; identical invocations produce byte-identical files.
+Exit codes, returned by ``main``:
 0 success (including a non-existence verdict), 2 input error (argparse's
 included), 3 certified-infeasible radial solve, 4 solver non-convergence.
 """
@@ -101,11 +102,17 @@ def _build_parser() -> argparse.ArgumentParser:
 _SWITCHES = ("--euclidean", "--two-d")
 
 
+def _names_config(flag: str) -> bool:
+    """Whether argparse reads flag as --config, which it also takes abbreviated down to --c."""
+    return len(flag) > 2 and "--config".startswith(flag)
+
+
 def _config_tokens(path: str) -> list[str]:
     """The key=value lines of a config file as --key=value tokens.
 
     Blank lines and '#' comments are skipped. A key is a flag name written
-    with '-' or '_'; a switch key becomes the bare flag or nothing.
+    with '-' or '_'; a switch key becomes the bare flag or nothing. A config
+    file cannot name another: nothing would read it.
     """
     tokens = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -116,6 +123,8 @@ def _config_tokens(path: str) -> list[str]:
         if not sep:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+        if _names_config(flag):
+            raise ValueError(f"{path}:{line_no}: a config file cannot name another, got {line!r}")
         if flag not in _SWITCHES:
             tokens.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes"):
@@ -132,8 +141,7 @@ def _with_config(argv: list[str]) -> list[str]:
     tokens = []
     for i, token in enumerate(argv):
         flag, eq, value = token.partition("=")
-        # argparse also takes an abbreviation of --config, down to --c
-        if len(flag) > 2 and "--config".startswith(flag):
+        if _names_config(flag):
             if eq:
                 tokens += _config_tokens(value)
             elif i + 1 < len(argv):

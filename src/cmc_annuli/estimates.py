@@ -8,11 +8,13 @@ annulus at h = 1/2, and for a < artanh(2h) otherwise) bounds it from below
 once shifted to the outer minimum m. Both envelopes depend only on the
 annulus and the outer boundary values. Inner Dirichlet data that exits the
 box at rho = a therefore certifies that no solution exists. The envelopes
-are the graphs at the ends of the flux interval at a, with radicand slacks
-(span, 0) and (0, span) there, so a threshold is the outer extreme plus an
-extremal drop, M + d_max or m + d_min: one closed-form drop, as in
-``radial.extremal_drops``. Envelope values take a radius or an array of
-radii; an array is tabulated in one pass of the same closed form.
+are the graphs at the ends of the flux interval at a, with the radicand
+slacks (span, 0) and (0, span) there of ``profiles._vertical_slacks``, so a
+threshold is the outer extreme plus an extremal drop, M + d_max or
+m + d_min: one closed-form drop, as in ``radial.extremal_drops``. Envelopes
+are ``profiles._anchored_graph``'s, like profiles and radial solutions:
+values and derivatives take a radius or an array of radii, and an array is
+tabulated in one pass of the same closed form.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .profiles import (
     ProfileParameter,
     _anchored_graph,
     _drop,
+    _vertical_slacks,
     as_mean_curvature,
     param_large,
     param_small,
@@ -68,19 +71,6 @@ class OuterBoundaryData:
             raise ValueError(f"need m <= M, got m={self.m:g} > M={self.M:g}")
 
 
-def _vertical_slacks(annulus: Annulus) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Slacks at a of the graphs vertical there: (span, 0) for the upper
-    envelope and d_max, (0, span) for the lower envelope and d_min.
-
-    span is large(a) - small(a) written as 2 sinh(a), as in
-    ``profiles._profile_slacks``: the rounded width c_hi - c_lo of the flux
-    interval has a relative error of about 1e-16/a, which the slopes would
-    carry next to a tiny inner circle.
-    """
-    span = 2.0 * math.sinh(annulus.a)
-    return (span, 0.0), (0.0, span)
-
-
 def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     """Upper bound for any cmc-h graph on the annulus with outer maximum M.
 
@@ -88,7 +78,7 @@ def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     value at rho = b equals M. Exists for every annulus and every h.
     """
     h = as_mean_curvature(h)
-    large, _ = _vertical_slacks(annulus)
+    large, _ = _vertical_slacks(annulus.a)
     return _anchored_graph(h, annulus.a, annulus.b, large, M)
 
 
@@ -101,7 +91,7 @@ def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
     """
     h = as_mean_curvature(h)
     param_small(h, annulus.a)  # raises where the hole is too large
-    _, small = _vertical_slacks(annulus)
+    _, small = _vertical_slacks(annulus.a)
     return _anchored_graph(h, annulus.a, annulus.b, small, m)
 
 
@@ -178,7 +168,7 @@ def dirichlet_feasibility(
     if inner_min > inner_max:
         raise ValueError(f"need inner_min <= inner_max, got {inner_min:g} > {inner_max:g}")
     h = as_mean_curvature(h)
-    large, small = _vertical_slacks(annulus)
+    large, small = _vertical_slacks(annulus.a)
     t_upper = data.M + _drop(h, annulus.a, annulus.b, large)
     try:
         param_small(h, annulus.a)

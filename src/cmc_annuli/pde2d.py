@@ -312,7 +312,7 @@ def solve_dirichlet_2d(
     data outside the a-priori envelopes that is the expected outcome.
     """
     h = as_mean_curvature(h)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if grid is None:
         grid = PolarGrid(annulus)
     elif isinstance(grid, tuple):

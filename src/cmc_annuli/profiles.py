@@ -33,9 +33,13 @@ there, its distances to the ends of that interval. One private kernel,
 ``_flux_graph``, gives its slope and its rise from r0. With t = cosh(rho) the
 rise is an elliptic integral whose four linear factors are positive on the
 annulus, so it is a closed form in Carlson's R_F, R_J and R_C (``carlson``),
-built from the slacks without cancellation. Profile heights and slopes, the
-envelopes of ``estimates`` and the drops and solutions of ``radial``, values
-and derivatives alike, points and tables alike, all go through it.
+built from the slacks without cancellation. One wrapper, ``_anchored_graph``,
+translates such a graph to a given value at a given radius and checks its
+radii; profiles (0 on their circle), the envelopes of ``estimates`` and the
+solutions of ``radial`` are all built by it, values and derivatives alike,
+points and tables alike. A graph vertical on its circle has the slacks of
+``_vertical_slacks``, the one rule for profiles, envelopes, thresholds and
+extremal drops.
 """
 
 from __future__ import annotations
@@ -126,13 +130,6 @@ def as_mean_curvature(h) -> float:
     return MeanCurvature(float(h)).h
 
 
-def as_parameter(h, alpha) -> ProfileParameter:
-    """Coerce alpha (float or ProfileParameter) to a branch-tagged parameter."""
-    if isinstance(alpha, ProfileParameter):
-        return alpha
-    return ProfileParameter.classify(h, alpha)
-
-
 def _small_value(h: float, rho: float) -> float:
     # 2h*cosh(rho) - sinh(rho), in exponential form: exact at h = 1/2 and free
     # of the cosh/sinh cancellation at large rho
@@ -167,16 +164,21 @@ def boundary_radius(h, alpha) -> float:
     Zero exactly when alpha = 2h, strictly decreasing in alpha below 2h and
     strictly increasing above.
     """
+    return _profile_of(h, alpha)[2]
+
+
+def _profile_of(h, alpha) -> tuple[float, ProfileParameter, float]:
+    """h validated, alpha (a ProfileParameter too) classified against it, and the starting radius rho0."""
     h = as_mean_curvature(h)
-    param = as_parameter(h, alpha)
+    param = ProfileParameter.classify(h, alpha)
     if param.branch is Branch.NECK:
-        return 0.0
+        return h, param, 0.0
     a = param.alpha
     # exp(+/-rho0) = (1+2h)/(alpha + sqrt(alpha^2 + 1 - 4h^2)); 1-2h is exact,
     # so the radicand and the quotient carry no cancellation for any h <= 1/2
     spread = math.sqrt((1.0 - 2.0 * h) * (1.0 + 2.0 * h))
     x = (1.0 + 2.0 * h) / (a + math.hypot(a, spread))
-    return abs(math.log(x))
+    return h, param, abs(math.log(x))
 
 
 def param_small(h, rho) -> ProfileParameter:
@@ -214,15 +216,6 @@ def _check_tol(tol) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     return tol
-
-
-def _check_outside_start(rho0: float, rho: float) -> None:
-    """Reject a radius rho inside the starting circle rho0."""
-    if rho < rho0 - _BOUNDARY_SLACK:
-        raise ValueError(
-            f"rho = {rho:g} is inside the starting circle rho0 = {rho0:g} "
-            "of this profile"
-        )
 
 
 def _flux_graph(h: float, r0: float, slack_small: float, slack_large: float) -> tuple[Callable, Callable]:
@@ -344,53 +337,77 @@ def _drop(h: float, a: float, b: float, slacks: tuple[float, float]) -> float:
     return -rise(math, b)
 
 
-def _anchored_graph(
-    h: float, a: float, b: float, slacks: tuple[float, float], top: float, rise_b: float | None = None
-) -> RadialFunction:
-    """The graph with radicand ``slacks`` at a, over [a, b], translated to the value ``top`` at b.
+def _vertical_slacks(r0: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Slacks at r0 of the graphs vertical there: (span, 0) on the large branch, (0, span) on the small.
 
-    The value at rho is top minus the difference of the rises from a to b and
-    to rho. The rise to b is the float ``rise_b`` (minus the ``_drop`` of these
-    slacks), computed here when not given. A number or a 0-d array is a radius
-    and gives a float; a list, a tuple or an array of one or more dimensions
-    gives an array of its shape. Both give exactly ``top`` at b and
-    top - rise_b at a. The derivative takes a radius.
+    span is large(r0) - small(r0) written as 2 sinh(r0), 0 on the neck: the
+    rounded width c_hi - c_lo of the flux interval has a relative error of
+    about 1e-16/r0, which the slopes would carry next to a tiny circle.
     """
-    rise, slope = _flux_graph(h, a, *slacks)
-    if rise_b is None:
-        rise_b = rise(math, b)
-    lo, hi = a - _BOUNDARY_SLACK, b + _BOUNDARY_SLACK
+    span = 2.0 * math.sinh(r0)
+    return (span, 0.0), (0.0, span)
 
-    def outside(rho) -> ValueError:
-        return ValueError(f"rho = {rho} outside the annulus [{a:g}, {b:g}]")
+
+def _anchored_graph(
+    h: float,
+    a: float,
+    b: float,
+    slacks: tuple[float, float],
+    top: float,
+    rise_top: float | None = None,
+    at: float | None = None,
+) -> RadialFunction:
+    """The graph with radicand ``slacks`` at a, over [a, b], translated to the value ``top`` at ``at``.
+
+    ``at`` is b unless given; a profile has it at a, with top 0. The value at
+    rho is top minus the difference of the rises from a to ``at`` and to rho.
+    The rise to ``at`` is the float ``rise_top`` (minus the ``_drop`` of these
+    slacks for ``at`` = b), computed here when not given. Value and derivative
+    check their radii against [a, b] alike: a number or a 0-d array is a
+    radius and gives a float; a list, a tuple or an array of one or more
+    dimensions gives an array of its shape. Both give exactly ``top`` at
+    ``at`` and top - rise_top at a.
+    """
+    if at is None:
+        at = b
+    rise, slope = _flux_graph(h, a, *slacks)
+    if rise_top is None:
+        rise_top = rise(math, at)
+    lo, hi = max(a - _BOUNDARY_SLACK, 0.0), b + _BOUNDARY_SLACK
+
+    def on_domain(rho):
+        """(xp, rho): math and a float for a radius, numpy and an array for radii."""
+        if _is_array_like(rho):
+            import numpy as xp
+
+            rho = xp.asarray(rho, dtype=float)
+            below, inside = xp.any(rho < lo), xp.all((rho >= lo) & (rho <= hi))
+        else:
+            xp, rho = math, float(rho)
+            below, inside = rho < lo, lo <= rho <= hi
+        if below:
+            raise ValueError(f"rho = {rho} is inside the starting circle rho = {a:g}")
+        if not inside:
+            raise ValueError(f"rho = {rho} is outside [{a:g}, {b:g}]")
+        return xp, rho
 
     def value(rho):
-        if _is_array_like(rho):
-            import numpy as np
+        xp, rho = on_domain(rho)
+        rises = rise(math, rho) if xp is math else xp.where(rho == at, rise_top, rise(xp, rho))
+        return top - (rise_top - rises)
 
-            radii = np.asarray(rho, dtype=float)
-            if not np.all((radii >= lo) & (radii <= hi)):
-                raise outside(radii)
-            rises = np.where(radii == b, rise_b, rise(np, radii))
-            return top - (rise_b - rises)
-        rho = float(rho)
-        if not lo <= rho <= hi:
-            raise outside(rho)
-        return top - (rise_b - rise(math, rho))
-
-    def derivative(rho: float) -> float:
-        rho = float(rho)
-        if not lo <= rho <= hi:
-            raise outside(rho)
-        return slope(math, rho)
+    def derivative(rho):
+        xp, rho = on_domain(rho)
+        return slope(xp, rho)
 
     return RadialFunction(value, derivative, (a, b))
 
 
-def _profile_slacks(param: ProfileParameter, rho0: float) -> tuple[float, float]:
-    """Slacks of a family profile on its own circle: 0 at its end of the flux interval, 2*sinh(rho0) at the other."""
-    span = 2.0 * math.sinh(rho0)  # large(rho0) - small(rho0); 0 for the neck
-    return (span, 0.0) if param.branch is Branch.LARGE else (0.0, span)
+def _profile_graph(h: float, param: ProfileParameter, rho0: float, upper: float = MAX_RADIUS) -> RadialFunction:
+    """The profile starting at rho0 as the graph vertical there, 0 on that circle, over [rho0, upper]."""
+    large, small = _vertical_slacks(rho0)
+    slacks = large if param.branch is Branch.LARGE else small
+    return _anchored_graph(h, rho0, upper, slacks, 0.0, 0.0, rho0)
 
 
 def slope(h, alpha, rho) -> float:
@@ -401,17 +418,7 @@ def slope(h, alpha, rho) -> float:
     the vertical approach is from +inf, on the large branch from -inf; the
     neck profile has the finite limit 0 at rho = 0 (slope ~ h*rho).
     """
-    h = as_mean_curvature(h)
-    param = as_parameter(h, alpha)
-    return _slope(h, param, boundary_radius(h, param), rho)
-
-
-def _slope(h: float, param: ProfileParameter, rho0: float, rho) -> float:
-    """``slope`` of the profile whose starting circle rho0 is already known."""
-    rho = check_radius(rho)
-    _check_outside_start(rho0, rho)
-    _, graph_slope = _flux_graph(h, rho0, *_profile_slacks(param, rho0))
-    return graph_slope(math, rho)
+    return _profile_graph(*_profile_of(h, alpha)).derivative(check_radius(rho))
 
 
 def height(h, alpha, rho) -> float:
@@ -421,16 +428,7 @@ def height(h, alpha, rho) -> float:
     relative. Nonnegative and nondecreasing on the small branch; dips below
     zero near the starting circle on the large branch.
     """
-    h = as_mean_curvature(h)
-    param = as_parameter(h, alpha)
-    return _height(h, param, boundary_radius(h, param), rho)
-
-
-def _height(h: float, param: ProfileParameter, rho0: float, rho) -> float:
-    """``height`` of the profile whose starting circle rho0 is already known."""
-    rho = check_radius(rho)
-    _check_outside_start(rho0, rho)
-    return -_drop(h, rho0, rho, _profile_slacks(param, rho0))
+    return _profile_graph(*_profile_of(h, alpha)).value(check_radius(rho))
 
 
 def sample_profile(h, alpha, rho_max, n: int) -> np.ndarray:
@@ -440,24 +438,7 @@ def sample_profile(h, alpha, rho_max, n: int) -> np.ndarray:
     vertical-slope sentinel (finite for the neck profile). Every row is the
     closed form of ``height`` and ``slope``, evaluated for all rows at once.
     """
-    h = as_mean_curvature(h)
-    param = as_parameter(h, alpha)
-    rho_max = check_radius(rho_max, name="rho_max")
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need at least 2 sample rows, got n = {n}")
-    rho0 = boundary_radius(h, param)
-    if rho_max <= rho0:
-        raise ValueError(
-            f"rho_max = {rho_max:g} must exceed the starting radius rho0 = {rho0:g}"
-        )
-
-    import numpy as np
-
-    radii = np.linspace(rho0, rho_max, n)
-    rise, graph_slope = _flux_graph(h, rho0, *_profile_slacks(param, rho0))
-    heights, slopes = rise(np, radii), graph_slope(np, radii)
-    return np.column_stack([radii, heights, slopes])
+    return height_profile(h, alpha).sample(rho_max, n)
 
 
 @dataclass(frozen=True)
@@ -469,20 +450,33 @@ class HeightProfile:
     rho0: float
 
     def height(self, rho) -> float:
-        return _height(self.h, self.param, self.rho0, rho)
+        return _profile_graph(self.h, self.param, self.rho0).value(check_radius(rho))
 
     def slope(self, rho) -> float:
-        return _slope(self.h, self.param, self.rho0, rho)
+        return _profile_graph(self.h, self.param, self.rho0).derivative(check_radius(rho))
 
     def sample(self, rho_max, n: int) -> np.ndarray:
-        return sample_profile(self.h, self.param, rho_max, n)
+        """``sample_profile`` of this profile."""
+        rho_max = check_radius(rho_max, name="rho_max")
+        n = int(n)
+        if n < 2:
+            raise ValueError(f"need at least 2 sample rows, got n = {n}")
+        if rho_max <= self.rho0:
+            raise ValueError(
+                f"rho_max = {rho_max:g} must exceed the starting radius rho0 = {self.rho0:g}"
+            )
+
+        import numpy as np
+
+        radii = np.linspace(self.rho0, rho_max, n)
+        graph = _profile_graph(self.h, self.param, self.rho0)
+        return np.column_stack([radii, graph.value(radii), graph.derivative(radii)])
 
     def as_radial_function(self, upper: float = MAX_RADIUS) -> RadialFunction:
-        return RadialFunction(self.height, self.slope, (self.rho0, upper))
+        """The profile over [rho0, upper]; value and derivative take a radius or radii."""
+        return _profile_graph(self.h, self.param, self.rho0, check_radius(upper, name="upper"))
 
 
 def height_profile(h, alpha) -> HeightProfile:
     """Build a HeightProfile for the given curvature and parameter."""
-    h = as_mean_curvature(h)
-    param = as_parameter(h, alpha)
-    return HeightProfile(h, param, boundary_radius(h, param))
+    return HeightProfile(*_profile_of(h, alpha))

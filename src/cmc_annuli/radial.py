@@ -15,11 +15,14 @@ both are the flux graphs at the ends of the flux interval, anchored at
 rho = a. A flux is handed to the kernel as its distances to those ends, its
 slacks at a: (c_hi - C, C - c_lo) in ``integrate_radial``, (span*cos^2,
 span*sin^2) of theta in the root find, exactly (span, 0) and (0, span) at the
-ends. So the thresholds, ``extremal_drops`` and the interval of an
-infeasible solve are one computation and agree bit for bit. Each drop is a
-closed form in Carlson's elliptic integrals (``profiles._flux_graph``), good
-to about 1e-15 relative with no tolerance of its own; the mpmath reference in
-the test suite checks them independently. The root find is false position
+ends (``profiles._vertical_slacks``, as for the envelopes). So the
+thresholds, ``extremal_drops`` and the interval of an infeasible solve are
+one computation and agree bit for bit. The solution is the graph of its
+slacks translated to u_b at b by ``profiles._anchored_graph``, which builds
+profiles and envelopes too. Each drop is a closed form in Carlson's elliptic
+integrals (``profiles._flux_graph``), good to about 1e-15 relative with no
+tolerance of its own; the mpmath reference in the test suite checks them
+independently. The root find is false position
 in theta with the Anderson-Björck weighting, from the two extremal drops to
 a drop within tol/10 of the target; that drop is the solution's rise to b.
 """
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InfeasibleBoundaryError, InfeasibleFluxError, NonConvergenceError
-from .estimates import Annulus, _vertical_slacks
+from .estimates import Annulus
 from .hyperbolic import RadialFunction
 from .profiles import (
     DEFAULT_TOL,
@@ -39,6 +42,7 @@ from .profiles import (
     _check_tol,
     _drop,
     _flux_interval,
+    _vertical_slacks,
     as_mean_curvature,
     height,
 )
@@ -59,7 +63,8 @@ class RadialSolution:
     ``shift`` is the vertical translation relative to the zero-anchored family
     profile with parameter -C when C < 0, and simply u(a) otherwise.
     ``evaluator``(b) reproduces the prescribed outer value exactly. Its value
-    takes a radius or an array of radii; an array is tabulated in one pass.
+    and derivative take a radius or an array of radii; an array is tabulated
+    in one pass.
     """
 
     C: float
@@ -145,7 +150,7 @@ def extremal_drops(h, annulus: Annulus) -> FeasibleDropInterval:
     flux graph (which is no family profile, but still spans the annulus).
     """
     h = as_mean_curvature(h)
-    large, small = _vertical_slacks(annulus)
+    large, small = _vertical_slacks(annulus.a)
     a, b = annulus.a, annulus.b
     return FeasibleDropInterval(_drop(h, a, b, small), _drop(h, a, b, large))
 
@@ -180,9 +185,9 @@ def solve_radial(
     # both, and hands the kernel the slacks at a as span*sin(pi/2 - theta)^2
     # and span*sin(theta)^2: exact next to either end, where C itself cannot
     # hold the offset, and exactly 0 at the ends theta = 0 and pi/2. span is
-    # the width of the flux interval written as 2 sinh(a), as for the envelopes.
+    # the width of the flux interval, the large end's slack as for the envelopes.
     c_lo, c_hi = feasible_flux_interval(h, annulus)
-    span = 2.0 * math.sinh(annulus.a)
+    (span, _), _ = _vertical_slacks(annulus.a)
 
     def slacks_at(theta: float) -> tuple[float, float]:
         return span * math.sin(0.5 * math.pi - theta) ** 2, span * math.sin(theta) ** 2

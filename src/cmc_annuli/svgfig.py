@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .estimates import Annulus, OuterBoundaryData, bounding_box
-from .profiles import as_mean_curvature, as_parameter, boundary_radius, sample_profile
+from .profiles import ProfileParameter, as_mean_curvature, boundary_radius, sample_profile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,7 +109,7 @@ def family_figure(
     h = as_mean_curvature(h)
     if not alphas:
         raise ValueError("need at least one profile parameter")
-    params = [as_parameter(h, a) for a in alphas]
+    params = [ProfileParameter.classify(h, a) for a in alphas]
     if rho_max is None:
         rho_max = max(boundary_radius(h, p) for p in params) + 2.0
     curves = []

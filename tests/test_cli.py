@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -295,6 +297,16 @@ class TestSolveCommand:
         assert float(rows[0][1]) == pytest.approx(0.1, abs=1e-9)
         assert float(rows[-1][1]) == 0.0
 
+    def test_tol_help_names_both_solver_defaults(self, capsys):
+        from cmc_annuli.pde2d import solve_dirichlet_2d
+        from cmc_annuli.profiles import DEFAULT_TOL
+
+        two_d = inspect.signature(solve_dirichlet_2d).parameters["tol"].default
+        code, stdout, _ = run(capsys, "solve", "--help")
+        assert code == 0
+        written = re.search(r"\(default (\S+) root find, (\S+) 2D Newton\)", " ".join(stdout.split()))
+        assert written and tuple(map(float, written.groups())) == (DEFAULT_TOL, two_d)
+
     def test_infeasible_exit_3(self, capsys, tmp_path):
         code, stdout, _ = run(
             capsys, "solve", "--h", "0.4", "--a", "0.5", "--b", "2",
@@ -457,6 +469,19 @@ class TestConfigFile:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "key=value" in err
+
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_nested_config_key_exit_2(self, capsys, tmp_path, key):
+        # argparse takes the key (abbreviated, too) as --config, which nothing reads
+        (tmp_path / "ok.cfg").write_text("n=5\n")
+        cfg = tmp_path / "nest.cfg"
+        cfg.write_text(f"# nested\n{key}={tmp_path / 'ok.cfg'}\n")
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "profile", "--h", "0.5", "--alpha", "1", "--rho-max", "2",
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert f"{cfg}:2:" in err and f"{key}=" in err
+        assert not out.exists()
 
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         # a key that names no flag of the subcommand is rejected like the flag

@@ -10,8 +10,10 @@ from cmc_annuli import (
     NonConvergenceError,
     OuterBoundaryData,
     PolarGrid,
+    Verdict,
     bounding_box,
     cmc_residual,
+    dirichlet_feasibility,
     extremal_drops,
     max_gradient,
     solve_dirichlet_2d,
@@ -230,6 +232,34 @@ class TestSolver:
             exact = oracle.evaluator.value(field.grid.rho)
             errs.append(float(np.abs(field.values - exact[:, None]).max()))
         assert errs[1] < errs[0]
+
+    @staticmethod
+    def observed_orders(u_a, outer):
+        """Observed orders of the successive max differences on (m+1) x m grids, m = 16..128.
+
+        Every node of a grid is a node of the next, and tol = 1e-11 keeps the
+        Newton error well below the differences.
+        """
+        fields = [solve_dirichlet_2d(H, ANN, u_a, outer, (m + 1, m), 1e-11)[0].values for m in (16, 32, 64, 128)]
+        diffs = [np.abs(coarse - fine[::2, ::2]).max() for coarse, fine in zip(fields, fields[1:])]
+        return [math.log2(coarse / fine) for coarse, fine in zip(diffs, diffs[1:])]
+
+    @pytest.mark.parametrize("u_a, amplitude, k", [(0.1, 0.05, 3), (0.3, 0.1, 5)])
+    def test_second_order_on_wavy_data(self, u_a, amplitude, k):
+        # the theta part of the stencil and the cross terms of the Jacobian
+        # enter here, unlike on radial data; measured 1.991, 1.998 and 1.939, 1.965
+        orders = self.observed_orders(u_a, lambda theta: amplitude * np.cos(k * theta))
+        assert orders == pytest.approx([2.0, 2.0], abs=0.2)
+
+    def test_order_collapses_where_the_envelopes_are_inconclusive(self):
+        # the inconclusive counterpart of the test above: u(a) = 0.4 against
+        # 0.05 cos 3theta is 0.071 inside the upper threshold, every solve
+        # converges, and the observed order is 0.695 and 0.651 while the
+        # inner-row gradient grows under refinement; no second order to assert
+        result = dirichlet_feasibility(H, ANN, 0.4, 0.4, OuterBoundaryData(-0.05, 0.05))
+        assert result.verdict is Verdict.INCONCLUSIVE
+        assert result.margin == pytest.approx(-0.071, abs=1e-3)
+        assert max(self.observed_orders(0.4, lambda theta: 0.05 * np.cos(3 * theta))) < 1.0
 
     def test_comparison_principle(self):
         low, _ = solve_dirichlet_2d(H, ANN, 0.0, 0.0, grid=(24, 16), tol=1e-9)

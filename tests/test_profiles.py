@@ -57,6 +57,33 @@ class TestParameterClassification:
             ProfileParameter.classify(0.4, bad)
 
 
+class TestParameterOfAnotherH:
+    """A ProfileParameter passed with an h is classified again against that h."""
+
+    CALLS = {
+        "height": lambda h, p: height(h, p, 2.0),
+        "slope": lambda h, p: slope(h, p, 2.0),
+        "boundary_radius": boundary_radius,
+        "sample_profile": lambda h, p: sample_profile(h, p, 2.0, 5),
+        "height_profile": height_profile,
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize(
+        "stale",
+        [ProfileParameter.classify(0.4, 0.5), ProfileParameter.classify(0.4, 0.8), ProfileParameter(0.3, Branch.LARGE)],
+        ids=["small at 0.4", "neck at 0.4", "hand-built"],
+    )
+    def test_branch_follows_the_h_of_the_call(self, call, stale):
+        # at h = 0.2 the first two are large-branch parameters, the third small
+        np.testing.assert_equal(call(0.2, stale), call(0.2, stale.alpha))
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_hand_built_parameter_is_validated(self, call):
+        with pytest.raises(ValueError):
+            call(0.4, ProfileParameter(-1.0, Branch.SMALL))
+
+
 class TestBoundaryRadius:
     @pytest.mark.parametrize("h", H_GRID)
     def test_neck_starts_at_origin(self, h):
@@ -321,8 +348,10 @@ class TestHeightProfileWrapper:
         profile = height_profile(h, alpha)
         radii = [profile.rho0, profile.rho0 + 1e-9, 1.3, 3.0]
         expected = [slope(h, alpha, rho) for rho in radii]
+        table = sample_profile(h, alpha, 3.5, 9)
         with mock.patch.object(profiles, "boundary_radius", side_effect=AssertionError):
             assert [profile.slope(rho) for rho in radii] == expected
+            np.testing.assert_array_equal(profile.sample(3.5, 9), table)
             if profile.rho0 > 1e-6:
                 with pytest.raises(ValueError, match="inside the starting circle"):
                     profile.slope(profile.rho0 - 1e-6)
@@ -340,6 +369,21 @@ class TestHeightProfileWrapper:
                 with pytest.raises(ValueError, match="inside the starting circle"):
                     profile.height(profile.rho0 - 1e-6)
         assert spy.call_count == 0
+
+    @pytest.mark.parametrize(
+        "h, alpha", [(0.4, 0.5), (0.4, param_large(0.4, 1.0)), (0.5, 1.0), (0.4, 0.8)]
+    )
+    def test_radial_function_of_radii_is_the_sample(self, h, alpha):
+        profile = height_profile(h, alpha)
+        with mock.patch.object(profiles, "_profile_of", side_effect=AssertionError):
+            table = profile.sample(3.5, 33)
+            graph = profile.as_radial_function()
+            np.testing.assert_array_equal(graph.value(table[:, 0]), table[:, 1])
+            np.testing.assert_array_equal(graph.derivative(table[:, 0]), table[:, 2])
+
+    def test_radial_function_stops_at_the_supported_maximum(self):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            height_profile(0.4, 0.5).as_radial_function(800.0).value(750.0)
 
 
 def _kernel_cases():

@@ -15,6 +15,7 @@ from cmc_annuli import (
     dirichlet_feasibility,
     extremal_drops,
     feasible_flux_interval,
+    flux,
     height,
     integrate_radial,
     lower_envelope,
@@ -391,6 +392,21 @@ class TestValueDispatch:
         points = [graph.value(float(rho)) for rho in flat]
         np.testing.assert_allclose(values.ravel(), points, rtol=0.0, atol=1e-12)
 
+    def test_derivative_of_radii_matches_points(self, graph):
+        """Within the bound of ``test_array_integrand_matches_scalar``: 4 ulp of
+        |u'| (2h*cosh + |C|)/|2h*cosh + C|, written as (2h*cosh + |C|) sqrt(1 + u'^2)/sinh
+        by the flux identity, which keeps it finite where 2h*cosh + C is 0."""
+        radii = np.linspace(0.5, 2.0, 61)
+        slopes = graph.derivative(radii)
+        points = np.array([graph.derivative(float(rho)) for rho in radii])
+        assert slopes.shape == radii.shape
+        C = flux(points[30], radii[30]) - 0.8 * math.cosh(radii[30])
+        size = (0.8 * np.cosh(radii) + abs(C)) * np.hypot(1.0, points) / np.sinh(radii)
+        vertical = np.isinf(points)
+        np.testing.assert_array_equal(slopes[vertical], points[vertical])
+        finite = ~vertical
+        assert np.all(np.abs(slopes[finite] - points[finite]) <= 4 * np.spacing(size[finite]))
+
 
 _ANN = Annulus(0.5, 2.0)
 TOL_CALLS = {
@@ -405,3 +421,11 @@ TOL_CALLS = {
 def test_public_calls_reject_bad_tol(call, tol):
     with pytest.raises(ValueError, match="tolerance must be finite and positive"):
         call(tol)
+
+
+@pytest.mark.parametrize(
+    "name, result", [("solve_radial", lambda s: s.C), ("solve_dirichlet_2d", lambda s: s[0].values)]
+)
+def test_public_calls_solve_to_the_float_of_tol(name, result):
+    # a numeric string passes the check as its float, and the solve runs on that float
+    np.testing.assert_array_equal(result(TOL_CALLS[name]("1e-8")), result(TOL_CALLS[name](1e-8)))
