@@ -271,6 +271,8 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         _write_csv(ns.out, "rho,theta,u", rows())
         _print_json({"status": "converged", **_report_fields(report)})
         return 0
+    if ns.n < 2:
+        raise ValueError(f"need at least 2 sample rows, got n = {ns.n}")
     solution = solve_radial(ns.h, annulus, ns.u_a, ns.u_b, **tol)
     # an infeasible drop has raised by now, so exit 3 never loads numpy
     import numpy as np

@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .errors import HoleTooLargeError
@@ -164,21 +164,7 @@ def boundary_radius(h, alpha) -> float:
     Zero exactly when alpha = 2h, strictly decreasing in alpha below 2h and
     strictly increasing above.
     """
-    return _profile_of(h, alpha)[2]
-
-
-def _profile_of(h, alpha) -> tuple[float, ProfileParameter, float]:
-    """h validated, alpha (a ProfileParameter too) classified against it, and the starting radius rho0."""
-    h = as_mean_curvature(h)
-    param = ProfileParameter.classify(h, alpha)
-    if param.branch is Branch.NECK:
-        return h, param, 0.0
-    a = param.alpha
-    # exp(+/-rho0) = (1+2h)/(alpha + sqrt(alpha^2 + 1 - 4h^2)); 1-2h is exact,
-    # so the radicand and the quotient carry no cancellation for any h <= 1/2
-    spread = math.sqrt((1.0 - 2.0 * h) * (1.0 + 2.0 * h))
-    x = (1.0 + 2.0 * h) / (a + math.hypot(a, spread))
-    return h, param, abs(math.log(x))
+    return HeightProfile(h, alpha).rho0
 
 
 def param_small(h, rho) -> ProfileParameter:
@@ -194,7 +180,7 @@ def param_small(h, rho) -> ProfileParameter:
     if rho >= threshold:
         raise HoleTooLargeError(h, rho, threshold)
     value = _small_value(h, rho)
-    if value <= 0.0:  # rounding guard; unreachable for rho clearly below threshold
+    if value <= 0.0:  # rounding guard: it can round to 0 within an ulp or so of the threshold
         raise HoleTooLargeError(h, rho, threshold)
     return ProfileParameter.classify(h, value)
 
@@ -403,13 +389,6 @@ def _anchored_graph(
     return RadialFunction(value, derivative, (a, b))
 
 
-def _profile_graph(h: float, param: ProfileParameter, rho0: float, upper: float = MAX_RADIUS) -> RadialFunction:
-    """The profile starting at rho0 as the graph vertical there, 0 on that circle, over [rho0, upper]."""
-    large, small = _vertical_slacks(rho0)
-    slacks = large if param.branch is Branch.LARGE else small
-    return _anchored_graph(h, rho0, upper, slacks, 0.0, 0.0, rho0)
-
-
 def slope(h, alpha, rho) -> float:
     """Slope u(rho) of the profile, signed infinity on its starting circle.
 
@@ -418,7 +397,7 @@ def slope(h, alpha, rho) -> float:
     the vertical approach is from +inf, on the large branch from -inf; the
     neck profile has the finite limit 0 at rho = 0 (slope ~ h*rho).
     """
-    return _profile_graph(*_profile_of(h, alpha)).derivative(check_radius(rho))
+    return HeightProfile(h, alpha).slope(rho)
 
 
 def height(h, alpha, rho) -> float:
@@ -428,7 +407,7 @@ def height(h, alpha, rho) -> float:
     relative. Nonnegative and nondecreasing on the small branch; dips below
     zero near the starting circle on the large branch.
     """
-    return _profile_graph(*_profile_of(h, alpha)).value(check_radius(rho))
+    return HeightProfile(h, alpha).height(rho)
 
 
 def sample_profile(h, alpha, rho_max, n: int) -> np.ndarray:
@@ -438,22 +417,44 @@ def sample_profile(h, alpha, rho_max, n: int) -> np.ndarray:
     vertical-slope sentinel (finite for the neck profile). Every row is the
     closed form of ``height`` and ``slope``, evaluated for all rows at once.
     """
-    return height_profile(h, alpha).sample(rho_max, n)
+    return HeightProfile(h, alpha).sample(rho_max, n)
 
 
 @dataclass(frozen=True)
 class HeightProfile:
-    """An immutable profile; safe to share across threads."""
+    """The profile ``HeightProfile(h, alpha)``; immutable, safe to share across threads.
+
+    h is a float or a MeanCurvature, alpha a float or a ProfileParameter of any
+    branch; ``param`` is alpha classified against h, and ``rho0`` is derived.
+    """
 
     h: float
     param: ProfileParameter
-    rho0: float
+    rho0: float = field(init=False)
+
+    def __post_init__(self):
+        h = as_mean_curvature(self.h)
+        param = ProfileParameter.classify(h, self.param)
+        # exp(+/-rho0) = (1+2h)/(alpha + sqrt(alpha^2 + 1 - 4h^2)); 1-2h is exact,
+        # so the radicand and the quotient carry no cancellation for any h <= 1/2
+        spread = math.sqrt((1.0 - 2.0 * h) * (1.0 + 2.0 * h))
+        x = (1.0 + 2.0 * h) / (param.alpha + math.hypot(param.alpha, spread))
+        rho0 = 0.0 if param.branch is Branch.NECK else abs(math.log(x))
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "rho0", rho0)
+
+    def _graph(self, upper: float = MAX_RADIUS) -> RadialFunction:
+        """The profile as the graph vertical on its circle, 0 there, over [rho0, upper]."""
+        large, small = _vertical_slacks(self.rho0)
+        slacks = large if self.param.branch is Branch.LARGE else small
+        return _anchored_graph(self.h, self.rho0, upper, slacks, 0.0, 0.0, self.rho0)
 
     def height(self, rho) -> float:
-        return _profile_graph(self.h, self.param, self.rho0).value(check_radius(rho))
+        return self._graph().value(check_radius(rho))
 
     def slope(self, rho) -> float:
-        return _profile_graph(self.h, self.param, self.rho0).derivative(check_radius(rho))
+        return self._graph().derivative(check_radius(rho))
 
     def sample(self, rho_max, n: int) -> np.ndarray:
         """``sample_profile`` of this profile."""
@@ -469,14 +470,14 @@ class HeightProfile:
         import numpy as np
 
         radii = np.linspace(self.rho0, rho_max, n)
-        graph = _profile_graph(self.h, self.param, self.rho0)
+        graph = self._graph()
         return np.column_stack([radii, graph.value(radii), graph.derivative(radii)])
 
     def as_radial_function(self, upper: float = MAX_RADIUS) -> RadialFunction:
         """The profile over [rho0, upper]; value and derivative take a radius or radii."""
-        return _profile_graph(self.h, self.param, self.rho0, check_radius(upper, name="upper"))
+        return self._graph(check_radius(upper, name="upper"))
 
 
 def height_profile(h, alpha) -> HeightProfile:
     """Build a HeightProfile for the given curvature and parameter."""
-    return HeightProfile(*_profile_of(h, alpha))
+    return HeightProfile(h, alpha)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .estimates import Annulus, OuterBoundaryData, bounding_box
-from .profiles import ProfileParameter, as_mean_curvature, boundary_radius, sample_profile
+from .profiles import HeightProfile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,16 +106,12 @@ def family_figure(
     n: int = 200,
 ) -> str:
     """SVG of height profiles for several parameters, both branches welcome."""
-    h = as_mean_curvature(h)
-    if not alphas:
+    profiles = [HeightProfile(h, alpha) for alpha in alphas]
+    if not profiles:
         raise ValueError("need at least one profile parameter")
-    params = [ProfileParameter.classify(h, a) for a in alphas]
     if rho_max is None:
-        rho_max = max(boundary_radius(h, p) for p in params) + 2.0
-    curves = []
-    for p in params:
-        table = sample_profile(h, p, rho_max, n)
-        curves.append((f"α = {p.alpha:g}", table[:, :2]))
+        rho_max = max(p.rho0 for p in profiles) + 2.0
+    curves = [(f"α = {p.param.alpha:g}", p.sample(rho_max, n)[:, :2]) for p in profiles]
     return _render(curves, x_label="ρ", y_label="height")
 
 

@@ -4,11 +4,13 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 
-from cmc_annuli import boundary_radius, height, param_large
+from cmc_annuli import boundary_radius, cli, height, param_large
 from cmc_annuli.cli import main
+from cmc_annuli.svgfig import family_figure
 
 
 def run(capsys, *argv):
@@ -243,6 +245,17 @@ class TestCheckCommand:
         assert stdout == ""
         assert f"{table}:3" in stderr
 
+    def test_csv_without_numeric_rows_exit_2(self, capsys, tmp_path):
+        table = tmp_path / "inner.csv"
+        table.write_text("theta,u\n# no rows yet\n\n")
+        code, stdout, stderr = run(
+            capsys, "check", "--h", "0.4", "--a", "0.5", "--b", "2",
+            "--inner", str(table), "--outer", "0",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "no numeric values found" in stderr
+
 
 
 BAD_TOLS = ["nan", "inf", "0", "-1"]
@@ -296,6 +309,19 @@ class TestSolveCommand:
         assert header == ["rho", "u"]
         assert float(rows[0][1]) == pytest.approx(0.1, abs=1e-9)
         assert float(rows[-1][1]) == 0.0
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_radial_table_needs_two_rows(self, capsys, tmp_path, n):
+        out = tmp_path / "radial.csv"
+        with mock.patch.object(cli, "solve_radial", side_effect=AssertionError("solved")):
+            code, stdout, stderr = run(
+                capsys, "solve", "--h", "0.4", "--a", "0.5", "--b", "1.5",
+                "--u-a", "0.1", "--u-b", "0", "--n", n, "--out", str(out),
+            )
+        assert code == 2
+        assert stdout == ""
+        assert f"need at least 2 sample rows, got n = {n}" in stderr
+        assert not out.exists()
 
     def test_tol_help_names_both_solver_defaults(self, capsys):
         from cmc_annuli.pde2d import solve_dirichlet_2d
@@ -434,6 +460,30 @@ class TestFigureCommand:
         )
         assert code == 2
         assert "alphas" in err
+        code, _, err = run(
+            capsys, "figure", "family", "--h", "0.5", "--alphas", ",", "--out", str(tmp_path / "x.svg")
+        )
+        assert code == 2
+        assert "--alphas: expected a comma-separated list of numbers" in err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_box_requires_inner_radius(self, capsys, tmp_path):
+        out = tmp_path / "box.svg"
+        code, stdout, err = run(
+            capsys, "figure", "box", "--h", "0.5", "--b", "2", "--m", "0", "--M", "0", "--out", str(out)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "figure box requires --a" in err
+        assert not out.exists()
+
+    def test_family_default_reach_and_empty_parameters(self):
+        # without rho_max every curve ends 2 past the largest starting radius
+        alphas = [0.3, 0.8, 3.0]
+        reach = max(boundary_radius(0.4, alpha) for alpha in alphas) + 2.0
+        assert family_figure(0.4, alphas) == family_figure(0.4, alphas, rho_max=reach)
+        with pytest.raises(ValueError, match="need at least one profile parameter"):
+            family_figure(0.4, [])
 
     def test_svg_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

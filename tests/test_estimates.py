@@ -16,9 +16,11 @@ from cmc_annuli import (
     hole_threshold,
     lower_envelope,
     param_large,
+    param_small,
     slope,
     upper_envelope,
 )
+from cmc_annuli import profiles
 from test_oracle import vertical_slope
 
 
@@ -113,6 +115,20 @@ class TestBoundingBox:
         bad = bounding_box(0.4, Annulus(threshold + 1e-6, 2.0), OuterBoundaryData(0, 0))
         assert not bad.hole_ok
 
+    def test_hole_rule_one_ulp_below_the_threshold(self):
+        # 2h*cosh(rho) - sinh(rho) rounds to 0 one ulp below artanh(2h): the
+        # small-branch parameter would be 0, so the hole counts as too large
+        h = 0.1
+        rho = math.nextafter(hole_threshold(h), 0.0)
+        assert rho == 0.20273255405408216 and profiles._small_value(h, rho) == 0.0
+        with pytest.raises(HoleTooLargeError):
+            param_small(h, rho)
+        with pytest.raises(HoleTooLargeError):
+            lower_envelope(h, Annulus(rho, 1.0), 0.0)
+        data = OuterBoundaryData(0.0, 0.0)
+        assert not bounding_box(h, Annulus(rho, 1.0), data).hole_ok
+        assert dirichlet_feasibility(h, Annulus(rho, 1.0), 0.0, 0.0, data).threshold_lower is None
+
     def test_lower_below_upper(self):
         box = bounding_box(0.4, Annulus(0.5, 2.0), OuterBoundaryData(0.0, 0.0))
         for rho in np.linspace(0.5, 2.0, 33):
@@ -125,6 +141,8 @@ class TestBoundingBox:
         assert table[0, 0] == 1.0 and table[-1, 0] == 2.0
         assert table[-1, 1] == -1.0 and table[-1, 2] == 1.0
         assert np.all(table[:, 1] <= table[:, 2])
+        with pytest.raises(ValueError, match="need at least 2 sample rows"):
+            box.sample(1)
 
     def test_sample_ends_are_the_thresholds_and_the_outer_data(self):
         # the row at a is the verdict's threshold bit for bit, the row at b the outer data

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -6,6 +7,7 @@ import pytest
 
 from cmc_annuli import (
     Branch,
+    HeightProfile,
     HoleTooLargeError,
     MeanCurvature,
     ProfileParameter,
@@ -66,6 +68,7 @@ class TestParameterOfAnotherH:
         "boundary_radius": boundary_radius,
         "sample_profile": lambda h, p: sample_profile(h, p, 2.0, 5),
         "height_profile": height_profile,
+        "HeightProfile": HeightProfile,
     }
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
@@ -375,7 +378,7 @@ class TestHeightProfileWrapper:
     )
     def test_radial_function_of_radii_is_the_sample(self, h, alpha):
         profile = height_profile(h, alpha)
-        with mock.patch.object(profiles, "_profile_of", side_effect=AssertionError):
+        with mock.patch.object(profiles.HeightProfile, "__post_init__", side_effect=AssertionError):
             table = profile.sample(3.5, 33)
             graph = profile.as_radial_function()
             np.testing.assert_array_equal(graph.value(table[:, 0]), table[:, 1])
@@ -384,6 +387,40 @@ class TestHeightProfileWrapper:
     def test_radial_function_stops_at_the_supported_maximum(self):
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
             height_profile(0.4, 0.5).as_radial_function(800.0).value(750.0)
+
+
+class TestHeightProfileConstructor:
+    """A profile is built from h and alpha alone; its branch and starting radius follow from them.
+
+    A parameter of another h, or a hand-built one, is classified again: see
+    the ``HeightProfile`` input of ``TestParameterOfAnotherH``.
+    """
+
+    def test_replaced_h_rederives_the_profile(self):
+        profile = dataclasses.replace(height_profile(0.4, 0.5), h=0.2)
+        assert profile == height_profile(0.2, 0.5)
+        assert profile.param.branch is Branch.LARGE
+        assert profile.height(2.0) == height(0.2, 0.5, 2.0)
+
+    def test_starting_radius_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            HeightProfile(0.4, 0.5, 0.3)
+        with pytest.raises(ValueError):
+            dataclasses.replace(height_profile(0.4, 0.5), rho0=0.3)
+
+    CALLS = {
+        "HeightProfile": HeightProfile,
+        "boundary_radius": boundary_radius,
+        "height": lambda h, alpha: height(h, alpha, 1.3),
+        "slope": lambda h, alpha: slope(h, alpha, 1.3),
+        "sample_profile": lambda h, alpha: sample_profile(h, alpha, 2.0, 5),
+        "hole_threshold": lambda h, alpha: hole_threshold(h),
+        "param_small": lambda h, alpha: param_small(h, 0.5),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_mean_curvature_is_its_float(self, call):
+        np.testing.assert_equal(call(MeanCurvature(0.4), 0.5), call(0.4, 0.5))
 
 
 def _kernel_cases():

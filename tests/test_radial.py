@@ -314,6 +314,14 @@ class TestSolveRadial:
         assert solution.evaluator(a + width) == u_b
         assert len(calls) <= 12  # bracket ends included
 
+    def test_tolerance_below_an_ulp_of_the_drop_stalls(self):
+        # 1e-17 is below an ulp of the drop 0.1, so no theta meets it: false
+        # position stops when its secant point rounds onto an end of the
+        # bracket, and the solve reports the residual kept there
+        match = r"stalled: drop residual -2\.77556e-17 exceeds tolerance 1e-17"
+        with pytest.raises(NonConvergenceError, match=match):
+            solve_radial(0.4, Annulus(0.5, 2.0), 0.1, 0.0, tol=1e-17)
+
 
 class TestFalsePosition:
     """The in-package root finder: Anderson–Björck false position on a given bracket."""
@@ -344,6 +352,14 @@ class TestFalsePosition:
 
         assert _false_position(never, 1.0, 0.0, 2.0, 1.0, 0.0) == (1.0, 0.0)
         assert _false_position(never, 1.0, -1.0, 2.0, 0.0, 0.0) == (2.0, 0.0)
+
+    def test_secant_point_on_an_end_returns_the_better_end(self):
+        # a step has no root to reach at ftol 0; once the bracket is a few ulp
+        # wide the secant point rounds onto an end, and that end is returned
+        seen = []
+        f = lambda x: seen.append(x) or (-1.0 if x < 0.3 else 1.0)  # noqa: E731
+        assert _false_position(f, 0.0, -1.0, 1.0, 1.0, 0.0) == (0.3, 1.0)
+        assert len(seen) == 63
 
     def test_unbracketed_raises(self):
         f = lambda x: x * x + 1.0  # noqa: E731
@@ -391,6 +407,12 @@ class TestValueDispatch:
         # the array and point paths run the same closed form and agree to rounding
         points = [graph.value(float(rho)) for rho in flat]
         np.testing.assert_allclose(values.ravel(), points, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rho", [2.5, [1.0, 2.5]], ids=["radius", "radii"])
+    def test_radius_outside_the_annulus_raises(self, graph, rho):
+        for evaluate in (graph.value, graph.derivative):
+            with pytest.raises(ValueError, match=r"rho = .*2\.5.* is outside \[0\.5, 2\]"):
+                evaluate(rho)
 
     def test_derivative_of_radii_matches_points(self, graph):
         """Within the bound of ``test_array_integrand_matches_scalar``: 4 ulp of
