@@ -26,8 +26,6 @@ from .profiles import (
     DEFAULT_TOL,
     Branch,
     HeightProfile,
-    MeanCurvature,
-    ProfileParameter,
     boundary_radius,
     height,
     height_profile,
@@ -85,11 +83,9 @@ __all__ = [
     "HoleTooLargeError",
     "InfeasibleBoundaryError",
     "InfeasibleFluxError",
-    "MeanCurvature",
     "NonConvergenceError",
     "OuterBoundaryData",
     "PolarGrid",
-    "ProfileParameter",
     "RadialFunction",
     "RadialSolution",
     "SolverReport",

@@ -222,9 +222,9 @@ def _cmd_bounds(ns: argparse.Namespace) -> int:
     _write_csv(ns.out, "rho,lower,upper", rows())
     _print_json(
         {
-            "beta": box.beta.alpha,
-            "alpha": None if box.alpha is None else box.alpha.alpha,
-            "hole_ok": box.hole_ok,
+            "beta": box.beta,
+            "alpha": box.alpha,
+            "hole_ok": box.lower is not None,
             # the table's first row is rho = a
             "upper_at_a": float(table[0, 2]),
             "lower_at_a": None if box.lower is None else float(table[0, 1]),

@@ -14,7 +14,9 @@ threshold is the outer extreme plus an extremal drop, M + d_max or
 m + d_min: one closed-form drop, as in ``radial.extremal_drops``. Envelopes
 are ``profiles._anchored_graph``'s, like profiles and radial solutions:
 values and derivatives take a radius or an array of radii, and an array is
-tabulated in one pass of the same closed form.
+tabulated in one pass of the same closed form. h and the profile parameters
+``AprioriBounds.alpha`` and ``.beta`` are plain floats, and ``Annulus`` and
+``OuterBoundaryData`` store their values as the floats they validate.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from typing import TYPE_CHECKING, Optional
 from .errors import HoleTooLargeError
 from .hyperbolic import MAX_RADIUS, RadialFunction
 from .profiles import (
-    ProfileParameter,
     _anchored_graph,
     _drop,
     _vertical_slacks,
-    as_mean_curvature,
+    check_curvature,
     param_large,
     param_small,
 )
@@ -55,6 +56,8 @@ class Annulus:
             raise ValueError(f"annulus needs 0 < a < b, got a={a:g}, b={b:g}")
         if b > MAX_RADIUS:
             raise ValueError(f"outer radius {b:g} exceeds the supported maximum {MAX_RADIUS:g}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,13 @@ class OuterBoundaryData:
     M: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.M)):
+        m, M = float(self.m), float(self.M)
+        if not (math.isfinite(m) and math.isfinite(M)):
             raise ValueError("boundary extremes must be finite")
-        if self.m > self.M:
-            raise ValueError(f"need m <= M, got m={self.m:g} > M={self.M:g}")
+        if m > M:
+            raise ValueError(f"need m <= M, got m={m:g} > M={M:g}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
 
 
 def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
@@ -77,7 +83,7 @@ def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     The large-branch profile starting at rho = a, vertically translated so its
     value at rho = b equals M. Exists for every annulus and every h.
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     large, _ = _vertical_slacks(annulus.a)
     return _anchored_graph(h, annulus.a, annulus.b, large, M)
 
@@ -89,7 +95,7 @@ def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
     rho = b equals m. Raises HoleTooLargeError when h < 1/2 and
     a >= artanh(2h), where no such profile exists.
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     param_small(h, annulus.a)  # raises where the hole is too large
     _, small = _vertical_slacks(annulus.a)
     return _anchored_graph(h, annulus.a, annulus.b, small, m)
@@ -97,14 +103,18 @@ def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
 
 @dataclass(frozen=True)
 class AprioriBounds:
-    """Both envelopes over an annulus; ``lower`` is None when the hole is too large."""
+    """Both envelopes over an annulus, and the parameters of their profiles.
+
+    ``beta`` is the large-branch and ``alpha`` the small-branch parameter of
+    the profiles starting on the inner circle; ``lower`` and ``alpha`` are
+    None when the hole is too large.
+    """
 
     annulus: Annulus
     upper: RadialFunction
     lower: Optional[RadialFunction]
-    beta: ProfileParameter
-    alpha: Optional[ProfileParameter]
-    hole_ok: bool
+    beta: float
+    alpha: Optional[float]
 
     def sample(self, n: int = 256) -> np.ndarray:
         """Tabulate (rho, lower, upper) on a uniform grid; lower is NaN when absent."""
@@ -120,15 +130,15 @@ class AprioriBounds:
 
 def bounding_box(h, annulus: Annulus, data: OuterBoundaryData) -> AprioriBounds:
     """Assemble both envelopes; the lower one is omitted when the hole is too large."""
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     beta = param_large(h, annulus.a)
     upper = upper_envelope(h, annulus, data.M)
     try:
         alpha = param_small(h, annulus.a)
     except HoleTooLargeError:
-        return AprioriBounds(annulus, upper, None, beta, None, False)
+        return AprioriBounds(annulus, upper, None, beta, None)
     lower = lower_envelope(h, annulus, data.m)
-    return AprioriBounds(annulus, upper, lower, beta, alpha, True)
+    return AprioriBounds(annulus, upper, lower, beta, alpha)
 
 
 class Verdict(enum.Enum):
@@ -167,7 +177,7 @@ def dirichlet_feasibility(
         raise ValueError(f"inner data must be finite, got {inner_min!r} and {inner_max!r}")
     if inner_min > inner_max:
         raise ValueError(f"need inner_min <= inner_max, got {inner_min:g} > {inner_max:g}")
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     large, small = _vertical_slacks(annulus.a)
     t_upper = data.M + _drop(h, annulus.a, annulus.b, large)
     try:

@@ -88,15 +88,12 @@ def mean_curvature_radial(
     u: RadialFunction,
     rho: float,
     step: float = 1e-4,
-    richardson: bool = False,
 ) -> float:
     """Twice the mean curvature of the rotational graph of ``u`` at radius rho.
 
     Evaluates (1/sinh rho) d/drho [ sinh(rho) u'/sqrt(1+u'^2) ] by a central
-    difference of the flux, second-order accurate in ``step``. With
-    ``richardson`` the step and half-step values are extrapolated, gaining two
-    orders. Only u' enters, so vertical translates of ``u`` give bitwise
-    identical results.
+    difference of the flux, second-order accurate in ``step``. Only u' enters,
+    so vertical translates of ``u`` give bitwise identical results.
     """
     rho = float(rho)
     step = float(step)
@@ -110,11 +107,6 @@ def mean_curvature_radial(
             f"stencil [{rho - step:g}, {rho + step:g}] leaves the domain [{lo:g}, {hi:g}]"
         )
 
-    def centered(d: float) -> float:
-        f_plus = flux(u.derivative(rho + d), rho + d)
-        f_minus = flux(u.derivative(rho - d), rho - d)
-        return (f_plus - f_minus) / (2.0 * d * math.sinh(rho))
-
-    if richardson:
-        return (4.0 * centered(step / 2.0) - centered(step)) / 3.0
-    return centered(step)
+    f_plus = flux(u.derivative(rho + step), rho + step)
+    f_minus = flux(u.derivative(rho - step), rho - step)
+    return (f_plus - f_minus) / (2.0 * step * math.sinh(rho))

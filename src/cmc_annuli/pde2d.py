@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NonConvergenceError
 from .estimates import Annulus
 from .krylov import newton_krylov
-from .profiles import _check_tol, as_mean_curvature
+from .profiles import _check_tol, check_curvature
 
 BoundaryData = Union[float, np.ndarray, Callable[[float], float]]
 
@@ -54,8 +54,8 @@ class PolarGrid:
     """Uniform tensor grid: n_rho nodes on [a, b], n_theta periodic in theta."""
 
     annulus: Annulus
-    n_rho: int = 64
-    n_theta: int = 64
+    n_rho: int
+    n_theta: int
     rho: np.ndarray = field(init=False, repr=False)
     theta: np.ndarray = field(init=False, repr=False)
     d_rho: float = field(init=False, repr=False)
@@ -213,7 +213,7 @@ def cmc_residual(field2d: Field2D, h) -> np.ndarray:
 
     Shape (n_rho - 2, n_theta); identically -2h for a constant field.
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     grid, u = field2d.grid, field2d.values
     c_out, c_in, c_east, c_west = _stencil(grid, u)
     mid, rows = u[1:-1, :], _padded(u[1:-1, :])
@@ -292,14 +292,15 @@ def solve_dirichlet_2d(
     annulus: Annulus,
     g_inner: BoundaryData,
     g_outer: BoundaryData,
-    grid: PolarGrid | tuple[int, int] | None = None,
+    grid: tuple[int, int] = (64, 64),
     tol: float = 1e-8,
 ) -> tuple[Field2D, SolverReport]:
     """Solve Q(u) = 2h on the annulus with Dirichlet rows at rho = a and b.
 
     ``g_inner``/``g_outer`` may be constants, per-theta arrays, or callables of
-    theta. Newton-Krylov (``krylov.newton_krylov``, one GMRES cycle on exact
-    Jacobian products per Newton step) runs from the linear-in-rho
+    theta, and ``grid`` is the node count (n_rho, n_theta). Newton-Krylov
+    (``krylov.newton_krylov``, one GMRES cycle on exact Jacobian products per
+    Newton step) runs from the linear-in-rho
     interpolant, preconditioned by the inverse of the W-lagged operator there
     with its weights averaged over theta (an FFT in theta, fast
     diagonalization in rho), until the largest
@@ -311,14 +312,9 @@ def solve_dirichlet_2d(
     operator is singular (W overflows on data steeper than ~1e154); for inner
     data outside the a-priori envelopes that is the expected outcome.
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     tol = _check_tol(tol)
-    if grid is None:
-        grid = PolarGrid(annulus)
-    elif isinstance(grid, tuple):
-        grid = PolarGrid(annulus, *grid)
-    elif grid.annulus != annulus:
-        raise ValueError("grid was built for a different annulus")
+    grid = PolarGrid(annulus, *grid)
 
     inner = _boundary_array(g_inner, grid.theta, "g_inner")
     outer = _boundary_array(g_outer, grid.theta, "g_outer")

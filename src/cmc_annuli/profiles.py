@@ -15,6 +15,10 @@ splits at alpha = 2h:
     large branch (alpha > 2h): profile dips below zero near its circle, then
                                rises and eventually grows without bound.
 
+h and alpha are plain floats, h checked by ``check_curvature``. A profile is
+``HeightProfile(h, alpha)``, whose branch and starting radius rho0 are
+derived from the two, so a copy made with another h or alpha re-derives them.
+
 Inverse parametrisations by the starting radius are closed forms,
 2h*cosh(rho) -/+ sinh(rho); for h < 1/2 the small branch only exists for
 starting radii below artanh(2h) (the "hole threshold"), while at h = 1/2 both
@@ -77,57 +81,14 @@ class Branch(enum.Enum):
     LARGE = "large"
 
 
-@dataclass(frozen=True)
-class MeanCurvature:
-    """The constant h in (0, 1/2]; h = 1/2 is the borderline, hole-free case."""
-
-    h: float
-
-    def __post_init__(self):
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h)):
-            raise ValueError(f"mean curvature must be a finite number, got {self.h!r}")
-        if not 0.0 < self.h <= 0.5:
-            raise ValueError(f"mean curvature must lie in (0, 1/2], got {self.h!r}")
-
-    @property
-    def is_half(self) -> bool:
-        return self.h == 0.5
-
-    def __float__(self) -> float:
-        return float(self.h)
-
-
-@dataclass(frozen=True)
-class ProfileParameter:
-    """A family parameter alpha > 0 tagged with its branch."""
-
-    alpha: float
-    branch: Branch
-
-    @classmethod
-    def classify(cls, h, alpha) -> "ProfileParameter":
-        h = as_mean_curvature(h)
-        alpha = float(alpha)
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise ValueError(f"profile parameter must be positive and finite, got {alpha!r}")
-        gap = alpha - 2.0 * h
-        if abs(gap) <= PARAM_RTOL * max(alpha, 2.0 * h):
-            branch = Branch.NECK
-        elif gap < 0.0:
-            branch = Branch.SMALL
-        else:
-            branch = Branch.LARGE
-        return cls(alpha, branch)
-
-    def __float__(self) -> float:
-        return float(self.alpha)
-
-
-def as_mean_curvature(h) -> float:
-    """Coerce h (float or MeanCurvature) to a validated float."""
-    if isinstance(h, MeanCurvature):
-        return h.h
-    return MeanCurvature(float(h)).h
+def check_curvature(h) -> float:
+    """Validate a mean curvature: finite, in (0, 1/2]; h = 1/2 is the hole-free borderline."""
+    h = float(h)
+    if not math.isfinite(h):
+        raise ValueError(f"mean curvature must be a finite number, got {h!r}")
+    if not 0.0 < h <= 0.5:
+        raise ValueError(f"mean curvature must lie in (0, 1/2], got {h!r}")
+    return h
 
 
 def _small_value(h: float, rho: float) -> float:
@@ -152,7 +113,7 @@ def hole_threshold(h) -> float:
     Returns artanh(2h) for h < 1/2 (equal to arccosh(1/sqrt(1-4h^2))) and
     math.inf for h = 1/2, where the small branch reaches every radius.
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     if h == 0.5:
         return math.inf
     return math.atanh(2.0 * h)
@@ -167,14 +128,14 @@ def boundary_radius(h, alpha) -> float:
     return HeightProfile(h, alpha).rho0
 
 
-def param_small(h, rho) -> ProfileParameter:
+def param_small(h, rho) -> float:
     """Small-branch parameter of the profile starting at radius rho.
 
     Closed form 2h*cosh(rho) - sinh(rho); defined for rho < artanh(2h) when
     h < 1/2 (raises HoleTooLargeError at or beyond) and for every radius when
     h = 1/2, where it equals exp(-rho) exactly.
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     rho = check_radius(rho)
     threshold = hole_threshold(h)
     if rho >= threshold:
@@ -182,18 +143,18 @@ def param_small(h, rho) -> ProfileParameter:
     value = _small_value(h, rho)
     if value <= 0.0:  # rounding guard: it can round to 0 within an ulp or so of the threshold
         raise HoleTooLargeError(h, rho, threshold)
-    return ProfileParameter.classify(h, value)
+    return value
 
 
-def param_large(h, rho) -> ProfileParameter:
+def param_large(h, rho) -> float:
     """Large-branch parameter of the profile starting at radius rho.
 
     Closed form 2h*cosh(rho) + sinh(rho), total on [0, MAX_RADIUS]; equals
     exp(rho) exactly at h = 1/2.
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     rho = check_radius(rho)
-    return ProfileParameter.classify(h, _large_value(h, rho))
+    return _large_value(h, rho)
 
 
 def _check_tol(tol) -> float:
@@ -424,30 +385,41 @@ def sample_profile(h, alpha, rho_max, n: int) -> np.ndarray:
 class HeightProfile:
     """The profile ``HeightProfile(h, alpha)``; immutable, safe to share across threads.
 
-    h is a float or a MeanCurvature, alpha a float or a ProfileParameter of any
-    branch; ``param`` is alpha classified against h, and ``rho0`` is derived.
+    h and alpha are floats; ``branch``, alpha's side of 2h (within a relative
+    PARAM_RTOL on the neck), and the starting radius ``rho0`` are derived.
     """
 
     h: float
-    param: ProfileParameter
+    alpha: float
+    branch: Branch = field(init=False)
     rho0: float = field(init=False)
 
     def __post_init__(self):
-        h = as_mean_curvature(self.h)
-        param = ProfileParameter.classify(h, self.param)
+        h = check_curvature(self.h)
+        alpha = float(self.alpha)
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ValueError(f"profile parameter must be positive and finite, got {alpha!r}")
+        gap = alpha - 2.0 * h
+        if abs(gap) <= PARAM_RTOL * max(alpha, 2.0 * h):
+            branch = Branch.NECK
+        elif gap < 0.0:
+            branch = Branch.SMALL
+        else:
+            branch = Branch.LARGE
         # exp(+/-rho0) = (1+2h)/(alpha + sqrt(alpha^2 + 1 - 4h^2)); 1-2h is exact,
         # so the radicand and the quotient carry no cancellation for any h <= 1/2
         spread = math.sqrt((1.0 - 2.0 * h) * (1.0 + 2.0 * h))
-        x = (1.0 + 2.0 * h) / (param.alpha + math.hypot(param.alpha, spread))
-        rho0 = 0.0 if param.branch is Branch.NECK else abs(math.log(x))
+        x = (1.0 + 2.0 * h) / (alpha + math.hypot(alpha, spread))
+        rho0 = 0.0 if branch is Branch.NECK else abs(math.log(x))
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "rho0", rho0)
 
     def _graph(self, upper: float = MAX_RADIUS) -> RadialFunction:
         """The profile as the graph vertical on its circle, 0 there, over [rho0, upper]."""
         large, small = _vertical_slacks(self.rho0)
-        slacks = large if self.param.branch is Branch.LARGE else small
+        slacks = large if self.branch is Branch.LARGE else small
         return _anchored_graph(self.h, self.rho0, upper, slacks, 0.0, 0.0, self.rho0)
 
     def height(self, rho) -> float:

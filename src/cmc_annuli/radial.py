@@ -43,7 +43,7 @@ from .profiles import (
     _drop,
     _flux_interval,
     _vertical_slacks,
-    as_mean_curvature,
+    check_curvature,
     height,
 )
 
@@ -82,7 +82,7 @@ def feasible_flux_interval(h, annulus: Annulus) -> tuple[float, float]:
     the inner circle (the upper endpoint is >= 0 when the hole is too large
     for a small-branch profile).
     """
-    return _flux_interval(as_mean_curvature(h), annulus.a)
+    return _flux_interval(check_curvature(h), annulus.a)
 
 
 #: False-position steps before the root find gives up.
@@ -130,7 +130,7 @@ def integrate_radial(h, annulus: Annulus, C: float) -> float:
     graph condition |2h*cosh(rho) + C| <= sinh(rho) somewhere on the annulus
     (endpoint equality, the vertical extremal profiles, is allowed).
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     C = float(C)
     c_lo, c_hi = feasible_flux_interval(h, annulus)
     if not c_lo <= C <= c_hi:
@@ -149,7 +149,7 @@ def extremal_drops(h, annulus: Annulus) -> FeasibleDropInterval:
     profile vertical at a when the hole admits one, and otherwise the limiting
     flux graph (which is no family profile, but still spans the annulus).
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     large, small = _vertical_slacks(annulus.a)
     a, b = annulus.a, annulus.b
     return FeasibleDropInterval(_drop(h, a, b, small), _drop(h, a, b, large))
@@ -169,7 +169,7 @@ def solve_radial(
     achievable interval attached, when the requested drop lies outside the
     open achievable interval, consistent with the a-priori estimates.
     """
-    h = as_mean_curvature(h)
+    h = check_curvature(h)
     tol = _check_tol(tol)
     u_a, u_b = float(u_a), float(u_b)
     if not (math.isfinite(u_a) and math.isfinite(u_b)):

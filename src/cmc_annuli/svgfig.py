@@ -111,7 +111,7 @@ def family_figure(
         raise ValueError("need at least one profile parameter")
     if rho_max is None:
         rho_max = max(p.rho0 for p in profiles) + 2.0
-    curves = [(f"α = {p.param.alpha:g}", p.sample(rho_max, n)[:, :2]) for p in profiles]
+    curves = [(f"α = {p.alpha:g}", p.sample(rho_max, n)[:, :2]) for p in profiles]
     return _render(curves, x_label="ρ", y_label="height")
 
 
@@ -126,6 +126,6 @@ def box_figure(
     box = bounding_box(h, annulus, OuterBoundaryData(m, M))
     table = box.sample(n)
     curves = [("upper envelope", table[:, [0, 2]])]
-    if box.hole_ok:
+    if box.lower is not None:
         curves.append(("lower envelope", table[:, [0, 1]]))
     return _render(curves, x_label="ρ", y_label="height")

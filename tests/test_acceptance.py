@@ -37,10 +37,10 @@ def test_criterion_2_flux_identity():
         use_small = rng.random() < 0.5
         if use_small:
             rho0 = rng.uniform(0.0, 0.95 * min(ca.hole_threshold(h), 2.0))
-            alpha = ca.param_small(h, rho0).alpha
+            alpha = ca.param_small(h, rho0)
         else:
             rho0 = rng.uniform(0.0, 2.0)
-            alpha = ca.param_large(h, rho0).alpha
+            alpha = ca.param_large(h, rho0)
         rho = rho0 + rng.uniform(0.05, 2.0)
         rhs = 2.0 * h * math.cosh(rho) - alpha
         scale = 2.0 * h * math.cosh(rho) + alpha
@@ -58,8 +58,8 @@ def test_criterion_3_cmc_verification():
         (0.25, ca.param_small(0.25, 0.3)),
         (0.4, ca.param_small(0.4, 0.5)),
         (0.4, ca.param_large(0.4, 1.0)),
-        (0.5, ca.ProfileParameter.classify(0.5, 2.0)),
-        (0.5, ca.ProfileParameter.classify(0.5, 1.0)),
+        (0.5, 2.0),
+        (0.5, 1.0),
     ]
     failures = []
     for h, param in cases:
@@ -68,12 +68,12 @@ def test_criterion_3_cmc_verification():
         rho = profile.rho0 + 0.9
         err_at_1e4 = abs(ca.mean_curvature_radial(rf, rho, step=1e-4) - 2 * h)
         if err_at_1e4 > 1e-5:
-            failures.append(("tolerance", h, param.alpha, err_at_1e4))
+            failures.append(("tolerance", h, param, err_at_1e4))
         errs = [abs(ca.mean_curvature_radial(rf, rho, step=s) - 2 * h) for s in (4e-4, 2e-4, 1e-4)]
         orders = [math.log2(c / f) for c, f in zip(errs, errs[1:])]
         for order in orders:
             if abs(order - 2.0) > 0.2:
-                failures.append(("order", h, param.alpha, order))
+                failures.append(("order", h, param, order))
     check(3, "curvature checker gives 2h to 1e-5 at step 1e-4, order 2.0 +/- 0.2", failures)
 
 
@@ -90,9 +90,9 @@ def test_criterion_4_inverse_round_trips():
             if abs(back - rho) > 1e-10:
                 failures.append(("large", h, rho, back))
     for rho in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-        if ca.param_small(0.5, rho).alpha != math.exp(-rho):
+        if ca.param_small(0.5, rho) != math.exp(-rho):
             failures.append(("half-small", rho))
-        if ca.param_large(0.5, rho).alpha != math.exp(rho):
+        if ca.param_large(0.5, rho) != math.exp(rho):
             failures.append(("half-large", rho))
     check(4, "boundary_radius inverts both branches to 1e-10; h=1/2 exact", failures)
 

@@ -35,6 +35,21 @@ class TestDomainTypes:
             OuterBoundaryData(1.0, 0.0)
         OuterBoundaryData(0.5, 0.5)  # equal extremes are fine
 
+    def test_annulus_stores_the_floats_it_validates(self):
+        annulus = Annulus("0.5", np.float64(2.0))
+        assert (type(annulus.a), type(annulus.b)) == (float, float)
+        assert annulus == Annulus(0.5, 2.0)
+        box = bounding_box(0.4, annulus, OuterBoundaryData(0.0, 0.0))
+        assert box.upper.value(0.5) == upper_envelope(0.4, Annulus(0.5, 2.0), 0.0).value(0.5)
+
+    def test_outer_data_stores_the_floats_it_validates(self):
+        data = OuterBoundaryData("0", 1)
+        assert (type(data.m), type(data.M)) == (float, float)
+        assert data == OuterBoundaryData(0.0, 1.0)
+        for bad in [("x", "1"), ("nan", "1"), ("1", "0")]:
+            with pytest.raises(ValueError):
+                OuterBoundaryData(*bad)
+
 
 class TestUpperEnvelope:
     def test_anchored_at_outer_radius(self):
@@ -52,7 +67,7 @@ class TestUpperEnvelope:
     def test_half_case(self):
         # beta = e for a = 1 at h = 1/2
         ann = Annulus(1.0, 2.0)
-        assert param_large(0.5, 1.0).alpha == math.e
+        assert param_large(0.5, 1.0) == math.e
         env = upper_envelope(0.5, ann, M=1.0)
         expected = -height(0.5, math.e, 2.0) + 1.0
         assert env.value(1.0) == pytest.approx(expected, abs=1e-7)
@@ -97,13 +112,12 @@ class TestBoundingBox:
     def test_half_always_complete(self):
         for a in (0.2, 1.0, 5.0, 20.0, 50.0):
             box = bounding_box(0.5, Annulus(a, a + 1.0), OuterBoundaryData(0.0, 0.0))
-            assert box.hole_ok
             assert box.lower is not None
-            assert box.alpha is not None
+            assert box.alpha == param_small(0.5, a)
+            assert box.beta == param_large(0.5, a)
 
     def test_large_hole_drops_lower_bound(self):
         box = bounding_box(0.4, Annulus(1.2, 2.0), OuterBoundaryData(0.0, 0.0))
-        assert not box.hole_ok
         assert box.lower is None
         assert box.alpha is None
         assert box.upper is not None
@@ -111,9 +125,9 @@ class TestBoundingBox:
     def test_hole_threshold_is_sharp(self):
         threshold = hole_threshold(0.4)
         ok = bounding_box(0.4, Annulus(threshold - 1e-6, 2.0), OuterBoundaryData(0, 0))
-        assert ok.hole_ok
+        assert ok.lower is not None
         bad = bounding_box(0.4, Annulus(threshold + 1e-6, 2.0), OuterBoundaryData(0, 0))
-        assert not bad.hole_ok
+        assert bad.lower is None
 
     def test_hole_rule_one_ulp_below_the_threshold(self):
         # 2h*cosh(rho) - sinh(rho) rounds to 0 one ulp below artanh(2h): the
@@ -126,7 +140,7 @@ class TestBoundingBox:
         with pytest.raises(HoleTooLargeError):
             lower_envelope(h, Annulus(rho, 1.0), 0.0)
         data = OuterBoundaryData(0.0, 0.0)
-        assert not bounding_box(h, Annulus(rho, 1.0), data).hole_ok
+        assert bounding_box(h, Annulus(rho, 1.0), data).lower is None
         assert dirichlet_feasibility(h, Annulus(rho, 1.0), 0.0, 0.0, data).threshold_lower is None
 
     def test_lower_below_upper(self):

@@ -102,13 +102,6 @@ def test_curvature_second_order_in_step():
         assert 3.3 < coarse / fine < 4.7
 
 
-def test_richardson_beats_plain():
-    rf = _closed_form_half_profile()
-    plain = abs(mean_curvature_radial(rf, 1.0, step=1e-3) - 1.0)
-    extr = abs(mean_curvature_radial(rf, 1.0, step=1e-3, richardson=True) - 1.0)
-    assert extr < plain / 100.0
-
-
 def test_curvature_ignores_vertical_translates():
     base = _closed_form_half_profile()
     lifted = RadialFunction(lambda rho: base.value(rho) + 123.0, base.derivative, base.domain)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,6 @@ from cmc_annuli import (
     Branch,
     HeightProfile,
     HoleTooLargeError,
-    MeanCurvature,
-    ProfileParameter,
     boundary_radius,
     flux,
     height,
@@ -32,59 +31,85 @@ def closed_form_height(rho):
     return 2.0 * (math.cosh(rho / 2.0) - 1.0)
 
 
-class TestMeanCurvature:
+class TestCheckCurvature:
+    """h is a float in (0, 1/2], checked by ``profiles.check_curvature`` wherever it is taken."""
+
     @pytest.mark.parametrize("bad", [0.0, -0.1, 0.5 + 1e-12, 1.0, math.nan, math.inf])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            MeanCurvature(bad)
+        with pytest.raises(ValueError, match="mean curvature must"):
+            HeightProfile(bad, 0.5)
+        with pytest.raises(ValueError, match="mean curvature must"):
+            hole_threshold(bad)
 
-    def test_half_flag(self):
-        assert MeanCurvature(0.5).is_half
-        assert not MeanCurvature(0.4999999).is_half
+    def test_only_half_is_hole_free(self):
+        assert hole_threshold(0.5) == math.inf
+        assert hole_threshold(0.4999999) < math.inf
 
 
 class TestParameterClassification:
+    """A profile's branch is alpha's side of 2h, derived by ``HeightProfile``."""
+
     def test_branches(self):
-        assert ProfileParameter.classify(0.4, 0.5).branch is Branch.SMALL
-        assert ProfileParameter.classify(0.4, 0.8).branch is Branch.NECK
-        assert ProfileParameter.classify(0.4, 3.0).branch is Branch.LARGE
+        assert HeightProfile(0.4, 0.5).branch is Branch.SMALL
+        assert HeightProfile(0.4, 0.8).branch is Branch.NECK
+        assert HeightProfile(0.4, 3.0).branch is Branch.LARGE
 
     def test_neck_tolerance_is_relative(self):
-        assert ProfileParameter.classify(0.4, 0.8 * (1 + 1e-13)).branch is Branch.NECK
-        assert ProfileParameter.classify(0.4, 0.8 * (1 + 1e-9)).branch is Branch.LARGE
+        assert HeightProfile(0.4, 0.8 * (1 + 1e-13)).branch is Branch.NECK
+        assert HeightProfile(0.4, 0.8 * (1 + 1e-9)).branch is Branch.LARGE
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            ProfileParameter.classify(0.4, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            HeightProfile(0.4, bad)
+
+
+def _with_branch(h, alpha, branch):
+    """HeightProfile(h, alpha) with its derived branch overwritten by hand."""
+    profile = HeightProfile(h, alpha)
+    object.__setattr__(profile, "branch", branch)
+    return profile
 
 
 class TestParameterOfAnotherH:
-    """A ProfileParameter passed with an h is classified again against that h."""
+    """A profile moved to another h by ``dataclasses.replace`` derives its branch and rho0 again.
+
+    Its stored ``branch`` and ``rho0`` are never inputs, even when set by hand.
+    """
 
     CALLS = {
-        "height": lambda h, p: height(h, p, 2.0),
-        "slope": lambda h, p: slope(h, p, 2.0),
+        "height": lambda h, alpha: height(h, alpha, 2.0),
+        "slope": lambda h, alpha: slope(h, alpha, 2.0),
         "boundary_radius": boundary_radius,
-        "sample_profile": lambda h, p: sample_profile(h, p, 2.0, 5),
+        "sample_profile": lambda h, alpha: sample_profile(h, alpha, 2.0, 5),
         "height_profile": height_profile,
         "HeightProfile": HeightProfile,
     }
+    ON_PROFILE = {
+        "height": lambda p: p.height(2.0),
+        "slope": lambda p: p.slope(2.0),
+        "boundary_radius": lambda p: p.rho0,
+        "sample_profile": lambda p: p.sample(2.0, 5),
+        "height_profile": lambda p: p,
+        "HeightProfile": lambda p: p,
+    }
 
-    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize("name", CALLS)
     @pytest.mark.parametrize(
-        "stale",
-        [ProfileParameter.classify(0.4, 0.5), ProfileParameter.classify(0.4, 0.8), ProfileParameter(0.3, Branch.LARGE)],
+        "built",
+        [HeightProfile(0.4, 0.5), HeightProfile(0.4, 0.8), _with_branch(0.4, 0.3, Branch.LARGE)],
         ids=["small at 0.4", "neck at 0.4", "hand-built"],
     )
-    def test_branch_follows_the_h_of_the_call(self, call, stale):
+    def test_branch_follows_the_h_of_the_call(self, name, built):
         # at h = 0.2 the first two are large-branch parameters, the third small
-        np.testing.assert_equal(call(0.2, stale), call(0.2, stale.alpha))
+        moved = dataclasses.replace(built, h=0.2)
+        assert moved.branch is (Branch.SMALL if built.alpha < 0.4 else Branch.LARGE)
+        np.testing.assert_equal(self.ON_PROFILE[name](moved), self.CALLS[name](0.2, built.alpha))
 
-    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
-    def test_hand_built_parameter_is_validated(self, call):
-        with pytest.raises(ValueError):
-            call(0.4, ProfileParameter(-1.0, Branch.SMALL))
+    @pytest.mark.parametrize("name", CALLS)
+    def test_hand_built_parameter_is_validated(self, name):
+        with pytest.raises(ValueError, match="positive and finite"):
+            self.CALLS[name](0.4, -1.0)
 
 
 class TestBoundaryRadius:
@@ -112,8 +137,8 @@ class TestBoundaryRadius:
 
     def test_half_branch_exact_exponentials(self):
         for rho in (0.1, 0.7, 1.0, 3.0, 10.0):
-            assert param_small(0.5, rho).alpha == math.exp(-rho)
-            assert param_large(0.5, rho).alpha == math.exp(rho)
+            assert param_small(0.5, rho) == math.exp(-rho)
+            assert param_large(0.5, rho) == math.exp(rho)
             assert boundary_radius(0.5, math.exp(-rho)) == pytest.approx(rho, rel=1e-15)
 
     def test_seam_against_half_formula(self):
@@ -134,25 +159,25 @@ class TestBoundaryRadius:
 class TestInverseParameters:
     @pytest.mark.parametrize("h", H_GRID)
     def test_at_origin(self, h):
-        assert param_small(h, 0.0).alpha == pytest.approx(2 * h, rel=1e-15)
-        assert param_large(h, 0.0).alpha == pytest.approx(2 * h, rel=1e-15)
+        assert param_small(h, 0.0) == pytest.approx(2 * h, rel=1e-15)
+        assert param_large(h, 0.0) == pytest.approx(2 * h, rel=1e-15)
 
     def test_closed_form_values(self):
         # 2h*cosh(rho) -/+ sinh(rho)
-        assert param_small(0.4, 0.5).alpha == pytest.approx(0.38100546667135726, rel=1e-14)
-        assert param_small(0.5, 1.0).alpha == pytest.approx(0.36787944117144233, rel=1e-15)
-        assert param_large(0.4, 1.0).alpha == pytest.approx(2.4096657014959963, rel=1e-14)
-        assert param_large(0.5, 1.0).alpha == pytest.approx(math.e, rel=1e-15)
+        assert param_small(0.4, 0.5) == pytest.approx(0.38100546667135726, rel=1e-14)
+        assert param_small(0.5, 1.0) == pytest.approx(0.36787944117144233, rel=1e-15)
+        assert param_large(0.4, 1.0) == pytest.approx(2.4096657014959963, rel=1e-14)
+        assert param_large(0.5, 1.0) == pytest.approx(math.e, rel=1e-15)
 
     def test_small_ranges(self):
         for h in (0.05, 0.25, 0.4):
             for rho in np.linspace(0.0, hole_threshold(h) * 0.999, 20):
-                assert 0.0 < param_small(h, rho).alpha <= 2 * h * (1 + 1e-12)
+                assert 0.0 < param_small(h, rho) <= 2 * h * (1 + 1e-12)
 
     def test_large_ranges(self):
         for h in H_GRID:
             for rho in np.linspace(0.0, 5.0, 20):
-                assert param_large(h, rho).alpha >= 2 * h * (1 - 1e-12)
+                assert param_large(h, rho) >= 2 * h * (1 - 1e-12)
 
     def test_hole_too_large(self):
         with pytest.raises(HoleTooLargeError):
@@ -161,7 +186,7 @@ class TestInverseParameters:
         with pytest.raises(HoleTooLargeError):
             param_small(0.4, hole_threshold(0.4))
         # h = 1/2 never runs out
-        assert param_small(0.5, 50.0).alpha == math.exp(-50.0)
+        assert param_small(0.5, 50.0) == math.exp(-50.0)
 
 
 class TestHoleThreshold:
@@ -226,8 +251,8 @@ class TestFluxIdentity:
                 for d in (0.05, 0.3, 1.0, 2.5):
                     rho = rho0 + d
                     lhs = flux(slope(h, p, rho), rho)
-                    rhs = 2 * h * math.cosh(rho) - p.alpha
-                    scale = 2 * h * math.cosh(rho) + p.alpha
+                    rhs = 2 * h * math.cosh(rho) - p
+                    scale = 2 * h * math.cosh(rho) + p
                     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
@@ -333,20 +358,24 @@ class TestSampleProfile:
             sample_profile(0.4, 0.5, rho0 * 0.5, 5)
 
 
+# small branch, large branch, h = 1/2 and the neck; alpha1 is the parameter
+# of the large-branch profile starting at rho = 1
+PROFILE_CASES = [(0.4, 0.5), pytest.param(0.4, param_large(0.4, 1.0), id="0.4-alpha1"), (0.5, 1.0), (0.4, 0.8)]
+
+
 class TestHeightProfileWrapper:
     def test_fields_and_consistency(self):
         profile = height_profile(0.4, 0.5)
         assert profile.h == 0.4
-        assert profile.param.branch is Branch.SMALL
+        assert profile.alpha == 0.5
+        assert profile.branch is Branch.SMALL
         assert profile.rho0 == boundary_radius(0.4, 0.5)
         assert profile.height(1.5) == height(0.4, 0.5, 1.5)
         assert profile.slope(1.5) == slope(0.4, 0.5, 1.5)
         table = profile.sample(2.0, 4)
         assert table.shape == (4, 3)
 
-    @pytest.mark.parametrize(
-        "h, alpha", [(0.4, 0.5), (0.4, param_large(0.4, 1.0)), (0.5, 1.0), (0.4, 0.8)]
-    )
+    @pytest.mark.parametrize("h, alpha", PROFILE_CASES)
     def test_slope_uses_the_stored_starting_circle(self, h, alpha):
         profile = height_profile(h, alpha)
         radii = [profile.rho0, profile.rho0 + 1e-9, 1.3, 3.0]
@@ -359,9 +388,7 @@ class TestHeightProfileWrapper:
                 with pytest.raises(ValueError, match="inside the starting circle"):
                     profile.slope(profile.rho0 - 1e-6)
 
-    @pytest.mark.parametrize(
-        "h, alpha", [(0.4, 0.5), (0.4, param_large(0.4, 1.0)), (0.5, 1.0), (0.4, 0.8)]
-    )
+    @pytest.mark.parametrize("h, alpha", PROFILE_CASES)
     def test_height_uses_the_stored_starting_circle(self, h, alpha):
         profile = height_profile(h, alpha)
         radii = [profile.rho0, profile.rho0 + 1e-9, 1.3, 3.0]
@@ -373,9 +400,7 @@ class TestHeightProfileWrapper:
                     profile.height(profile.rho0 - 1e-6)
         assert spy.call_count == 0
 
-    @pytest.mark.parametrize(
-        "h, alpha", [(0.4, 0.5), (0.4, param_large(0.4, 1.0)), (0.5, 1.0), (0.4, 0.8)]
-    )
+    @pytest.mark.parametrize("h, alpha", PROFILE_CASES)
     def test_radial_function_of_radii_is_the_sample(self, h, alpha):
         profile = height_profile(h, alpha)
         with mock.patch.object(profiles.HeightProfile, "__post_init__", side_effect=AssertionError):
@@ -392,21 +417,31 @@ class TestHeightProfileWrapper:
 class TestHeightProfileConstructor:
     """A profile is built from h and alpha alone; its branch and starting radius follow from them.
 
-    A parameter of another h, or a hand-built one, is classified again: see
-    the ``HeightProfile`` input of ``TestParameterOfAnotherH``.
+    A profile moved to another h, or with a branch set by hand, derives them
+    again: see the ``HeightProfile`` input of ``TestParameterOfAnotherH``.
     """
 
     def test_replaced_h_rederives_the_profile(self):
         profile = dataclasses.replace(height_profile(0.4, 0.5), h=0.2)
         assert profile == height_profile(0.2, 0.5)
-        assert profile.param.branch is Branch.LARGE
+        assert profile.branch is Branch.LARGE
         assert profile.height(2.0) == height(0.2, 0.5, 2.0)
+
+    def test_replaced_alpha_rederives_the_profile(self):
+        small = height_profile(0.4, 0.5)
+        for alpha, branch in [(0.8, Branch.NECK), (3.0, Branch.LARGE), (0.3, Branch.SMALL)]:
+            profile = dataclasses.replace(small, alpha=alpha)
+            assert profile == height_profile(0.4, alpha)
+            assert profile.branch is branch
+            assert profile.rho0 == boundary_radius(0.4, alpha)
 
     def test_starting_radius_is_not_an_argument(self):
         with pytest.raises(TypeError):
             HeightProfile(0.4, 0.5, 0.3)
         with pytest.raises(ValueError):
             dataclasses.replace(height_profile(0.4, 0.5), rho0=0.3)
+        with pytest.raises(ValueError):
+            dataclasses.replace(height_profile(0.4, 0.5), branch=Branch.LARGE)
 
     CALLS = {
         "HeightProfile": HeightProfile,
@@ -420,15 +455,15 @@ class TestHeightProfileConstructor:
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
     def test_mean_curvature_is_its_float(self, call):
-        np.testing.assert_equal(call(MeanCurvature(0.4), 0.5), call(0.4, 0.5))
+        np.testing.assert_equal(call(Fraction(2, 5), 0.5), call(0.4, 0.5))
 
 
 def _kernel_cases():
     """(name, (h, C, r0), slacks) over both branches, the neck and exact-zero slacks."""
     h, a = 0.4, 0.5
-    c_lo, c_hi = -param_large(h, a).alpha, -param_small(h, a).alpha
+    c_lo, c_hi = -param_large(h, a), -param_small(h, a)
     mid = 0.5 * (c_lo + c_hi)
-    beyond = -param_large(h, 1.5).alpha
+    beyond = -param_large(h, 1.5)
     yield "large branch", (h, c_lo, a), (2 * math.sinh(a), 0.0)
     yield "small branch", (h, c_hi, a), (0.0, 2 * math.sinh(a))
     yield "neck", (h, -2 * h, 0.0), (0.0, 0.0)

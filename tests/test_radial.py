@@ -36,8 +36,8 @@ class TestFeasibleFluxInterval:
         lo, hi = feasible_flux_interval(0.4, Annulus(0.5, 2.0))
         assert lo == pytest.approx(-1.4231960776588521, rel=1e-14)
         assert hi == pytest.approx(-0.38100546667135726, rel=1e-14)
-        assert lo == -param_large(0.4, 0.5).alpha
-        assert hi == pytest.approx(-param_small(0.4, 0.5).alpha, rel=1e-14)
+        assert lo == -param_large(0.4, 0.5)
+        assert hi == pytest.approx(-param_small(0.4, 0.5), rel=1e-14)
 
     def test_half_exponential_endpoints(self):
         lo, hi = feasible_flux_interval(0.5, Annulus(1.0, 2.0))
@@ -65,7 +65,7 @@ class TestIntegrateRadial:
         # C = -alpha with alpha starting exactly at a: drop is -height(b)
         h, a, b = 0.4, 0.5, 2.0
         alpha = param_small(h, a)
-        got = integrate_radial(h, Annulus(a, b), -alpha.alpha)
+        got = integrate_radial(h, Annulus(a, b), -alpha)
         assert got == pytest.approx(-height(h, alpha, b), abs=1e-9)
 
     def test_half_closed_form(self):

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import cmc_annuli
 from cmc_annuli.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -17,6 +18,15 @@ def test_library_example_runs():
     blocks = _blocks("python")
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_prose_names_are_public():
+    """Every backticked CamelCase name in the prose outside the code blocks is public."""
+    prose = re.sub(r"^```.*?^```$", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    names = {m.group() for span in spans if (m := re.match(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+", span))}
+    assert "HeightProfile" in names
+    assert sorted(names - set(cmc_annuli.__all__)) == []
 
 
 def test_cli_examples_run(tmp_path, monkeypatch):
