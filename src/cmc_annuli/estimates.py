@@ -77,6 +77,14 @@ class OuterBoundaryData:
         object.__setattr__(self, "M", M)
 
 
+def _outer_value(value, name: str) -> float:
+    """An outer boundary value as a float, checked like ``OuterBoundaryData``'s."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"outer {name} must be finite, got {value!r}")
+    return x
+
+
 def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     """Upper bound for any cmc-h graph on the annulus with outer maximum M.
 
@@ -84,6 +92,7 @@ def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     value at rho = b equals M. Exists for every annulus and every h.
     """
     h = check_curvature(h)
+    M = _outer_value(M, "maximum M")
     large, _ = _vertical_slacks(annulus.a)
     return _anchored_graph(h, annulus.a, annulus.b, large, M)
 
@@ -96,6 +105,7 @@ def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
     a >= artanh(2h), where no such profile exists.
     """
     h = check_curvature(h)
+    m = _outer_value(m, "minimum m")
     param_small(h, annulus.a)  # raises where the hole is too large
     _, small = _vertical_slacks(annulus.a)
     return _anchored_graph(h, annulus.a, annulus.b, small, m)
@@ -173,6 +183,7 @@ def dirichlet_feasibility(
     distance to the nearest threshold otherwise. Shifting all boundary data by
     one constant shifts the thresholds identically and preserves the verdict.
     """
+    inner_min, inner_max = float(inner_min), float(inner_max)
     if not (math.isfinite(inner_min) and math.isfinite(inner_max)):
         raise ValueError(f"inner data must be finite, got {inner_min!r} and {inner_max!r}")
     if inner_min > inner_max:

@@ -10,14 +10,17 @@ of u(rho, theta) reads
 The discretization puts fluxes at half nodes with centered differences,
 second-order consistent on the uniform periodic grid. With W frozen it is one
 five-point stencil, which the residual applies. The solve is one
-Newton-Krylov iteration from the linear-in-rho interpolant of the boundary
-rows (Knoll & Keyes, J. Comput. Phys. 193, 2004): inexact Newton steps
-(Kelley 1995) with Eisenstat-Walker forcing, each one cycle of restarted
+Newton-Krylov iteration from a physics-based start (Knoll & Keyes, J.
+Comput. Phys. 193, 2004): the linear-in-rho interpolant of the boundary rows
+plus, on the interior rows only, the radial solution of the rows' theta
+means (``solve_radial``) less its own linear interpolant, or the linear
+interpolant alone where those means have no radial solution. Inexact Newton
+steps (Kelley 1995) with Eisenstat-Walker forcing, each one cycle of restarted
 GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. GMRES
 multiplies by the residual's exact Jacobian, linearized once per Newton
 step: the derivative of each half-node flux, slope over W, in both gradient
 components, so a product costs less than half a residual. Its
-preconditioner is that stencil with W frozen at the interpolant and its
+preconditioner is that stencil with W frozen at the start and its
 weights averaged over theta, T. Chan's optimal circulant preconditioner
 (SIAM J. Sci. Stat. Comput. 9, 1988): an FFT in theta turns it into one
 tridiagonal system in rho per Fourier mode, and one symmetric
@@ -38,10 +41,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import InfeasibleBoundaryError, NonConvergenceError
 from .estimates import Annulus
 from .krylov import newton_krylov
 from .profiles import _check_tol, check_curvature
+from .radial import solve_radial
 
 BoundaryData = Union[float, np.ndarray, Callable[[float], float]]
 
@@ -103,7 +107,10 @@ class SolverReport:
     ``residual``. ``residual_evaluations`` counts the evaluations of the
     interior residual: the start's and one per line-search trial, so
     ``iterations + 1`` when every Newton step is taken in full. Jacobian
-    products evaluate none.
+    products evaluate none. ``start`` names the field Newton started from
+    and the preconditioner was built at: ``"radial"``, the radial solution
+    of the theta-averaged boundary rows, or ``"linear"``, the linear-in-rho
+    interpolant, where that radial solve raises.
     """
 
     converged: bool
@@ -113,6 +120,7 @@ class SolverReport:
     krylov_iterations: int
     residual_history: tuple[float, ...]
     residual_evaluations: int
+    start: str
 
 
 def _padded(u: np.ndarray) -> np.ndarray:
@@ -287,6 +295,35 @@ def _preconditioner(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np
     return solve
 
 
+def _linear_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, str]:
+    """The linear-in-rho interpolant of the boundary rows, and the name ``"linear"``."""
+    weight = ((grid.rho - grid.annulus.a) / (grid.annulus.b - grid.annulus.a))[:, None]
+    return (1.0 - weight) * inner[None, :] + weight * outer[None, :], "linear"
+
+
+def _radial_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, str]:
+    """The linear start plus, on the interior rows, the radial solution of the
+    theta-averaged rows minus its own linear interpolant, and the name ``"radial"``.
+
+    The boundary rows stay exactly the data. Where the averaged data has no
+    radial solution (``solve_radial`` raises), or its mean overflows, this is
+    the linear start.
+    """
+    u, linear = _linear_start(grid, h, inner, outer)
+    with np.errstate(over="ignore"):
+        u_a, u_b = float(inner.mean()), float(outer.mean())
+    if not (math.isfinite(u_a) and math.isfinite(u_b)):
+        return u, linear
+    try:
+        radial = solve_radial(h, grid.annulus, u_a, u_b)
+    except (InfeasibleBoundaryError, NonConvergenceError):
+        return u, linear
+    rho = grid.rho[1:-1]
+    weight = (rho - grid.annulus.a) / (grid.annulus.b - grid.annulus.a)
+    u[1:-1, :] += (radial.evaluator.value(rho) - ((1.0 - weight) * u_a + weight * u_b))[:, None]
+    return u, "radial"
+
+
 def solve_dirichlet_2d(
     h,
     annulus: Annulus,
@@ -300,8 +337,11 @@ def solve_dirichlet_2d(
     ``g_inner``/``g_outer`` may be constants, per-theta arrays, or callables of
     theta, and ``grid`` is the node count (n_rho, n_theta). Newton-Krylov
     (``krylov.newton_krylov``, one GMRES cycle on exact Jacobian products per
-    Newton step) runs from the linear-in-rho
-    interpolant, preconditioned by the inverse of the W-lagged operator there
+    Newton step) runs from the radial start: the linear-in-rho interpolant of
+    the boundary rows plus, on the interior rows, the radial solution of the
+    rows' theta means less its linear interpolant, or the interpolant alone
+    when ``solve_radial`` finds those means infeasible or does not converge.
+    It is preconditioned by the inverse of the W-lagged operator at that start
     with its weights averaged over theta (an FFT in theta, fast
     diagonalization in rho), until the largest
     interior residual is at most ``tol``; the report counts its Newton and
@@ -319,9 +359,7 @@ def solve_dirichlet_2d(
     inner = _boundary_array(g_inner, grid.theta, "g_inner")
     outer = _boundary_array(g_outer, grid.theta, "g_outer")
 
-    # start from the linear-in-rho interpolant of the boundary rows
-    weight = ((grid.rho - grid.annulus.a) / (grid.annulus.b - grid.annulus.a))[:, None]
-    u = (1.0 - weight) * inner[None, :] + weight * outer[None, :]
+    u, start = _radial_start(grid, h, inner, outer)
     shape = (grid.n_rho - 2, grid.n_theta)
 
     evaluations = 0
@@ -357,7 +395,7 @@ def solve_dirichlet_2d(
     field2d = Field2D(grid, u)
     res, steps = history[-1], len(history) - 1
     report = SolverReport(
-        res <= tol, steps, res, max_gradient(field2d), krylov_steps, tuple(history), evaluations
+        res <= tol, steps, res, max_gradient(field2d), krylov_steps, tuple(history), evaluations, start
     )
     if not report.converged:
         raise NonConvergenceError(

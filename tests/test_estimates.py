@@ -91,6 +91,15 @@ class TestUpperEnvelope:
         env = upper_envelope(0.4, Annulus(1.0, 2.0), M=0.0)
         assert env.derivative(1.2) == slope(0.4, beta, 1.2)
 
+    def test_outer_maximum_is_coerced_and_checked(self):
+        ann = Annulus(0.5, 2.0)
+        env = upper_envelope(0.4, ann, "1")
+        assert env.value(2.0) == 1.0
+        assert env.value(0.5) == upper_envelope(0.4, ann, 1.0).value(0.5)
+        for bad in [float("nan"), float("inf"), "x", "-inf"]:
+            with pytest.raises(ValueError):
+                upper_envelope(0.4, ann, bad)
+
 
 class TestLowerEnvelope:
     def test_anchored_at_outer_radius(self):
@@ -106,6 +115,15 @@ class TestLowerEnvelope:
         env = lower_envelope(0.5, ann, m=0.0)
         expected = -height(0.5, math.exp(-1.0), 2.0)
         assert env.value(1.0) == pytest.approx(expected, abs=1e-7)
+
+    def test_outer_minimum_is_coerced_and_checked(self):
+        ann = Annulus(0.5, 2.0)
+        env = lower_envelope(0.4, ann, "-1")
+        assert env.value(2.0) == -1.0
+        assert env.value(0.5) == lower_envelope(0.4, ann, -1.0).value(0.5)
+        for bad in [float("inf"), float("nan"), "x", "-inf"]:
+            with pytest.raises(ValueError):
+                lower_envelope(0.4, ann, bad)
 
 
 class TestBoundingBox:
@@ -230,6 +248,13 @@ class TestDirichletFeasibility:
         result = dirichlet_feasibility(0.4, ann, 0.0, 0.0, data)
         assert result.threshold_upper == box.upper.value(0.5)
         assert result.threshold_lower == box.lower.value(0.5)
+
+    def test_inner_data_is_coerced_and_checked(self):
+        ann, data = Annulus(0.5, 2.0), OuterBoundaryData(-0.1, 0.2)
+        assert dirichlet_feasibility(0.4, ann, "0", "1", data) == dirichlet_feasibility(0.4, ann, 0.0, 1.0, data)
+        for bad in [("x", "1"), ("0", "nan"), ("-inf", "1")]:
+            with pytest.raises(ValueError):
+                dirichlet_feasibility(0.4, ann, *bad, data)
 
     @pytest.mark.parametrize("t", [-10.0, 0.0, 10.0])
     def test_translation_invariance(self, t):

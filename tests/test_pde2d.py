@@ -7,6 +7,7 @@ import pytest
 from cmc_annuli import (
     Annulus,
     Field2D,
+    InfeasibleBoundaryError,
     NonConvergenceError,
     OuterBoundaryData,
     PolarGrid,
@@ -367,14 +368,12 @@ class TestSolver:
         assert report.residual_history == (report.residual,)
         assert report.residual_evaluations == 1
 
-    def test_last_newton_step_stops_at_the_tolerance(self, monkeypatch):
-        # the 128x128 radial rung of the grid-2d ladder: the forcing term asks
-        # its last Newton step for a relative residual near 1e-17, which GMRES
-        # would chase through the whole cycle without the floor at 0.5 tol / |F|_2
+    @staticmethod
+    def gmres_steps(monkeypatch) -> list:
+        """The GMRES steps of each Newton step of the solves that follow."""
         from cmc_annuli import krylov
 
-        steps, tol = [], 1e-8
-        cycle = krylov.gmres
+        steps, cycle = [], krylov.gmres
 
         def counted(*args):
             solved = cycle(*args)
@@ -382,12 +381,102 @@ class TestSolver:
             return solved
 
         monkeypatch.setattr(krylov, "gmres", counted)
+        return steps
+
+    def test_last_newton_step_stops_at_the_tolerance(self, monkeypatch):
+        # the 128x128 radial rung of the grid-2d ladder from the linear start:
+        # the forcing term asks its last Newton step for a relative residual
+        # near 1e-17, which GMRES would chase through the whole cycle without
+        # the floor at 0.5 tol / |F|_2
+        from cmc_annuli import krylov, pde2d
+
+        monkeypatch.setattr(pde2d, "_radial_start", pde2d._linear_start)
+        steps, tol = self.gmres_steps(monkeypatch), 1e-8
         _, report = solve_dirichlet_2d(H, ANN, 0.1, 0.0, grid=(128, 128), tol=tol)
+        assert report.start == "linear"
         assert report.iterations == len(steps) == 6
         assert steps[-1] < krylov._RESTART
         assert report.residual <= tol
         # no residual per Jacobian product: the start and one per full step
         assert report.residual_evaluations == report.iterations + 1
+
+    def test_radial_start_on_radial_data(self, monkeypatch):
+        # the same rung from the radial start: the start is the radial
+        # solution up to its discretization error, two Newton steps remove it
+        steps = self.gmres_steps(monkeypatch)
+        _, report = solve_dirichlet_2d(H, ANN, 0.1, 0.0, grid=(128, 128), tol=1e-8)
+        assert report.start == "radial"
+        assert report.iterations == 2
+        assert steps == [5, 5]
+        assert report.residual_evaluations == report.iterations + 1
+
+
+def wavy(theta):
+    return 0.05 * np.cos(3 * theta)
+
+
+class TestStart:
+    """The radial start and its fallback to the linear-in-rho interpolant."""
+
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("u_a, outer", [(0.1, 0.0), (0.1, wavy), (0.4, wavy), (-1.3, 0.0)],
+                             ids=["radial", "wavy", "inconclusive", "dipping"])
+    def test_answer_does_not_depend_on_the_start(self, n, u_a, outer, monkeypatch):
+        # measured at most 4.1e-11 (u(a) = 0.4 at 128^2)
+        from cmc_annuli import pde2d
+
+        tol = 1e-8
+        radial, report = solve_dirichlet_2d(H, ANN, u_a, outer, grid=(n, n), tol=tol)
+        monkeypatch.setattr(pde2d, "_radial_start", pde2d._linear_start)
+        linear, linear_report = solve_dirichlet_2d(H, ANN, u_a, outer, grid=(n, n), tol=tol)
+        assert (report.start, linear_report.start) == ("radial", "linear")
+        assert report.iterations < linear_report.iterations
+        assert np.abs(radial.values - linear.values).max() <= tol / 10
+
+    def test_boundary_rows_are_the_data(self):
+        from cmc_annuli import pde2d
+
+        grid = PolarGrid(ANN, 16, 16)
+        inner, outer = 0.1 + 0.02 * np.sin(grid.theta), wavy(grid.theta)
+        u, name = pde2d._radial_start(grid, H, inner, outer)
+        linear, _ = pde2d._linear_start(grid, H, inner, outer)
+        assert name == "radial"
+        assert np.array_equal(u[0], inner) and np.array_equal(u[-1], outer)
+        # the correction is the same on every interior row's theta nodes
+        correction = u[1:-1] - linear[1:-1]
+        assert np.abs(correction).max() > 1e-3
+        assert np.allclose(correction, correction[:, :1], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("u_a, u_b", [(1.4, 0.0), (1e300, 0.0), (1.7e308, 1.7e308)])
+    def test_infeasible_average_keeps_the_linear_start(self, u_a, u_b, monkeypatch):
+        # the averaged drop is outside (d_min, d_max), or (1.7e308) the means
+        # of the rows overflow: the solve is the linear start's, report and
+        # last iterate alike, and still fails
+        from cmc_annuli import pde2d
+
+        ann = Annulus(0.5, 2.0)
+        with pytest.raises(NonConvergenceError) as started:
+            solve_dirichlet_2d(0.4, ann, u_a, u_b, grid=(24, 12))
+        monkeypatch.setattr(pde2d, "_radial_start", pde2d._linear_start)
+        with pytest.raises(NonConvergenceError) as linear:
+            solve_dirichlet_2d(0.4, ann, u_a, u_b, grid=(24, 12))
+        assert started.value.report.start == "linear"
+        assert started.value.report == linear.value.report
+        assert np.array_equal(started.value.field.values, linear.value.field.values)
+
+    @pytest.mark.parametrize("error", [InfeasibleBoundaryError(1.0, 0.0, 0.5), NonConvergenceError("stalled")])
+    def test_radial_failure_keeps_the_linear_start(self, error, monkeypatch):
+        from cmc_annuli import pde2d
+
+        def fails(*args):
+            raise error
+
+        grid = PolarGrid(ANN, 16, 16)
+        inner, outer = np.full(16, 0.1), wavy(grid.theta)
+        monkeypatch.setattr(pde2d, "solve_radial", fails)
+        u, name = pde2d._radial_start(grid, H, inner, outer)
+        assert name == "linear"
+        assert np.array_equal(u, pde2d._linear_start(grid, H, inner, outer)[0])
 
 
 class TestNewtonKrylov:
