@@ -19,7 +19,6 @@ from .hyperbolic import (
     RadialFunction,
     euclidean_to_hyperbolic,
     flux,
-    hyperbolic_to_euclidean,
     mean_curvature_radial,
 )
 from .profiles import (
@@ -28,7 +27,6 @@ from .profiles import (
     HeightProfile,
     boundary_radius,
     height,
-    height_profile,
     hole_threshold,
     param_large,
     param_small,
@@ -50,7 +48,6 @@ from .radial import (
     FeasibleDropInterval,
     RadialSolution,
     extremal_drops,
-    feasible_flux_interval,
     integrate_radial,
     solve_radial,
 )
@@ -96,12 +93,9 @@ __all__ = [
     "dirichlet_feasibility",
     "euclidean_to_hyperbolic",
     "extremal_drops",
-    "feasible_flux_interval",
     "flux",
     "height",
-    "height_profile",
     "hole_threshold",
-    "hyperbolic_to_euclidean",
     "integrate_radial",
     "lower_envelope",
     "max_gradient",

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from .errors import InfeasibleBoundaryError, NonConvergenceError
 from .estimates import Annulus, OuterBoundaryData, bounding_box, dirichlet_feasibility
 from .hyperbolic import euclidean_to_hyperbolic
-from .profiles import sample_profile
+from .profiles import _check_count, param_large, param_small, sample_profile
 from .radial import solve_radial
 from .svgfig import box_figure, family_figure
 
@@ -222,8 +222,8 @@ def _cmd_bounds(ns: argparse.Namespace) -> int:
     _write_csv(ns.out, "rho,lower,upper", rows())
     _print_json(
         {
-            "beta": box.beta,
-            "alpha": box.alpha,
+            "beta": param_large(ns.h, annulus.a),
+            "alpha": None if box.lower is None else param_small(ns.h, annulus.a),
             "hole_ok": box.lower is not None,
             # the table's first row is rho = a
             "upper_at_a": float(table[0, 2]),
@@ -271,8 +271,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         _write_csv(ns.out, "rho,theta,u", rows())
         _print_json({"status": "converged", **_report_fields(report)})
         return 0
-    if ns.n < 2:
-        raise ValueError(f"need at least 2 sample rows, got n = {ns.n}")
+    _check_count(ns.n, 2)
     solution = solve_radial(ns.h, annulus, ns.u_a, ns.u_b, **tol)
     # an infeasible drop has raised by now, so exit 3 never loads numpy
     import numpy as np

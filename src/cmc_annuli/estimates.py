@@ -14,9 +14,10 @@ threshold is the outer extreme plus an extremal drop, M + d_max or
 m + d_min: one closed-form drop, as in ``radial.extremal_drops``. Envelopes
 are ``profiles._anchored_graph``'s, like profiles and radial solutions:
 values and derivatives take a radius or an array of radii, and an array is
-tabulated in one pass of the same closed form. h and the profile parameters
-``AprioriBounds.alpha`` and ``.beta`` are plain floats, and ``Annulus`` and
-``OuterBoundaryData`` store their values as the floats they validate.
+tabulated in one pass of the same closed form. h and the parameters of the
+two profiles, ``param_large(h, a)`` and ``param_small(h, a)``, are plain
+floats, and ``Annulus`` and ``OuterBoundaryData`` store their values as the
+floats they validate.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .errors import HoleTooLargeError
 from .hyperbolic import MAX_RADIUS, RadialFunction
 from .profiles import (
     _anchored_graph,
+    _check_count,
     _drop,
     _vertical_slacks,
     check_curvature,
-    param_large,
     param_small,
 )
 
@@ -113,26 +114,24 @@ def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
 
 @dataclass(frozen=True)
 class AprioriBounds:
-    """Both envelopes over an annulus, and the parameters of their profiles.
+    """Both envelopes over an annulus; ``lower`` is None when the hole is too large.
 
-    ``beta`` is the large-branch and ``alpha`` the small-branch parameter of
-    the profiles starting on the inner circle; ``lower`` and ``alpha`` are
-    None when the hole is too large.
+    The envelopes are the profiles vertical on the inner circle, shifted to
+    the outer data: ``upper`` the large-branch one, of parameter
+    ``param_large(h, a)``, and ``lower`` the small-branch one, of parameter
+    ``param_small(h, a)``.
     """
 
     annulus: Annulus
     upper: RadialFunction
     lower: Optional[RadialFunction]
-    beta: float
-    alpha: Optional[float]
 
     def sample(self, n: int = 256) -> np.ndarray:
         """Tabulate (rho, lower, upper) on a uniform grid; lower is NaN when absent."""
-        if n < 2:
-            raise ValueError(f"need at least 2 sample rows, got n = {n}")
+        n = _check_count(n, 2)
         import numpy as np
 
-        radii = np.linspace(self.annulus.a, self.annulus.b, int(n))
+        radii = np.linspace(self.annulus.a, self.annulus.b, n)
         upper = self.upper.value(radii)
         lower = np.full_like(upper, np.nan) if self.lower is None else self.lower.value(radii)
         return np.column_stack([radii, lower, upper])
@@ -140,15 +139,12 @@ class AprioriBounds:
 
 def bounding_box(h, annulus: Annulus, data: OuterBoundaryData) -> AprioriBounds:
     """Assemble both envelopes; the lower one is omitted when the hole is too large."""
-    h = check_curvature(h)
-    beta = param_large(h, annulus.a)
     upper = upper_envelope(h, annulus, data.M)
     try:
-        alpha = param_small(h, annulus.a)
+        lower = lower_envelope(h, annulus, data.m)
     except HoleTooLargeError:
-        return AprioriBounds(annulus, upper, None, beta, None)
-    lower = lower_envelope(h, annulus, data.m)
-    return AprioriBounds(annulus, upper, lower, beta, alpha)
+        lower = None
+    return AprioriBounds(annulus, upper, lower)
 
 
 class Verdict(enum.Enum):

@@ -1,11 +1,11 @@
-"""Poincare-disc primitives: radius conversions, radial flux, curvature checker.
+"""Poincare-disc primitives: radius conversion, radial flux, curvature checker.
 
 The hyperbolic plane is modelled as the unit disc with conformal factor
 2/(1-|z|^2). All radii in public interfaces are geodesic distances from the
-origin ("hyperbolic radii"); the disc coordinate radius appears only through
-the explicit conversions below. In geodesic polar coordinates the metric is
-d(rho)^2 + sinh(rho)^2 d(theta)^2, which is where every sinh/cosh in this
-package comes from.
+origin ("hyperbolic radii"); the disc coordinate radius appears only as the
+input of ``euclidean_to_hyperbolic`` below. In geodesic polar coordinates the
+metric is d(rho)^2 + sinh(rho)^2 d(theta)^2, which is where every sinh/cosh
+in this package comes from.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ def euclidean_to_hyperbolic(r: float) -> float:
     return 2.0 * math.atanh(r)
 
 
-def hyperbolic_to_euclidean(rho: float) -> float:
-    """Disc coordinate radius of the point at geodesic distance rho, tanh(rho/2)."""
-    rho = float(rho)
-    if not math.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"hyperbolic radius must be finite and nonnegative, got {rho!r}")
-    return math.tanh(rho / 2.0)
-
-
 @dataclass(frozen=True)
 class RadialFunction:
     """A rotationally symmetric height function rho -> value.
@@ -63,17 +55,17 @@ class RadialFunction:
     derivative: Callable[[float], float]
     domain: tuple[float, float]
 
-    def __call__(self, rho: float) -> float:
-        return self.value(rho)
-
 
 def flux(slope: float, rho: float) -> float:
     """Conserved radial flux sinh(rho) * slope / sqrt(1 + slope^2).
 
     Constant in rho along any radial graph of constant mean curvature; its
     absolute value is < sinh(rho) for finite slope. A signed infinite slope
-    (vertical graph) is accepted and returns +/- sinh(rho).
+    (vertical graph) is accepted and returns +/- sinh(rho); a NaN slope is not.
     """
+    slope = float(slope)
+    if math.isnan(slope):
+        raise ValueError("flux requires a slope that is a number, got nan")
     rho = float(rho)
     if not math.isfinite(rho) or rho < 0.0:
         raise ValueError(f"flux requires a finite nonnegative radius, got {rho!r}")
@@ -97,8 +89,8 @@ def mean_curvature_radial(
     """
     rho = float(rho)
     step = float(step)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     if rho <= 0.0:
         raise ValueError("mean_curvature_radial needs rho > 0 (sinh(rho) divides)")
     lo, hi = u.domain

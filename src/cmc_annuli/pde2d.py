@@ -44,7 +44,7 @@ import numpy as np
 from .errors import InfeasibleBoundaryError, NonConvergenceError
 from .estimates import Annulus
 from .krylov import newton_krylov
-from .profiles import _check_tol, check_curvature
+from .profiles import _check_count, _check_tol, check_curvature
 from .radial import solve_radial
 
 BoundaryData = Union[float, np.ndarray, Callable[[float], float]]
@@ -68,10 +68,8 @@ class PolarGrid:
     sinh_half: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_rho < 3:
-            raise ValueError(f"need n_rho >= 3, got {self.n_rho}")
-        if self.n_theta < 4:
-            raise ValueError(f"need n_theta >= 4, got {self.n_theta}")
+        object.__setattr__(self, "n_rho", _check_count(self.n_rho, 3, "rho nodes", "n_rho"))
+        object.__setattr__(self, "n_theta", _check_count(self.n_theta, 4, "theta nodes", "n_theta"))
         rho = np.linspace(self.annulus.a, self.annulus.b, self.n_rho)
         d_theta = 2.0 * math.pi / self.n_theta
         theta = np.arange(self.n_theta) * d_theta
@@ -144,13 +142,14 @@ def _half_nodes(grid: PolarGrid, u: np.ndarray) -> tuple[tuple[np.ndarray, ...],
     """
     s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
     up = _padded(u)
-    ur, ut = _centered_differences(grid, up)
-    ur_rho = (u[1:, :] - u[:-1, :]) / grid.d_rho
-    ut_rho = 0.5 * (ut[:-1, :] + ut[1:, :]) / s_half
-    ur_theta = 0.5 * (ur[:, :-1] + ur[:, 1:])
-    ut_theta = (up[1:-1, 1:] - up[1:-1, :-1]) / grid.d_theta / s
-    # W overflows to inf, and its weights to 0, on slopes past ~1e154
+    # differences of data near the float limit overflow to inf, and W overflows
+    # to inf, and its weights to 0, on slopes past ~1e154
     with np.errstate(over="ignore"):
+        ur, ut = _centered_differences(grid, up)
+        ur_rho = (u[1:, :] - u[:-1, :]) / grid.d_rho
+        ut_rho = 0.5 * (ut[:-1, :] + ut[1:, :]) / s_half
+        ur_theta = 0.5 * (ur[:, :-1] + ur[:, 1:])
+        ut_theta = (up[1:-1, 1:] - up[1:-1, :-1]) / grid.d_theta / s
         w_rho = np.sqrt(1.0 + ur_rho**2 + ut_rho**2)
         w_theta = np.sqrt(1.0 + ur_theta**2 + ut_theta**2)
     return (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta)
@@ -233,8 +232,9 @@ def cmc_residual(field2d: Field2D, h) -> np.ndarray:
 def max_gradient(field2d: Field2D) -> float:
     """Largest hyperbolic gradient norm over the interior nodes (blow-up diagnostic)."""
     grid = field2d.grid
-    ur, ut = _centered_differences(grid, _padded(field2d.values))
-    return float(np.hypot(ur[:, 1:-1], ut[1:-1, :] / grid.sinh_rho[1:-1, None]).max())
+    with np.errstate(over="ignore"):  # inf on differences past the float limit
+        ur, ut = _centered_differences(grid, _padded(field2d.values))
+        return float(np.hypot(ur[:, 1:-1], ut[1:-1, :] / grid.sinh_rho[1:-1, None]).max())
 
 
 def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray:

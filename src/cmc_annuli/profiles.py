@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -163,6 +164,17 @@ def _check_tol(tol) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     return tol
+
+
+def _check_count(n, minimum: int, what: str = "sample rows", name: str = "n") -> int:
+    """Validate a count: an integer, as ``operator.index`` takes it, of at least ``minimum``."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if count < minimum:
+        raise ValueError(f"need at least {minimum} {what}, got {name} = {count}")
+    return count
 
 
 def _flux_graph(h: float, r0: float, slack_small: float, slack_large: float) -> tuple[Callable, Callable]:
@@ -431,9 +443,7 @@ class HeightProfile:
     def sample(self, rho_max, n: int) -> np.ndarray:
         """``sample_profile`` of this profile."""
         rho_max = check_radius(rho_max, name="rho_max")
-        n = int(n)
-        if n < 2:
-            raise ValueError(f"need at least 2 sample rows, got n = {n}")
+        n = _check_count(n, 2)
         if rho_max <= self.rho0:
             raise ValueError(
                 f"rho_max = {rho_max:g} must exceed the starting radius rho0 = {self.rho0:g}"
@@ -448,8 +458,3 @@ class HeightProfile:
     def as_radial_function(self, upper: float = MAX_RADIUS) -> RadialFunction:
         """The profile over [rho0, upper]; value and derivative take a radius or radii."""
         return self._graph(check_radius(upper, name="upper"))
-
-
-def height_profile(h, alpha) -> HeightProfile:
-    """Build a HeightProfile for the given curvature and parameter."""
-    return HeightProfile(h, alpha)

@@ -62,7 +62,7 @@ class RadialSolution:
 
     ``shift`` is the vertical translation relative to the zero-anchored family
     profile with parameter -C when C < 0, and simply u(a) otherwise.
-    ``evaluator``(b) reproduces the prescribed outer value exactly. Its value
+    ``evaluator.value(b)`` is the prescribed outer value exactly. Its value
     and derivative take a radius or an array of radii; an array is tabulated
     in one pass.
     """
@@ -70,19 +70,6 @@ class RadialSolution:
     C: float
     shift: float
     evaluator: RadialFunction
-
-
-def feasible_flux_interval(h, annulus: Annulus) -> tuple[float, float]:
-    """Open interval of flux constants whose graphs span the whole annulus.
-
-    Both constraints bind at rho = a: sinh - 2h*cosh is increasing and
-    -sinh - 2h*cosh decreasing for h <= 1/2, so the interval is
-    (-large(a), -small(a)) with the closed-form branch values at a. Its
-    closure endpoints are the fluxes of the two extremal profiles starting on
-    the inner circle (the upper endpoint is >= 0 when the hole is too large
-    for a small-branch profile).
-    """
-    return _flux_interval(check_curvature(h), annulus.a)
 
 
 #: False-position steps before the root find gives up.
@@ -128,11 +115,14 @@ def integrate_radial(h, annulus: Annulus, C: float) -> float:
     Equals -integral over [a, b] of (2h*cosh + C)/sqrt(sinh^2 - (2h*cosh + C)^2),
     strictly decreasing in C. Raises InfeasibleFluxError when C violates the
     graph condition |2h*cosh(rho) + C| <= sinh(rho) somewhere on the annulus
-    (endpoint equality, the vertical extremal profiles, is allowed).
+    (endpoint equality, the vertical extremal profiles, is allowed). The
+    condition binds at rho = a, since sinh - 2h*cosh increases and
+    -sinh - 2h*cosh decreases for h <= 1/2, so the admissible C form the flux
+    interval [-large(a), -small(a)].
     """
     h = check_curvature(h)
     C = float(C)
-    c_lo, c_hi = feasible_flux_interval(h, annulus)
+    c_lo, c_hi = _flux_interval(h, annulus.a)
     if not c_lo <= C <= c_hi:
         raise InfeasibleFluxError(
             f"flux constant {C:g} outside the graph interval [{c_lo:g}, {c_hi:g}] "
@@ -186,7 +176,7 @@ def solve_radial(
     # and span*sin(theta)^2: exact next to either end, where C itself cannot
     # hold the offset, and exactly 0 at the ends theta = 0 and pi/2. span is
     # the width of the flux interval, the large end's slack as for the envelopes.
-    c_lo, c_hi = feasible_flux_interval(h, annulus)
+    c_lo, c_hi = _flux_interval(h, annulus.a)
     (span, _), _ = _vertical_slacks(annulus.a)
 
     def slacks_at(theta: float) -> tuple[float, float]:

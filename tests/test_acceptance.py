@@ -63,7 +63,7 @@ def test_criterion_3_cmc_verification():
     ]
     failures = []
     for h, param in cases:
-        profile = ca.height_profile(h, param)
+        profile = ca.HeightProfile(h, param)
         rf = profile.as_radial_function()
         rho = profile.rho0 + 0.9
         err_at_1e4 = abs(ca.mean_curvature_radial(rf, rho, step=1e-4) - 2 * h)
@@ -185,7 +185,7 @@ def test_criterion_8_2d_radial_agreement():
         if not report.converged:
             failures.append(("no convergence", n))
             continue
-        radial = np.array([oracle.evaluator(r) for r in field.grid.rho])
+        radial = np.array([oracle.evaluator.value(r) for r in field.grid.rho])
         errs[n] = float(np.abs(field.values - radial[:, None]).max())
     if errs:
         # second order: the 32-grid error fixes the constant C in C*(spacing)^2

@@ -131,13 +131,10 @@ class TestBoundingBox:
         for a in (0.2, 1.0, 5.0, 20.0, 50.0):
             box = bounding_box(0.5, Annulus(a, a + 1.0), OuterBoundaryData(0.0, 0.0))
             assert box.lower is not None
-            assert box.alpha == param_small(0.5, a)
-            assert box.beta == param_large(0.5, a)
 
     def test_large_hole_drops_lower_bound(self):
         box = bounding_box(0.4, Annulus(1.2, 2.0), OuterBoundaryData(0.0, 0.0))
         assert box.lower is None
-        assert box.alpha is None
         assert box.upper is not None
 
     def test_hole_threshold_is_sharp(self):

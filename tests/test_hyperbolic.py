@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmc_annuli import (
+    HeightProfile,
     RadialFunction,
     euclidean_to_hyperbolic,
     flux,
-    hyperbolic_to_euclidean,
     mean_curvature_radial,
 )
-from cmc_annuli.profiles import height_profile
 
 
 def test_origin_is_fixed():
     assert euclidean_to_hyperbolic(0.0) == 0.0
-    assert hyperbolic_to_euclidean(0.0) == 0.0
 
 
 def test_conversion_closed_forms():
@@ -23,14 +21,15 @@ def test_conversion_closed_forms():
     assert euclidean_to_hyperbolic(0.5) == pytest.approx(1.0986122886681098, abs=1e-15)
     # rho = 2*artanh(r) inverts at r = tanh(1/2)
     assert euclidean_to_hyperbolic(0.46211715726000974) == pytest.approx(1.0, rel=1e-15)
-    assert hyperbolic_to_euclidean(math.log(3.0)) == pytest.approx(0.5, rel=1e-15)
-    assert hyperbolic_to_euclidean(2.0) == pytest.approx(0.7615941559557649, rel=1e-15)
+    # tanh(1) = 0.7615941559557649 is the disc radius of rho = 2
+    assert euclidean_to_hyperbolic(0.7615941559557649) == pytest.approx(2.0, rel=1e-15)
 
 
-@given(st.floats(min_value=0.0, max_value=0.999))
-def test_round_trip(r):
-    back = hyperbolic_to_euclidean(euclidean_to_hyperbolic(r))
-    assert back == pytest.approx(r, rel=1e-14, abs=1e-300)
+@given(st.floats(min_value=0.0, max_value=7.6))
+def test_round_trip(rho):
+    # tanh(rho/2) is the disc radius at geodesic distance rho, below 0.999 here
+    back = euclidean_to_hyperbolic(math.tanh(rho / 2.0))
+    assert back == pytest.approx(rho, rel=1e-14, abs=1e-300)
 
 
 def test_conversions_monotone():
@@ -43,8 +42,6 @@ def test_conversion_domain_errors():
     for bad in (-0.1, 1.0, 1.5, math.inf):
         with pytest.raises(ValueError):
             euclidean_to_hyperbolic(bad)
-    with pytest.raises(ValueError):
-        hyperbolic_to_euclidean(-1e-9)
 
 
 def test_flux_zero_slope():
@@ -54,6 +51,11 @@ def test_flux_zero_slope():
 def test_flux_vertical_sentinel():
     assert flux(math.inf, 2.0) == math.sinh(2.0)
     assert flux(-math.inf, 2.0) == -math.sinh(2.0)
+
+
+def test_flux_rejects_nan_slope():
+    with pytest.raises(ValueError, match="slope"):
+        flux(math.nan, 1.0)
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=1e-3, max_value=10.0))
@@ -91,7 +93,7 @@ def test_curvature_of_closed_form_profile():
 
 
 def test_curvature_of_quadrature_profile():
-    rf = height_profile(0.4, 0.9).as_radial_function()
+    rf = HeightProfile(0.4, 0.9).as_radial_function()
     assert mean_curvature_radial(rf, 1.5, step=1e-4) == pytest.approx(0.8, abs=1e-5)
 
 
@@ -115,3 +117,9 @@ def test_curvature_stencil_domain_check():
         mean_curvature_radial(rf, 10.0, step=1e-4)
     with pytest.raises(ValueError):
         mean_curvature_radial(rf, 5e-5, step=1e-4)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-4])
+def test_curvature_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        mean_curvature_radial(_closed_form_half_profile(), 1.0, step=step)

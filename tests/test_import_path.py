@@ -100,7 +100,7 @@ import json, math, sys
 import cmc_annuli as ca
 annulus = ca.Annulus(0.5, 2.0)
 assert ca.slope(0.4, 0.5, 1.2) > 0 and ca.height(0.4, 0.5, 1.2) > 0
-profile = ca.height_profile(0.4, 0.5).as_radial_function()
+profile = ca.HeightProfile(0.4, 0.5).as_radial_function()
 assert profile.value(1.2) == ca.height(0.4, 0.5, 1.2) and profile.derivative(1.2) == ca.slope(0.4, 0.5, 1.2)
 upper = ca.upper_envelope(0.4, annulus, 0.0)
 assert isinstance(upper.value(1.2), float) and upper.derivative(0.5) == -math.inf

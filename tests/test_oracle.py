@@ -22,7 +22,7 @@ import pytest
 
 import cmc_annuli as ca
 from cmc_annuli import radial
-from cmc_annuli.profiles import _drop as _drop_of_slacks, _flux_graph
+from cmc_annuli.profiles import _drop as _drop_of_slacks, _flux_graph, _flux_interval
 
 DIGITS = 50
 
@@ -120,7 +120,7 @@ VERTICAL_CASES = [(0.4, 0.5, 2.0), (0.45, 1.2, 2.0), (0.5, 0.9, 1.9), (0.05, 0.3
 @pytest.mark.parametrize("offset", [1e-12, 1e-8])
 @pytest.mark.parametrize("end", ["lower", "upper"])
 def test_drop_next_to_a_vertical_circle(h, a, b, offset, end):
-    c_lo, c_hi = ca.feasible_flux_interval(h, ca.Annulus(a, b))
+    c_lo, c_hi = _flux_interval(h, a)
     span = c_hi - c_lo
     near = offset * span
     slacks = (span - near, near) if end == "lower" else (near, span - near)
@@ -158,6 +158,34 @@ def profile_heights(h, alpha, radii):
         rho0 = mp.findroot(lambda r: 2 * hm * mp.cosh(r) - sign * mp.sinh(r) - am, (0, 40), solver="anderson")
         return [float(-_drop(hm, rho0, mp.mpf(rho), sign)) for rho in radii]
 
+
+
+@pytest.mark.parametrize("h, a, b", VERTICAL_CASES)
+@pytest.mark.parametrize("frac", [0.25, 0.75])
+def test_radial_solution(h, a, b, frac):
+    # values at interior radii, the flux constant and the shift of a solve,
+    # against the graph of the slacks the solver built the solution from;
+    # on (0.05, 0.3, 1.3) the hole is too large and frac = 0.25 has C > 0
+    annulus, u_b = ca.Annulus(a, b), 0.3
+    drops = ca.extremal_drops(h, annulus)
+    u_a = u_b + drops.d_min + frac * (drops.d_max - drops.d_min)
+    with mock.patch.object(radial, "_anchored_graph", wraps=radial._anchored_graph) as spy:
+        solution = ca.solve_radial(h, annulus, u_a, u_b)
+    slacks = spy.call_args.args[3]
+    drop = float(flux_drop(h, a, b, *slacks))
+    for rho in (a + (b - a) / 3, a + 2 * (b - a) / 3):
+        expected = u_b + drop - float(flux_drop(h, a, rho, *slacks))
+        assert solution.evaluator.value(rho) == pytest.approx(expected, abs=1e-12)
+    # F(a) = 2h cosh(a) + C is (slack_large - slack_small) / 2
+    with mp.workdps(DIGITS):
+        c = (mp.mpf(slacks[1]) - mp.mpf(slacks[0])) / 2 - 2 * mp.mpf(h) * mp.cosh(mp.mpf(a))
+    assert solution.C == pytest.approx(float(c), abs=1e-14)
+    if solution.C < 0.0:
+        # the solution is the profile of parameter -C shifted by ``shift``
+        expected = u_b - profile_heights(h, -solution.C, [b])[0]
+        assert solution.shift == pytest.approx(expected, abs=1e-12)
+    else:
+        assert solution.shift == u_a
 
 # The package starts each profile on the rounded radius boundary_radius(alpha)
 # with exact slacks, so it integrates the profile of a parameter within

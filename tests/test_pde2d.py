@@ -7,6 +7,7 @@ import pytest
 from cmc_annuli import (
     Annulus,
     Field2D,
+    HeightProfile,
     InfeasibleBoundaryError,
     NonConvergenceError,
     OuterBoundaryData,
@@ -58,9 +59,7 @@ class TestDiscreteOperator:
         assert np.allclose(residual, -2 * H, atol=1e-13)
 
     def test_radial_profile_residual_second_order(self):
-        from cmc_annuli import height_profile
-
-        profile = height_profile(H, 0.5)
+        profile = HeightProfile(H, 0.5)
         errs = []
         for n in (16, 32, 64):
             grid = PolarGrid(ANN, n, 8)
@@ -206,7 +205,7 @@ class TestSolver:
         for n in (32, 64):
             field, report = solve_dirichlet_2d(H, ANN, u_a, 0.0, grid=(n, n), tol=1e-9)
             assert report.converged and report.residual <= 1e-9
-            radial_vals = np.array([oracle.evaluator(r) for r in field.grid.rho])
+            radial_vals = np.array([oracle.evaluator.value(r) for r in field.grid.rho])
             errs.append(float(np.abs(field.values - radial_vals[:, None]).max()))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.2)
 
@@ -304,15 +303,25 @@ class TestSolver:
             assert np.all(field.values <= top[:, None] + grid_tol)
             assert np.all(field.values >= bottom[:, None] - grid_tol)
 
-    @pytest.mark.parametrize("u_a", [1e154, 1e160, 1e300])
-    def test_overflowing_data_fails_without_warnings(self, u_a):
-        # W overflows on the starting interpolant (1e160, 1e300), so the
-        # frozen-W operator is singular, or nearly does so (1e154); the solve
+    @pytest.mark.parametrize(
+        "u_a, u_b",
+        [
+            pytest.param(1e154, 0.0, id="1e+154"),
+            pytest.param(1e160, 0.0, id="1e+160"),
+            pytest.param(1e300, 0.0, id="1e+300"),
+            pytest.param(1.7e308, 0.0, id="1.7e+308"),
+            pytest.param(-1.7e308, 1.7e308, id="-1.7e+308-1.7e+308"),
+        ],
+    )
+    def test_overflowing_data_fails_without_warnings(self, u_a, u_b):
+        # W overflows on the starting interpolant (1e160 and up), so the
+        # frozen-W operator is singular, or nearly does so (1e154); at the
+        # float limit the differences of the data overflow too. The solve
         # reports that and prints nothing
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NonConvergenceError) as excinfo:
-                solve_dirichlet_2d(0.4, Annulus(0.5, 2.0), u_a, 0.0, grid=(24, 12))
+                solve_dirichlet_2d(0.4, Annulus(0.5, 2.0), u_a, u_b, grid=(24, 12))
         assert excinfo.value.report is not None
         assert not excinfo.value.report.converged
         assert caught == []

@@ -7,19 +7,23 @@ import numpy as np
 import pytest
 
 from cmc_annuli import (
+    Annulus,
     Branch,
     HeightProfile,
     HoleTooLargeError,
+    OuterBoundaryData,
+    PolarGrid,
     boundary_radius,
+    bounding_box,
     flux,
     height,
-    height_profile,
     hole_threshold,
     mean_curvature_radial,
     param_large,
     param_small,
     sample_profile,
     slope,
+    solve_dirichlet_2d,
 )
 from cmc_annuli import profiles
 
@@ -82,7 +86,6 @@ class TestParameterOfAnotherH:
         "slope": lambda h, alpha: slope(h, alpha, 2.0),
         "boundary_radius": boundary_radius,
         "sample_profile": lambda h, alpha: sample_profile(h, alpha, 2.0, 5),
-        "height_profile": height_profile,
         "HeightProfile": HeightProfile,
     }
     ON_PROFILE = {
@@ -90,7 +93,6 @@ class TestParameterOfAnotherH:
         "slope": lambda p: p.slope(2.0),
         "boundary_radius": lambda p: p.rho0,
         "sample_profile": lambda p: p.sample(2.0, 5),
-        "height_profile": lambda p: p,
         "HeightProfile": lambda p: p,
     }
 
@@ -301,13 +303,13 @@ class TestCmcProperty:
         ],
     )
     def test_curvature_equals_2h(self, h, alpha_of):
-        profile = height_profile(h, alpha_of(h))
+        profile = HeightProfile(h, alpha_of(h))
         rho = profile.rho0 + 0.8
         rf = profile.as_radial_function()
         assert mean_curvature_radial(rf, rho, step=1e-4) == pytest.approx(2 * h, abs=1e-5)
 
     def test_order_two_refinement(self):
-        profile = height_profile(0.4, param_small(0.4, 0.5))
+        profile = HeightProfile(0.4, param_small(0.4, 0.5))
         rf = profile.as_radial_function()
         rho = profile.rho0 + 1.0
         errs = [abs(mean_curvature_radial(rf, rho, step=s) - 0.8) for s in (2e-3, 1e-3, 5e-4)]
@@ -358,6 +360,40 @@ class TestSampleProfile:
             sample_profile(0.4, 0.5, rho0 * 0.5, 5)
 
 
+# each count a caller gives: its minimum, and a call that takes the count and
+# returns the size of what it built
+_ANN = Annulus(0.5, 2.0)
+COUNTS = {
+    "sample_profile": (2, lambda n: sample_profile(0.4, 0.5, 2.0, n).shape[0]),
+    "AprioriBounds.sample": (2, lambda n: bounding_box(0.4, _ANN, OuterBoundaryData(0.0, 0.0)).sample(n).shape[0]),
+    "PolarGrid n_rho": (3, lambda n: PolarGrid(_ANN, n, 4).n_rho),
+    "PolarGrid n_theta": (4, lambda n: PolarGrid(_ANN, 3, n).n_theta),
+    "solve_dirichlet_2d grid": (3, lambda n: solve_dirichlet_2d(0.4, _ANN, 0.1, 0.0, grid=(n, 4))[0].grid.n_rho),
+}
+# a count is what operator.index takes, so numpy integers work and floats do not
+COUNT_VALUES = {
+    "minimum": lambda m: m,
+    "numpy minimum": lambda m: np.int64(m),
+    "below": lambda m: m - 1,
+    "fraction": lambda m: m + 0.5,
+    "integral float": lambda m: float(m),
+    "string": lambda m: str(m),
+    "none": lambda m: None,
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+@pytest.mark.parametrize("kind", COUNT_VALUES)
+def test_counts_are_integers_of_at_least_the_minimum(name, kind):
+    minimum, build = COUNTS[name]
+    n = COUNT_VALUES[kind](minimum)
+    if kind in ("minimum", "numpy minimum"):
+        assert build(n) == minimum
+    else:
+        with pytest.raises(ValueError, match="must be an integer" if kind != "below" else "need at least"):
+            build(n)
+
+
 # small branch, large branch, h = 1/2 and the neck; alpha1 is the parameter
 # of the large-branch profile starting at rho = 1
 PROFILE_CASES = [(0.4, 0.5), pytest.param(0.4, param_large(0.4, 1.0), id="0.4-alpha1"), (0.5, 1.0), (0.4, 0.8)]
@@ -365,7 +401,7 @@ PROFILE_CASES = [(0.4, 0.5), pytest.param(0.4, param_large(0.4, 1.0), id="0.4-al
 
 class TestHeightProfileWrapper:
     def test_fields_and_consistency(self):
-        profile = height_profile(0.4, 0.5)
+        profile = HeightProfile(0.4, 0.5)
         assert profile.h == 0.4
         assert profile.alpha == 0.5
         assert profile.branch is Branch.SMALL
@@ -377,7 +413,7 @@ class TestHeightProfileWrapper:
 
     @pytest.mark.parametrize("h, alpha", PROFILE_CASES)
     def test_slope_uses_the_stored_starting_circle(self, h, alpha):
-        profile = height_profile(h, alpha)
+        profile = HeightProfile(h, alpha)
         radii = [profile.rho0, profile.rho0 + 1e-9, 1.3, 3.0]
         expected = [slope(h, alpha, rho) for rho in radii]
         table = sample_profile(h, alpha, 3.5, 9)
@@ -390,7 +426,7 @@ class TestHeightProfileWrapper:
 
     @pytest.mark.parametrize("h, alpha", PROFILE_CASES)
     def test_height_uses_the_stored_starting_circle(self, h, alpha):
-        profile = height_profile(h, alpha)
+        profile = HeightProfile(h, alpha)
         radii = [profile.rho0, profile.rho0 + 1e-9, 1.3, 3.0]
         expected = [height(h, alpha, rho) for rho in radii]
         with mock.patch.object(profiles, "boundary_radius", wraps=profiles.boundary_radius) as spy:
@@ -402,7 +438,7 @@ class TestHeightProfileWrapper:
 
     @pytest.mark.parametrize("h, alpha", PROFILE_CASES)
     def test_radial_function_of_radii_is_the_sample(self, h, alpha):
-        profile = height_profile(h, alpha)
+        profile = HeightProfile(h, alpha)
         with mock.patch.object(profiles.HeightProfile, "__post_init__", side_effect=AssertionError):
             table = profile.sample(3.5, 33)
             graph = profile.as_radial_function()
@@ -411,7 +447,7 @@ class TestHeightProfileWrapper:
 
     def test_radial_function_stops_at_the_supported_maximum(self):
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
-            height_profile(0.4, 0.5).as_radial_function(800.0).value(750.0)
+            HeightProfile(0.4, 0.5).as_radial_function(800.0).value(750.0)
 
 
 class TestHeightProfileConstructor:
@@ -422,16 +458,16 @@ class TestHeightProfileConstructor:
     """
 
     def test_replaced_h_rederives_the_profile(self):
-        profile = dataclasses.replace(height_profile(0.4, 0.5), h=0.2)
-        assert profile == height_profile(0.2, 0.5)
+        profile = dataclasses.replace(HeightProfile(0.4, 0.5), h=0.2)
+        assert profile == HeightProfile(0.2, 0.5)
         assert profile.branch is Branch.LARGE
         assert profile.height(2.0) == height(0.2, 0.5, 2.0)
 
     def test_replaced_alpha_rederives_the_profile(self):
-        small = height_profile(0.4, 0.5)
+        small = HeightProfile(0.4, 0.5)
         for alpha, branch in [(0.8, Branch.NECK), (3.0, Branch.LARGE), (0.3, Branch.SMALL)]:
             profile = dataclasses.replace(small, alpha=alpha)
-            assert profile == height_profile(0.4, alpha)
+            assert profile == HeightProfile(0.4, alpha)
             assert profile.branch is branch
             assert profile.rho0 == boundary_radius(0.4, alpha)
 
@@ -439,9 +475,9 @@ class TestHeightProfileConstructor:
         with pytest.raises(TypeError):
             HeightProfile(0.4, 0.5, 0.3)
         with pytest.raises(ValueError):
-            dataclasses.replace(height_profile(0.4, 0.5), rho0=0.3)
+            dataclasses.replace(HeightProfile(0.4, 0.5), rho0=0.3)
         with pytest.raises(ValueError):
-            dataclasses.replace(height_profile(0.4, 0.5), branch=Branch.LARGE)
+            dataclasses.replace(HeightProfile(0.4, 0.5), branch=Branch.LARGE)
 
     CALLS = {
         "HeightProfile": HeightProfile,

@@ -15,8 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cmc_annuli import Annulus, feasible_flux_interval
-from cmc_annuli.profiles import _anchored_graph, _drop, _flux_graph
+from cmc_annuli.profiles import _anchored_graph, _drop, _flux_graph, _flux_interval
 
 # Abscissae of the 21-point Kronrod rule on [-1, 1] in ascending order; the
 # odd positions are the nodes of the 10-point Gauss rule (QUADPACK's QK21).
@@ -99,7 +98,7 @@ def _acceptance_graphs():
     annuli = [(a, a + w) for a in inner for w in (0.5, 1.3)] + [(0.5, 2.0), (0.5, 1.5)]
     for h in (0.2, 0.4, 0.5):
         for a, b in annuli:
-            c_lo, c_hi = feasible_flux_interval(h, Annulus(a, b))
+            c_lo, c_hi = _flux_interval(h, a)
             for C in (c_lo, c_hi, 0.7 * c_lo + 0.3 * c_hi):
                 yield (h, a, b, C), (c_hi - C, C - c_lo)
 

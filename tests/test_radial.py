@@ -14,7 +14,6 @@ from cmc_annuli import (
     bounding_box,
     dirichlet_feasibility,
     extremal_drops,
-    feasible_flux_interval,
     flux,
     height,
     integrate_radial,
@@ -27,25 +26,25 @@ from cmc_annuli import (
 )
 from cmc_annuli import profiles, radial
 from cmc_annuli.errors import NonConvergenceError
-from cmc_annuli.profiles import DEFAULT_TOL
+from cmc_annuli.profiles import DEFAULT_TOL, _flux_interval
 from cmc_annuli.radial import _false_position
 
 
 class TestFeasibleFluxInterval:
     def test_closed_form_endpoints(self):
-        lo, hi = feasible_flux_interval(0.4, Annulus(0.5, 2.0))
+        lo, hi = _flux_interval(0.4, 0.5)
         assert lo == pytest.approx(-1.4231960776588521, rel=1e-14)
         assert hi == pytest.approx(-0.38100546667135726, rel=1e-14)
         assert lo == -param_large(0.4, 0.5)
         assert hi == pytest.approx(-param_small(0.4, 0.5), rel=1e-14)
 
     def test_half_exponential_endpoints(self):
-        lo, hi = feasible_flux_interval(0.5, Annulus(1.0, 2.0))
+        lo, hi = _flux_interval(0.5, 1.0)
         assert lo == -math.e
         assert hi == -math.exp(-1.0)
 
     def test_large_hole_allows_positive_flux(self):
-        lo, hi = feasible_flux_interval(0.4, Annulus(1.2, 2.0))
+        lo, hi = _flux_interval(0.4, 1.2)
         assert hi == pytest.approx(-(0.8 * math.cosh(1.2) - math.sinh(1.2)), rel=1e-13)
         assert hi > 0.0
 
@@ -75,14 +74,14 @@ class TestIntegrateRadial:
 
     def test_midpoint_flux_is_interior(self):
         ann = Annulus(0.5, 2.0)
-        lo, hi = feasible_flux_interval(0.4, ann)
+        lo, hi = _flux_interval(0.4, ann.a)
         drops = extremal_drops(0.4, ann)
         mid = integrate_radial(0.4, ann, 0.5 * (lo + hi))
         assert drops.d_min < mid < drops.d_max
 
     def test_strictly_decreasing_in_flux(self):
         ann = Annulus(0.5, 2.0)
-        lo, hi = feasible_flux_interval(0.4, ann)
+        lo, hi = _flux_interval(0.4, ann.a)
         grid = np.linspace(lo + 1e-9, hi - 1e-9, 12)
         drops = [integrate_radial(0.4, ann, c) for c in grid]
         assert all(x > y for x, y in zip(drops, drops[1:]))
@@ -93,13 +92,13 @@ class TestIntegrateRadial:
         # fluxes a tenth of the open interval apart, so that each step in C
         # moves the drop far more than its rounding error
         ann = Annulus(a, a + width)
-        lo, hi = feasible_flux_interval(h, ann)
+        lo, hi = _flux_interval(h, ann.a)
         drops = [integrate_radial(h, ann, lo + k / 10 * (hi - lo)) for k in range(1, 10)]
         assert all(x > y for x, y in zip(drops, drops[1:]))
 
     def test_infeasible_flux_raises(self):
         ann = Annulus(0.5, 2.0)
-        lo, hi = feasible_flux_interval(0.4, ann)
+        lo, hi = _flux_interval(0.4, ann.a)
         with pytest.raises(InfeasibleFluxError):
             integrate_radial(0.4, ann, lo - 1e-6)
         with pytest.raises(InfeasibleFluxError):
@@ -107,7 +106,7 @@ class TestIntegrateRadial:
 
     def test_endpoint_fluxes_are_allowed(self):
         ann = Annulus(0.5, 2.0)
-        lo, hi = feasible_flux_interval(0.4, ann)
+        lo, hi = _flux_interval(0.4, ann.a)
         integrate_radial(0.4, ann, lo)
         integrate_radial(0.4, ann, hi)
 
@@ -129,7 +128,7 @@ class TestExtremalDrops:
     def test_large_hole_uses_limiting_quadrature(self):
         ann = Annulus(1.2, 2.0)  # beyond artanh(0.8)
         drops = extremal_drops(0.4, ann)
-        _, hi = feasible_flux_interval(0.4, ann)
+        _, hi = _flux_interval(0.4, ann.a)
         assert drops.d_min == pytest.approx(integrate_radial(0.4, ann, hi), abs=1e-10)
         assert drops.d_min < drops.d_max
 
@@ -144,7 +143,7 @@ class TestExtremalDrops:
 
     def test_matches_extremal_integrals(self):
         ann = Annulus(0.5, 2.0)
-        lo, hi = feasible_flux_interval(0.4, ann)
+        lo, hi = _flux_interval(0.4, ann.a)
         drops = extremal_drops(0.4, ann)
         assert integrate_radial(0.4, ann, lo) == drops.d_max
         assert integrate_radial(0.4, ann, hi) == drops.d_min
@@ -177,8 +176,8 @@ class TestSolveRadial:
     def test_zero_drop_near_flat(self):
         ann = Annulus(1.0, 1.1)
         solution = solve_radial(0.05, ann, 2.0, 2.0)
-        assert solution.evaluator(1.05) == pytest.approx(2.0, abs=0.01)
-        assert solution.evaluator(1.1) == 2.0
+        assert solution.evaluator.value(1.05) == pytest.approx(2.0, abs=0.01)
+        assert solution.evaluator.value(1.1) == 2.0
 
     def test_recovers_translated_profile(self):
         h, alpha, shift = 0.4, 0.6, 5.0
@@ -190,13 +189,13 @@ class TestSolveRadial:
         assert solution.C == pytest.approx(-alpha, abs=1e-8)
         assert solution.shift == pytest.approx(shift, abs=1e-8)
         for rho in np.linspace(a, b, 7):
-            assert solution.evaluator(rho) == pytest.approx(
+            assert solution.evaluator.value(rho) == pytest.approx(
                 height(h, alpha, rho) + shift, abs=1e-8
             )
 
     def test_outer_value_matches_exactly(self):
         solution = solve_radial(0.4, Annulus(0.5, 2.0), -0.1, -0.3)
-        assert solution.evaluator(2.0) == -0.3
+        assert solution.evaluator.value(2.0) == -0.3
 
     def test_infeasible_above_upper_bound(self):
         ann = Annulus(0.5, 2.0)
@@ -215,7 +214,7 @@ class TestSolveRadial:
         for offset in (1e-4, 1e-9):
             for target in (drops.d_max - offset, drops.d_min + offset):
                 solution = solve_radial(0.4, ann, target, 0.0)
-                assert solution.evaluator(0.5) == pytest.approx(target, abs=1e-8)
+                assert solution.evaluator.value(0.5) == pytest.approx(target, abs=1e-8)
             with pytest.raises(InfeasibleBoundaryError):
                 solve_radial(0.4, ann, drops.d_max + offset, 0.0)
             with pytest.raises(InfeasibleBoundaryError):
@@ -227,7 +226,7 @@ class TestSolveRadial:
         # the extremal graph, vertical at a with the lower envelope's sign
         ann = Annulus(0.5, 2.0)
         solution = solve_radial(0.4, ann, extremal_drops(0.4, ann).d_min + 5e-12, 0.0)
-        assert solution.C == feasible_flux_interval(0.4, ann)[1]
+        assert solution.C == _flux_interval(0.4, ann.a)[1]
         expected = bounding_box(0.4, ann, OuterBoundaryData(0.0, 0.0)).lower.derivative(ann.a)
         assert math.isinf(expected)
         assert solution.evaluator.derivative(ann.a) == expected
@@ -263,7 +262,7 @@ class TestSolveRadial:
             solution = solve_radial(h, ann, target, 0.0)
         assert in_build == [0] and drop.call_count >= 2
         if offset == 5e-12:
-            assert solution.C == feasible_flux_interval(h, ann)[0]
+            assert solution.C == _flux_interval(h, ann.a)[0]
         assert solution.evaluator.value(ann.b) == 0.0
         assert solution.evaluator.value(ann.a) == pytest.approx(target, abs=1e-10)
 
@@ -274,7 +273,7 @@ class TestSolveRadial:
         moved = solve_radial(0.4, ann, 0.15 + t, 0.0 + t)
         assert moved.C == pytest.approx(base.C, abs=1e-8)
         for rho in (0.5, 1.0, 1.7, 2.0):
-            assert moved.evaluator(rho) == pytest.approx(base.evaluator(rho) + t, abs=1e-8)
+            assert moved.evaluator.value(rho) == pytest.approx(base.evaluator.value(rho) + t, abs=1e-8)
 
     def test_flux_constancy_along_solution(self):
         from cmc_annuli import flux
@@ -310,8 +309,8 @@ class TestSolveRadial:
 
         with mock.patch.object(radial, "_drop", counted):
             solution = solve_radial(h, ann, u_a, u_b)
-        assert abs(solution.evaluator(a) - u_a) <= DEFAULT_TOL
-        assert solution.evaluator(a + width) == u_b
+        assert abs(solution.evaluator.value(a) - u_a) <= DEFAULT_TOL
+        assert solution.evaluator.value(a + width) == u_b
         assert len(calls) <= 12  # bracket ends included
 
     def test_tolerance_below_an_ulp_of_the_drop_stalls(self):

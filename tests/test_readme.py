@@ -38,3 +38,11 @@ def test_cli_examples_run(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, argv
         if "--out" in argv:
             assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv
+
+
+def test_public_names_are_listed():
+    """Every name of ``cmc_annuli.__all__`` is listed in the README's "Public names" section."""
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Public names\n(.*?)^## ", text, re.M | re.S).group(1)
+    listed = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", section))
+    assert sorted(set(cmc_annuli.__all__) - listed) == []
