@@ -23,12 +23,11 @@ floats they validate.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import HoleTooLargeError
-from .hyperbolic import MAX_RADIUS, RadialFunction
+from .hyperbolic import RadialFunction, _finite, check_radius
 from .profiles import (
     _anchored_graph,
     _check_count,
@@ -44,19 +43,15 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Annulus:
-    """Circular annulus a <= rho <= b in hyperbolic radii, 0 < a < b."""
+    """Circular annulus a <= rho <= b in hyperbolic radii, 0 < a < b <= MAX_RADIUS."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"annulus radii must be finite, got a={self.a!r}, b={self.b!r}")
+        a, b = check_radius(self.a, name="a"), check_radius(self.b, name="b")
         if not 0.0 < a < b:
             raise ValueError(f"annulus needs 0 < a < b, got a={a:g}, b={b:g}")
-        if b > MAX_RADIUS:
-            raise ValueError(f"outer radius {b:g} exceeds the supported maximum {MAX_RADIUS:g}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -69,21 +64,11 @@ class OuterBoundaryData:
     M: float
 
     def __post_init__(self):
-        m, M = float(self.m), float(self.M)
-        if not (math.isfinite(m) and math.isfinite(M)):
-            raise ValueError("boundary extremes must be finite")
+        m, M = _finite(self.m, "outer minimum m"), _finite(self.M, "outer maximum M")
         if m > M:
             raise ValueError(f"need m <= M, got m={m:g} > M={M:g}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
-
-
-def _outer_value(value, name: str) -> float:
-    """An outer boundary value as a float, checked like ``OuterBoundaryData``'s."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"outer {name} must be finite, got {value!r}")
-    return x
 
 
 def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
@@ -93,7 +78,7 @@ def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     value at rho = b equals M. Exists for every annulus and every h.
     """
     h = check_curvature(h)
-    M = _outer_value(M, "maximum M")
+    M = _finite(M, "outer maximum M")
     large, _ = _vertical_slacks(annulus.a)
     return _anchored_graph(h, annulus.a, annulus.b, large, M)
 
@@ -106,7 +91,7 @@ def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
     a >= artanh(2h), where no such profile exists.
     """
     h = check_curvature(h)
-    m = _outer_value(m, "minimum m")
+    m = _finite(m, "outer minimum m")
     param_small(h, annulus.a)  # raises where the hole is too large
     _, small = _vertical_slacks(annulus.a)
     return _anchored_graph(h, annulus.a, annulus.b, small, m)
@@ -157,6 +142,16 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """A verdict of ``dirichlet_feasibility`` and the thresholds at rho = a behind it.
+
+    ``threshold_upper`` is the upper envelope's value at a, M + d_max, and
+    ``threshold_lower`` the lower envelope's, m + d_min, or None when the hole
+    is too large for a lower envelope (h < 1/2 and a >= artanh(2h)).
+    ``margin`` is positive for a Violates* verdict, the size of the violation;
+    for Inconclusive it is at most 0, minus the distance of the inner data to
+    the nearest threshold.
+    """
+
     verdict: Verdict
     threshold_upper: float
     threshold_lower: Optional[float]
@@ -179,9 +174,7 @@ def dirichlet_feasibility(
     distance to the nearest threshold otherwise. Shifting all boundary data by
     one constant shifts the thresholds identically and preserves the verdict.
     """
-    inner_min, inner_max = float(inner_min), float(inner_max)
-    if not (math.isfinite(inner_min) and math.isfinite(inner_max)):
-        raise ValueError(f"inner data must be finite, got {inner_min!r} and {inner_max!r}")
+    inner_min, inner_max = _finite(inner_min, "inner_min"), _finite(inner_max, "inner_max")
     if inner_min > inner_max:
         raise ValueError(f"need inner_min <= inner_max, got {inner_min:g} > {inner_max:g}")
     h = check_curvature(h)

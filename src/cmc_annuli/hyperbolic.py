@@ -19,11 +19,22 @@ from typing import Callable
 MAX_RADIUS = 100.0
 
 
+def _finite(value, name: str, positive: bool = False) -> float:
+    """``float(value)``, raising ValueError unless it is finite (and, if asked, positive).
+
+    The one check of every numeric input of the package.
+    """
+    x = float(value)
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {value!r}")
+    return x
+
+
 def check_radius(rho: float, *, name: str = "rho") -> float:
     """Validate a hyperbolic radius: finite, nonnegative, below MAX_RADIUS."""
-    rho = float(rho)
-    if not math.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"{name} must be a finite nonnegative radius, got {rho!r}")
+    rho = _finite(rho, name)
+    if rho < 0.0:
+        raise ValueError(f"{name} must be a nonnegative radius, got {rho!r}")
     if rho > MAX_RADIUS:
         raise ValueError(f"{name} = {rho:g} exceeds the supported maximum {MAX_RADIUS:g}")
     return rho
@@ -66,9 +77,9 @@ def flux(slope: float, rho: float) -> float:
     slope = float(slope)
     if math.isnan(slope):
         raise ValueError("flux requires a slope that is a number, got nan")
-    rho = float(rho)
-    if not math.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"flux requires a finite nonnegative radius, got {rho!r}")
+    rho = _finite(rho, "rho")
+    if rho < 0.0:
+        raise ValueError(f"flux requires a nonnegative radius, got {rho!r}")
     s = math.sinh(rho)
     if math.isinf(slope):
         return math.copysign(s, slope)
@@ -88,9 +99,7 @@ def mean_curvature_radial(
     so vertical translates of ``u`` give bitwise identical results.
     """
     rho = float(rho)
-    step = float(step)
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
+    step = _finite(step, "step", positive=True)
     if rho <= 0.0:
         raise ValueError("mean_curvature_radial needs rho > 0 (sinh(rho) divides)")
     lo, hi = u.domain

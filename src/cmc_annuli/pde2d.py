@@ -43,8 +43,9 @@ import numpy as np
 
 from .errors import InfeasibleBoundaryError, NonConvergenceError
 from .estimates import Annulus
+from .hyperbolic import _finite
 from .krylov import newton_krylov
-from .profiles import _check_count, _check_tol, check_curvature
+from .profiles import _check_count, check_curvature
 from .radial import solve_radial
 
 BoundaryData = Union[float, np.ndarray, Callable[[float], float]]
@@ -238,14 +239,12 @@ def max_gradient(field2d: Field2D) -> float:
 
 
 def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray:
-    if callable(g):
-        arr = np.array([float(g(t)) for t in theta])
-    else:
-        arr = np.array(g, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(theta.shape, float(arr))
-        elif arr.shape != theta.shape:
-            raise ValueError(f"{name} must have one value per theta node, got shape {arr.shape}")
+    # a callable's None becomes nan here and fails the finite check below
+    arr = np.array([g(t) for t in theta] if callable(g) else g, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(theta.shape, float(arr))
+    elif arr.shape != theta.shape:
+        raise ValueError(f"{name} must have one value per theta node, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite at every theta node")
     return arr
@@ -353,8 +352,12 @@ def solve_dirichlet_2d(
     data outside the a-priori envelopes that is the expected outcome.
     """
     h = check_curvature(h)
-    tol = _check_tol(tol)
-    grid = PolarGrid(annulus, *grid)
+    tol = _finite(tol, "tolerance", positive=True)
+    try:
+        n_rho, n_theta = grid
+    except (TypeError, ValueError):
+        raise ValueError(f"grid must be a pair (n_rho, n_theta), got {grid!r}") from None
+    grid = PolarGrid(annulus, n_rho, n_theta)
 
     inner = _boundary_array(g_inner, grid.theta, "g_inner")
     outer = _boundary_array(g_outer, grid.theta, "g_outer")

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .errors import HoleTooLargeError
-from .hyperbolic import MAX_RADIUS, RadialFunction, check_radius
+from .hyperbolic import MAX_RADIUS, RadialFunction, _finite, check_radius
 from .carlson import rc, rf_rj
 
 if TYPE_CHECKING:
@@ -84,9 +84,7 @@ class Branch(enum.Enum):
 
 def check_curvature(h) -> float:
     """Validate a mean curvature: finite, in (0, 1/2]; h = 1/2 is the hole-free borderline."""
-    h = float(h)
-    if not math.isfinite(h):
-        raise ValueError(f"mean curvature must be a finite number, got {h!r}")
+    h = _finite(h, "mean curvature")
     if not 0.0 < h <= 0.5:
         raise ValueError(f"mean curvature must lie in (0, 1/2], got {h!r}")
     return h
@@ -156,14 +154,6 @@ def param_large(h, rho) -> float:
     h = check_curvature(h)
     rho = check_radius(rho)
     return _large_value(h, rho)
-
-
-def _check_tol(tol) -> float:
-    """Validate a caller's tolerance: finite and positive."""
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    return tol
 
 
 def _check_count(n, minimum: int, what: str = "sample rows", name: str = "n") -> int:
@@ -408,9 +398,7 @@ class HeightProfile:
 
     def __post_init__(self):
         h = check_curvature(self.h)
-        alpha = float(self.alpha)
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise ValueError(f"profile parameter must be positive and finite, got {alpha!r}")
+        alpha = _finite(self.alpha, "profile parameter", positive=True)
         gap = alpha - 2.0 * h
         if abs(gap) <= PARAM_RTOL * max(alpha, 2.0 * h):
             branch = Branch.NECK

@@ -35,11 +35,10 @@ from typing import Callable
 
 from .errors import InfeasibleBoundaryError, InfeasibleFluxError, NonConvergenceError
 from .estimates import Annulus
-from .hyperbolic import RadialFunction
+from .hyperbolic import RadialFunction, _finite
 from .profiles import (
     DEFAULT_TOL,
     _anchored_graph,
-    _check_tol,
     _drop,
     _flux_interval,
     _vertical_slacks,
@@ -160,10 +159,8 @@ def solve_radial(
     open achievable interval, consistent with the a-priori estimates.
     """
     h = check_curvature(h)
-    tol = _check_tol(tol)
-    u_a, u_b = float(u_a), float(u_b)
-    if not (math.isfinite(u_a) and math.isfinite(u_b)):
-        raise ValueError(f"boundary values must be finite, got u_a={u_a!r}, u_b={u_b!r}")
+    tol = _finite(tol, "tolerance", positive=True)
+    u_a, u_b = _finite(u_a, "u_a"), _finite(u_b, "u_b")
     target = u_a - u_b
     # the bracket is the closed flux interval, so exactly the open drop interval is solvable
     extremal = extremal_drops(h, annulus)

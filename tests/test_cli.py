@@ -294,6 +294,59 @@ def test_bad_tol_exit_2(capsys, tmp_path, argv, tol):
     assert not out.exists()
 
 
+# A valid invocation of each command, as flag -> value; every flag named here
+# but --out is numeric. check writes no file, and the two-d solve's --n is
+# unused but parsed.
+NUMERIC_FLAGS = {
+    "profile": (["profile"], {"--h": "0.4", "--alpha": "1", "--rho-max": "2", "--n": "5"}),
+    "bounds": (["bounds"], {"--h": "0.4", "--a": "0.5", "--b": "2", "--m": "0", "--M": "0", "--n": "5"}),
+    "check": (["check"], {"--h": "0.4", "--a": "0.5", "--b": "2", "--inner": "0.1", "--outer": "0"}),
+    "solve": (
+        ["solve"],
+        {"--h": "0.4", "--a": "0.5", "--b": "2", "--u-a": "0.1", "--u-b": "0", "--n": "5", "--tol": "1e-10"},
+    ),
+    "solve-two-d": (
+        ["solve", "--two-d"],
+        {
+            "--h": "0.4", "--a": "0.5", "--b": "1.5", "--u-a": "0.1", "--u-b": "0", "--n": "5",
+            "--n-rho": "8", "--n-theta": "8", "--tol": "1e-8",
+        },
+    ),
+    "figure-family": (["figure", "family"], {"--h": "0.5", "--alphas": "0.3,1", "--rho-max": "3", "--n": "5"}),
+    "figure-box": (
+        ["figure", "box"], {"--h": "0.5", "--a": "1", "--b": "2", "--m": "0", "--M": "0", "--n": "5"}
+    ),
+}
+
+
+def _numeric_argv(command, out, replace=None):
+    words, flags = NUMERIC_FLAGS[command]
+    argv = [*words, *(f"{flag}={value}" for flag, value in {**flags, **(replace or {})}.items())]
+    return argv if command == "check" else [*argv, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", NUMERIC_FLAGS)
+def test_numeric_flag_base_runs(capsys, tmp_path, command):
+    code, _, stderr = run(capsys, *_numeric_argv(command, tmp_path / "out"))
+    assert code == 0, stderr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, (_, flags) in NUMERIC_FLAGS.items() for flag in flags],
+)
+def test_bad_numeric_flag_exit_2(capsys, tmp_path, monkeypatch, command, flag, bad):
+    # --inner x and --outer x name a CSV file that is not there
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, *_numeric_argv(command, out, {flag: bad}))
+    assert code == 2
+    assert stdout == ""
+    assert stderr
+    assert not out.exists()
+
+
 class TestSolveCommand:
     def test_radial_solve(self, capsys, tmp_path):
         out = tmp_path / "radial.csv"

@@ -45,6 +45,11 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             PolarGrid(ANN, n_rho, n_theta)
 
+    @pytest.mark.parametrize("grid", [8, (8,), (8, 8, 8)], ids=["int", "one", "three"])
+    def test_solve_grid_must_be_a_pair(self, grid):
+        with pytest.raises(ValueError, match="grid must be a pair"):
+            solve_dirichlet_2d(H, ANN, 0.1, 0.0, grid=grid)
+
     def test_field_shape_validation(self):
         grid = PolarGrid(ANN, 5, 8)
         with pytest.raises(ValueError):
@@ -349,6 +354,9 @@ class TestSolver:
     def test_bad_boundary_array_rejected(self):
         with pytest.raises(ValueError):
             solve_dirichlet_2d(H, ANN, np.zeros(7), 0.0, grid=(12, 12))
+        # a callable's non-number is a bad value like any other, not a TypeError
+        with pytest.raises(ValueError, match="g_outer must be finite at every theta node"):
+            solve_dirichlet_2d(H, ANN, 0.0, lambda t: None, grid=(12, 12))
 
     def test_boundary_rows_imposed_exactly(self):
         inner = lambda t: 0.02 * math.sin(t)

@@ -64,7 +64,7 @@ class TestParameterClassification:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="finite and positive"):
             HeightProfile(0.4, bad)
 
 
@@ -110,7 +110,7 @@ class TestParameterOfAnotherH:
 
     @pytest.mark.parametrize("name", CALLS)
     def test_hand_built_parameter_is_validated(self, name):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="finite and positive"):
             self.CALLS[name](0.4, -1.0)
 
 
