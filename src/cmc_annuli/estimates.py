@@ -12,12 +12,12 @@ are the graphs at the ends of the flux interval at a, with the radicand
 slacks (span, 0) and (0, span) there of ``profiles._vertical_slacks``, so a
 threshold is the outer extreme plus an extremal drop, M + d_max or
 m + d_min: one closed-form drop, as in ``radial.extremal_drops``. Envelopes
-are ``profiles._anchored_graph``'s, like profiles and radial solutions:
-values and derivatives take a radius or an array of radii, and an array is
-tabulated in one pass of the same closed form. h and the parameters of the
-two profiles, ``param_large(h, a)`` and ``param_small(h, a)``, are plain
-floats, and ``Annulus`` and ``OuterBoundaryData`` store their values as the
-floats they validate.
+are ``profiles._Graph``, like profiles and radial solutions: values and
+derivatives take a radius or an array of radii, and an array is tabulated in
+one pass of the same closed form. h and the parameters of the two profiles,
+``param_large(h, a)`` and ``param_small(h, a)``, are plain floats, and
+``Annulus`` and ``OuterBoundaryData`` store their values as the floats they
+validate.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import HoleTooLargeError
 from .hyperbolic import RadialFunction, _finite, check_radius
 from .profiles import (
-    _anchored_graph,
+    _Graph,
     _check_count,
     _drop,
     _vertical_slacks,
@@ -80,7 +80,7 @@ def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     h = check_curvature(h)
     M = _finite(M, "outer maximum M")
     large, _ = _vertical_slacks(annulus.a)
-    return _anchored_graph(h, annulus.a, annulus.b, large, M)
+    return _Graph(h, annulus.a, annulus.b, large, M).radial_function()
 
 
 def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
@@ -94,7 +94,7 @@ def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
     m = _finite(m, "outer minimum m")
     param_small(h, annulus.a)  # raises where the hole is too large
     _, small = _vertical_slacks(annulus.a)
-    return _anchored_graph(h, annulus.a, annulus.b, small, m)
+    return _Graph(h, annulus.a, annulus.b, small, m).radial_function()
 
 
 @dataclass(frozen=True)

@@ -59,12 +59,18 @@ class RadialFunction:
     Carries its first derivative, which for the package's graphs comes from
     the same flux kernel as the value; the curvature checker below reads only
     the derivative, never the value. ``domain`` is the closed interval of
-    radii on which both callables are valid.
+    radii on which both callables are valid; each end is checked, and stored,
+    as a radius.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
     domain: tuple[float, float]
+
+    def __post_init__(self):
+        lo, hi = self.domain
+        lo, hi = check_radius(lo, name="domain start"), check_radius(hi, name="domain end")
+        object.__setattr__(self, "domain", (lo, hi))
 
 
 def flux(slope: float, rho: float) -> float:

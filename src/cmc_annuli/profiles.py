@@ -33,17 +33,17 @@ Every graph of constant mean curvature h over an annulus has a conserved flux,
 sinh(rho) u'/sqrt(1 + u'^2) = 2h*cosh(rho) + C; a profile is the C = -alpha
 member. A graph reaching out from the circle rho = r0 has C in the flux
 interval [-large(r0), -small(r0)], and is given by its two radicand slacks
-there, its distances to the ends of that interval. One private kernel,
-``_flux_graph``, gives its slope and its rise from r0. With t = cosh(rho) the
-rise is an elliptic integral whose four linear factors are positive on the
-annulus, so it is a closed form in Carlson's R_F, R_J and R_C (``carlson``),
-built from the slacks without cancellation. One wrapper, ``_anchored_graph``,
-translates such a graph to a given value at a given radius and checks its
-radii; profiles (0 on their circle), the envelopes of ``estimates`` and the
-solutions of ``radial`` are all built by it, values and derivatives alike,
-points and tables alike. A graph vertical on its circle has the slacks of
-``_vertical_slacks``, the one rule for profiles, envelopes, thresholds and
-extremal drops.
+there, its distances to the ends of that interval. One private class,
+``_Graph``, is such a graph over [r0, b], translated to a given value at a
+given radius. Its slope and its rise from r0 are the one flux kernel: with
+t = cosh(rho) the rise is an elliptic integral whose four linear factors are
+positive on the annulus, so it is a closed form in Carlson's R_F, R_J and R_C
+(``carlson``), built from the slacks without cancellation. Profiles (0 on
+their circle), the envelopes and thresholds of ``estimates`` and the drops
+and solutions of ``radial`` are all this class, values and derivatives,
+points and tables alike, handed out as ``RadialFunction``. A graph vertical
+on its circle has the slacks of ``_vertical_slacks``, the one rule for
+profiles, envelopes, thresholds and extremal drops.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import HoleTooLargeError
 from .hyperbolic import MAX_RADIUS, RadialFunction, _finite, check_radius
@@ -167,123 +167,12 @@ def _check_count(n, minimum: int, what: str = "sample rows", name: str = "n") ->
     return count
 
 
-def _flux_graph(h: float, r0: float, slack_small: float, slack_large: float) -> tuple[Callable, Callable]:
-    """Rise u(r) - u(r0) and slope u'(r) of the graph with these radicand slacks at r0.
-
-    The slacks are the flux's distances to the ends of the flux interval at
-    r0, ``slack_small`` to -small(r0) and ``slack_large`` to -large(r0); one
-    is exactly 0 for a graph vertical at r0. Both callables take ``(xp, r)``,
-    xp ``math`` with a float r or numpy with an array, and run the same
-    expressions either way; at r <= r0 the rise is 0 and the slope its limit,
-    infinite where one slack is 0. The radicand factors sinh(r) -/+ F(r) are
-    the slacks plus their growth since r0 in expm1 form, and F(r) is its value
-    at r0 plus a growth that is a sum of nonnegative terms, so neither loses
-    digits next to a vertical circle or where the graph turns horizontal.
-
-    With t = cosh(rho) the rise is the integral of (2ht + C)/sqrt(f1 f2 f3 f4)
-    with f1 = t - 1, f2 = t + 1, f3 = t - r+ and f4 = k*t + c4 (k = 1 - 4h^2,
-    f3*f4 = sinh^2 - F^2), all positive on [cosh r0, cosh r]. Carlson's
-    reduction (Math. Comp. 49, 1987; 51, 1988) of 2ht + C = 2h*f1 + e gives
-    2h * (2 R_C(P^2, Q^2) - (4/3) e^2 R_J(U12^2, U13^2, U14^2, W^2))
-    + 2e * R_F(U12^2, U13^2, U14^2), with W^2 = U12^2 + e^2, Q = W/(X1 Y1),
-    P^2 = Q^2 + k and U_ij = (X_i X_j Y_k Y_l + Y_i Y_j X_k X_l)/(cosh r - cosh r0),
-    X_i = sqrt(f_i(cosh r)) and Y_i = sqrt(f_i(cosh r0)) built from half-angle
-    sinh and cosh and the factors above, without subtraction. R_F and R_J share
-    their first three arguments and come from one duplication loop
-    (``carlson.rf_rj``). The factors must
-    be one polynomial's, so the rise takes the smaller slack as given and the
-    other as 2 sinh(r0) minus it: slacks summing to the rounded width
-    c_hi - c_lo would be off by a large fraction of it for r0 near 0. On the
-    neck (r0 = 0) Y1 = 0, and the rise is 4h*D*R_C(1 + k*D^2, 1) with
-    D = sinh(r/2)^2/(cosh(r/2) + sqrt(4h^2 + k*cosh(r/2)^2)).
-    """
-    exp_plus, exp_minus = math.exp(r0), math.exp(-r0)
-    cosh0, sinh0 = math.cosh(r0), math.sinh(r0)
-    half_sinh, half_cosh = math.sinh(0.5 * r0), math.cosh(0.5 * r0)
-    coef_plus, coef_minus = 1.0 + 2.0 * h, 1.0 - 2.0 * h
-    k = coef_plus * coef_minus
-    # C and e = 2h + C from the end the smaller slack is measured from;
-    # sinh(r0) -/+ 4h sinh(r0/2)^2 has no cancellation in these forms
-    c_lo, c_hi = _flux_interval(h, r0)
-    if slack_small <= slack_large:
-        exact = (slack_small, 2.0 * sinh0 - slack_small)
-        C = c_hi - slack_small
-        e = half_sinh * (coef_minus * math.exp(0.5 * r0) + coef_plus * math.exp(-0.5 * r0)) - slack_small
-    else:
-        exact = (2.0 * sinh0 - slack_large, slack_large)
-        C = c_lo + slack_large
-        e = slack_large - sinh0 - 4.0 * h * half_sinh * half_sinh
-    flux0 = 0.5 * (slack_large - slack_small)
-    radicand0 = slack_small * slack_large
-    if radicand0 > 0.0:
-        anchor_slope = flux0 / math.sqrt(radicand0)
-    else:
-        anchor_slope = math.copysign(math.inf, flux0) if flux0 else 0.0
-
-    def factors(xp, r, slacks):
-        """Growth of F since r0, and the radicand factors sinh(r) -/+ F(r) for these slacks."""
-        up = xp.expm1(r - r0)
-        down = -xp.expm1(r0 - r)
-        # small(r0) - small(r) and large(r) - large(r0) added to the slacks
-        small = slacks[0] + 0.5 * (coef_plus * exp_minus * down + coef_minus * exp_plus * up)
-        large = slacks[1] + 0.5 * (coef_plus * exp_plus * up + coef_minus * exp_minus * down)
-        return h * (cosh0 * up * down + sinh0 * (up + down)), small, large
-
-    def slope_beyond(xp, r):
-        growth, small, large = factors(xp, r, (slack_small, slack_large))
-        return (flux0 + growth) / xp.sqrt(small * large)
-
-    def neck_rise(xp, r):
-        c = xp.cosh(0.5 * r)
-        d = xp.sinh(0.5 * r) ** 2 / (c + xp.sqrt(4.0 * h * h + k * c * c))
-        return 4.0 * h * d * rc(1.0 + k * d * d, 1.0)
-
-    root = math.sqrt(C * C + k)
-    # c4 = sqrt(C^2 + k) - 2hC, which cancels for C > 0 unless written as a quotient
-    c4 = root - 2.0 * h * C if C <= 0.0 else k * (1.0 + C * C) / (root + 2.0 * h * C)
-    y1, y2 = math.sqrt(2.0) * half_sinh, math.sqrt(2.0) * half_cosh
-    y4_sq = k * cosh0 + c4
-    y3, y4 = math.sqrt(exact[0] * exact[1] / y4_sq), math.sqrt(y4_sq)
-
-    def rise_beyond(xp, r):
-        _, small, large = factors(xp, r, exact)
-        x1, x2 = math.sqrt(2.0) * xp.sinh(0.5 * r), math.sqrt(2.0) * xp.cosh(0.5 * r)
-        x4_sq = k * xp.cosh(r) + c4
-        x3, x4 = xp.sqrt(small * large / x4_sq), xp.sqrt(x4_sq)
-        gap = 2.0 * xp.sinh(0.5 * (r + r0)) * xp.sinh(0.5 * (r - r0))  # cosh(r) - cosh(r0)
-        u12 = ((x1 * x2 * y3 * y4 + y1 * y2 * x3 * x4) / gap) ** 2
-        u13 = ((x1 * x3 * y2 * y4 + y1 * y3 * x2 * x4) / gap) ** 2
-        u14 = ((x1 * x4 * y2 * y3 + y1 * y4 * x2 * x3) / gap) ** 2
-        w2 = u12 + e * e
-        q2 = w2 / (x1 * y1) ** 2
-        r_f, r_j = rf_rj(u12, u13, u14, w2)
-        return 2.0 * h * (2.0 * rc(q2 + k, q2) - 4.0 / 3.0 * e * e * r_j) + 2.0 * e * r_f
-
-    def beyond(f, at_r0):
-        """f where r > r0 and ``at_r0`` elsewhere."""
-        def on_graph(xp, r):
-            if xp is math:
-                return f(math, r) if r > r0 else at_r0
-            inside = r > r0
-            return xp.where(inside, f(xp, xp.where(inside, r, r0 + 1.0)), at_r0)
-
-        return on_graph
-
-    return beyond(neck_rise if r0 == 0.0 else rise_beyond, 0.0), beyond(slope_beyond, anchor_slope)
-
-
 def _is_array_like(x) -> bool:
     """np.ndim(x) > 0 without numpy: an array of one or more dimensions, or a sequence."""
     ndim = getattr(x, "ndim", None)
     if ndim is not None:
         return ndim > 0
     return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
-
-
-def _drop(h: float, a: float, b: float, slacks: tuple[float, float]) -> float:
-    """u(a) - u(b) of the graph anchored at a with the given radicand slacks there."""
-    rise, _ = _flux_graph(h, a, *slacks)
-    return -rise(math, b)
 
 
 def _vertical_slacks(r0: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -297,35 +186,107 @@ def _vertical_slacks(r0: float) -> tuple[tuple[float, float], tuple[float, float
     return (span, 0.0), (0.0, span)
 
 
-def _anchored_graph(
-    h: float,
-    a: float,
-    b: float,
-    slacks: tuple[float, float],
-    top: float,
-    rise_top: float | None = None,
-    at: float | None = None,
-) -> RadialFunction:
+class _Graph:
     """The graph with radicand ``slacks`` at a, over [a, b], translated to the value ``top`` at ``at``.
 
-    ``at`` is b unless given; a profile has it at a, with top 0. The value at
-    rho is top minus the difference of the rises from a to ``at`` and to rho.
-    The rise to ``at`` is the float ``rise_top`` (minus the ``_drop`` of these
-    slacks for ``at`` = b), computed here when not given. Value and derivative
-    check their radii against [a, b] alike: a number or a 0-d array is a
-    radius and gives a float; a list, a tuple or an array of one or more
-    dimensions gives an array of its shape. Both give exactly ``top`` at
-    ``at`` and top - rise_top at a.
-    """
-    if at is None:
-        at = b
-    rise, slope = _flux_graph(h, a, *slacks)
-    if rise_top is None:
-        rise_top = rise(math, at)
-    lo, hi = max(a - _BOUNDARY_SLACK, 0.0), b + _BOUNDARY_SLACK
+    The slacks are the flux's distances to the ends of the flux interval at
+    r0 = a, ``slacks[0]`` to -small(r0) and ``slacks[1]`` to -large(r0); one
+    is exactly 0 for a graph vertical at r0. ``C`` is the flux constant.
+    ``at`` is b unless given; a profile has it at a, with top 0. Building the
+    graph computes ``rise_at``, its rise from a to ``at``: the drop
+    u(a) - u(b) is -rise_at when at = b. ``value`` is top minus the difference
+    of the rises to ``at`` and to rho, exactly ``top`` at ``at``. It and
+    ``derivative`` check their radii against [a, b]: a number or a 0-d array
+    gives a float; a list, a tuple or an array gives an array of its shape.
 
-    def on_domain(rho):
+    The kernel, ``rise`` (u(r) - u(r0)) and ``slope`` (u'(r)), takes
+    ``(xp, r)``, xp ``math`` with a float r or numpy with an array, and runs
+    the same expressions either way; at r <= r0 the rise is 0 and the slope
+    its limit, infinite where one slack is 0. The radicand factors
+    sinh(r) -/+ F(r) are the slacks plus their growth since r0 in expm1 form,
+    and F(r) is its value at r0 plus a growth that is a sum of nonnegative
+    terms, so neither loses digits next to a vertical circle or where the
+    graph turns horizontal.
+
+    With t = cosh(rho) the rise is the integral of (2ht + C)/sqrt(f1 f2 f3 f4)
+    with f1 = t - 1, f2 = t + 1, f3 = t - r+ and f4 = k*t + c4 (k = 1 - 4h^2,
+    f3*f4 = sinh^2 - F^2), all positive on [cosh r0, cosh r]. Carlson's
+    reduction (Math. Comp. 49, 1987; 51, 1988) of 2ht + C = 2h*f1 + e gives
+    2h * (2 R_C(P^2, Q^2) - (4/3) e^2 R_J(U12^2, U13^2, U14^2, W^2))
+    + 2e * R_F(U12^2, U13^2, U14^2), with W^2 = U12^2 + e^2, Q = W/(X1 Y1),
+    P^2 = Q^2 + k and U_ij = (X_i X_j Y_k Y_l + Y_i Y_j X_k X_l)/(cosh r - cosh r0),
+    X_i = sqrt(f_i(cosh r)) and Y_i = sqrt(f_i(cosh r0)) built from half-angle
+    sinh and cosh and the factors above, without subtraction. R_F and R_J share
+    their first three arguments and come from one duplication loop
+    (``carlson.rf_rj``). The factors must be one polynomial's, so the rise
+    takes the smaller slack as given and the other as 2 sinh(r0) minus it:
+    slacks summing to the rounded width c_hi - c_lo would be off by a large
+    fraction of it for r0 near 0. On the neck (r0 = 0) Y1 = 0, and the rise
+    is 4h*D*R_C(1 + k*D^2, 1) with D = sinh(r/2)^2/(cosh(r/2) + sqrt(4h^2 + k*cosh(r/2)^2)).
+    """
+
+    def __init__(self, h: float, a: float, b: float, slacks: tuple[float, float], top: float, at=None):
+        self.h, self.r0, self.slacks, self.top = h, a, slacks, top
+        self.at = b if at is None else at
+        self.domain = (a, b)
+        self._lo, self._hi = max(a - _BOUNDARY_SLACK, 0.0), b + _BOUNDARY_SLACK
+        slack_small, slack_large = slacks
+        cosh0, sinh0 = math.cosh(a), math.sinh(a)
+        half_sinh, half_cosh = math.sinh(0.5 * a), math.cosh(0.5 * a)
+        plus, minus = 1.0 + 2.0 * h, 1.0 - 2.0 * h
+        self._coefs = (plus, minus, math.exp(a), math.exp(-a))
+        k = plus * minus
+        # C and e = 2h + C from the end the smaller slack is measured from, so
+        # C is exactly that end at an end; sinh(r0) -/+ 4h sinh(r0/2)^2 has no
+        # cancellation in these forms
+        c_lo, c_hi = _flux_interval(h, a)
+        if slack_small <= slack_large:
+            exact = (slack_small, 2.0 * sinh0 - slack_small)
+            C = c_hi - slack_small
+            e = half_sinh * (minus * math.exp(0.5 * a) + plus * math.exp(-0.5 * a)) - slack_small
+        else:
+            exact = (2.0 * sinh0 - slack_large, slack_large)
+            C = c_lo + slack_large
+            e = slack_large - sinh0 - 4.0 * h * half_sinh * half_sinh
+        self._flux0 = flux0 = 0.5 * (slack_large - slack_small)
+        radicand0 = slack_small * slack_large
+        if radicand0 > 0.0:
+            self._anchor_slope = flux0 / math.sqrt(radicand0)
+        else:
+            self._anchor_slope = math.copysign(math.inf, flux0) if flux0 else 0.0
+        root = math.sqrt(C * C + k)
+        # c4 = sqrt(C^2 + k) - 2hC, which cancels for C > 0 unless written as a quotient
+        c4 = root - 2.0 * h * C if C <= 0.0 else k * (1.0 + C * C) / (root + 2.0 * h * C)
+        y4_sq = k * cosh0 + c4
+        y3 = math.sqrt(exact[0] * exact[1] / y4_sq)
+        self._y = (math.sqrt(2.0) * half_sinh, math.sqrt(2.0) * half_cosh, y3, math.sqrt(y4_sq))
+        self.C, self._e, self._exact, self._k, self._c4 = C, e, exact, k, c4
+        self._cosh0, self._sinh0 = cosh0, sinh0
+        self.rise_at = self.rise(math, self.at)
+
+    def radial_function(self) -> RadialFunction:
+        """The graph as the package hands it out."""
+        return RadialFunction(self.value, self.derivative, self.domain)
+
+    def rise(self, xp, r):
+        return self._past_r0(self._neck_rise if self.r0 == 0.0 else self._rise_beyond, 0.0, xp, r)
+
+    def slope(self, xp, r):
+        return self._past_r0(self._slope_beyond, self._anchor_slope, xp, r)
+
+    def value(self, rho):
+        xp, rho = self._on_domain(rho)
+        rise = self.rise(xp, rho)
+        rises = rise if xp is math else xp.where(rho == self.at, self.rise_at, rise)
+        return self.top - (self.rise_at - rises)
+
+    def derivative(self, rho):
+        xp, rho = self._on_domain(rho)
+        return self.slope(xp, rho)
+
+    def _on_domain(self, rho):
         """(xp, rho): math and a float for a radius, numpy and an array for radii."""
+        lo, hi = self._lo, self._hi
         if _is_array_like(rho):
             import numpy as xp
 
@@ -335,21 +296,58 @@ def _anchored_graph(
             xp, rho = math, float(rho)
             below, inside = rho < lo, lo <= rho <= hi
         if below:
-            raise ValueError(f"rho = {rho} is inside the starting circle rho = {a:g}")
+            raise ValueError(f"rho = {rho} is inside the starting circle rho = {self.r0:g}")
         if not inside:
-            raise ValueError(f"rho = {rho} is outside [{a:g}, {b:g}]")
+            raise ValueError(f"rho = {rho} is outside [{self.r0:g}, {self.domain[1]:g}]")
         return xp, rho
 
-    def value(rho):
-        xp, rho = on_domain(rho)
-        rises = rise(math, rho) if xp is math else xp.where(rho == at, rise_top, rise(xp, rho))
-        return top - (rise_top - rises)
+    def _past_r0(self, f, at_r0, xp, r):
+        """f where r > r0 and ``at_r0`` elsewhere."""
+        r0 = self.r0
+        if xp is math:
+            return f(math, r) if r > r0 else at_r0
+        inside = r > r0
+        return xp.where(inside, f(xp, xp.where(inside, r, r0 + 1.0)), at_r0)
 
-    def derivative(rho):
-        xp, rho = on_domain(rho)
-        return slope(xp, rho)
+    def _factors(self, xp, r, slacks):
+        """Growth of F since r0, and the radicand factors sinh(r) -/+ F(r) for these slacks."""
+        plus, minus, exp_plus, exp_minus = self._coefs
+        up = xp.expm1(r - self.r0)
+        down = -xp.expm1(self.r0 - r)
+        # small(r0) - small(r) and large(r) - large(r0) added to the slacks
+        small = slacks[0] + 0.5 * (plus * exp_minus * down + minus * exp_plus * up)
+        large = slacks[1] + 0.5 * (plus * exp_plus * up + minus * exp_minus * down)
+        return self.h * (self._cosh0 * up * down + self._sinh0 * (up + down)), small, large
 
-    return RadialFunction(value, derivative, (a, b))
+    def _slope_beyond(self, xp, r):
+        growth, small, large = self._factors(xp, r, self.slacks)
+        return (self._flux0 + growth) / xp.sqrt(small * large)
+
+    def _neck_rise(self, xp, r):
+        h, k = self.h, self._k
+        c = xp.cosh(0.5 * r)
+        d = xp.sinh(0.5 * r) ** 2 / (c + xp.sqrt(4.0 * h * h + k * c * c))
+        return 4.0 * h * d * rc(1.0 + k * d * d, 1.0)
+
+    def _rise_beyond(self, xp, r):
+        h, k, c4, e, (y1, y2, y3, y4) = self.h, self._k, self._c4, self._e, self._y
+        _, small, large = self._factors(xp, r, self._exact)
+        x1, x2 = math.sqrt(2.0) * xp.sinh(0.5 * r), math.sqrt(2.0) * xp.cosh(0.5 * r)
+        x4_sq = k * xp.cosh(r) + c4
+        x3, x4 = xp.sqrt(small * large / x4_sq), xp.sqrt(x4_sq)
+        gap = 2.0 * xp.sinh(0.5 * (r + self.r0)) * xp.sinh(0.5 * (r - self.r0))  # cosh(r) - cosh(r0)
+        u12 = ((x1 * x2 * y3 * y4 + y1 * y2 * x3 * x4) / gap) ** 2
+        u13 = ((x1 * x3 * y2 * y4 + y1 * y3 * x2 * x4) / gap) ** 2
+        u14 = ((x1 * x4 * y2 * y3 + y1 * y4 * x2 * x3) / gap) ** 2
+        w2 = u12 + e * e
+        q2 = w2 / (x1 * y1) ** 2
+        r_f, r_j = rf_rj(u12, u13, u14, w2)
+        return 2.0 * h * (2.0 * rc(q2 + k, q2) - 4.0 / 3.0 * e * e * r_j) + 2.0 * e * r_f
+
+
+def _drop(h: float, a: float, b: float, slacks: tuple[float, float]) -> float:
+    """u(a) - u(b) of the graph anchored at a with the given radicand slacks there."""
+    return -_Graph(h, a, b, slacks, 0.0).rise_at
 
 
 def slope(h, alpha, rho) -> float:
@@ -416,11 +414,11 @@ class HeightProfile:
         object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "rho0", rho0)
 
-    def _graph(self, upper: float = MAX_RADIUS) -> RadialFunction:
+    def _graph(self, upper: float = MAX_RADIUS) -> _Graph:
         """The profile as the graph vertical on its circle, 0 there, over [rho0, upper]."""
         large, small = _vertical_slacks(self.rho0)
         slacks = large if self.branch is Branch.LARGE else small
-        return _anchored_graph(self.h, self.rho0, upper, slacks, 0.0, 0.0, self.rho0)
+        return _Graph(self.h, self.rho0, upper, slacks, 0.0, self.rho0)
 
     def height(self, rho) -> float:
         return self._graph().value(check_radius(rho))
@@ -445,4 +443,4 @@ class HeightProfile:
 
     def as_radial_function(self, upper: float = MAX_RADIUS) -> RadialFunction:
         """The profile over [rho0, upper]; value and derivative take a radius or radii."""
-        return self._graph(check_radius(upper, name="upper"))
+        return self._graph(check_radius(upper, name="upper")).radial_function()

@@ -12,19 +12,18 @@ radial Dirichlet problem on an annulus therefore reduces to a one-dimensional
 root find in C, and the achievable drops u(a) - u(b) form an open interval
 whose endpoints are exactly the envelope drops of the a-priori estimates:
 both are the flux graphs at the ends of the flux interval, anchored at
-rho = a. A flux is handed to the kernel as its distances to those ends, its
-slacks at a: (c_hi - C, C - c_lo) in ``integrate_radial``, (span*cos^2,
-span*sin^2) of theta in the root find, exactly (span, 0) and (0, span) at the
-ends (``profiles._vertical_slacks``, as for the envelopes). So the
-thresholds, ``extremal_drops`` and the interval of an infeasible solve are
-one computation and agree bit for bit. The solution is the graph of its
-slacks translated to u_b at b by ``profiles._anchored_graph``, which builds
-profiles and envelopes too. Each drop is a closed form in Carlson's elliptic
-integrals (``profiles._flux_graph``), good to about 1e-15 relative with no
-tolerance of its own; the mpmath reference in the test suite checks them
-independently. The root find is false position
-in theta with the Anderson-Björck weighting, from the two extremal drops to
-a drop within tol/10 of the target; that drop is the solution's rise to b.
+rho = a. A flux is handed to the graph (``profiles._Graph``) as its
+distances to those ends, its slacks at a: (c_hi - C, C - c_lo) in
+``integrate_radial``, (span*cos^2, span*sin^2) of theta in the root find,
+exactly (span, 0) and (0, span) at the ends (``profiles._vertical_slacks``,
+as for the envelopes). So the thresholds, ``extremal_drops`` and the interval
+of an infeasible solve are one computation and agree bit for bit. Each drop
+is a closed form in Carlson's elliptic integrals, good to about 1e-15
+relative with no tolerance of its own; the mpmath reference in the test
+suite checks them independently. The root find is false position in theta
+with the Anderson-Björck weighting, from the two extremal graphs to one whose
+drop is within tol/10 of the target, each built at u_b on b; the solution is
+that graph.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .estimates import Annulus
 from .hyperbolic import RadialFunction, _finite
 from .profiles import (
     DEFAULT_TOL,
-    _anchored_graph,
+    _Graph,
     _drop,
     _flux_interval,
     _vertical_slacks,
@@ -162,45 +161,41 @@ def solve_radial(
     tol = _finite(tol, "tolerance", positive=True)
     u_a, u_b = _finite(u_a, "u_a"), _finite(u_b, "u_b")
     target = u_a - u_b
-    # the bracket is the closed flux interval, so exactly the open drop interval is solvable
-    extremal = extremal_drops(h, annulus)
-    if not extremal.d_min < target < extremal.d_max:
-        raise InfeasibleBoundaryError(target, extremal.d_min, extremal.d_max)
-
+    a, b = annulus.a, annulus.b
     # The drop has a square-root singularity in C at both ends of the flux
     # interval. C = c_lo + span*sin(theta)^2 makes it Lipschitz in theta at
     # both, and hands the kernel the slacks at a as span*sin(pi/2 - theta)^2
     # and span*sin(theta)^2: exact next to either end, where C itself cannot
     # hold the offset, and exactly 0 at the ends theta = 0 and pi/2. span is
     # the width of the flux interval, the large end's slack as for the envelopes.
-    c_lo, c_hi = _flux_interval(h, annulus.a)
-    (span, _), _ = _vertical_slacks(annulus.a)
+    large, small = _vertical_slacks(a)
+    span = large[0]
 
     def slacks_at(theta: float) -> tuple[float, float]:
         return span * math.sin(0.5 * math.pi - theta) ** 2, span * math.sin(theta) ** 2
 
-    # the bracket ends are the extremal graphs, whose drops are already known;
-    # the drop at the returned theta is kept for the evaluator
-    drops = {0.0: extremal.d_max, 0.5 * math.pi: extremal.d_min}
+    # the root find's graphs by theta, each at u_b on b; the bracket ends are
+    # the extremal graphs, so the interval is ``extremal_drops`` bit for bit
+    graphs = {0.0: _Graph(h, a, b, large, u_b), 0.5 * math.pi: _Graph(h, a, b, small, u_b)}
+    d_max, d_min = -graphs[0.0].rise_at, -graphs[0.5 * math.pi].rise_at
+    # the bracket is the closed flux interval, so exactly the open drop interval is solvable
+    if not d_min < target < d_max:
+        raise InfeasibleBoundaryError(target, d_min, d_max)
 
     def drop_residual(t: float) -> float:
-        drops[t] = _drop(h, annulus.a, annulus.b, slacks_at(t))
-        return drops[t] - target
+        graphs[t] = _Graph(h, a, b, slacks_at(t), u_b)
+        return -graphs[t].rise_at - target
 
     theta, residual = _false_position(
-        drop_residual, 0.0, drops[0.0] - target, 0.5 * math.pi, drops[0.5 * math.pi] - target, 0.1 * tol
+        drop_residual, 0.0, d_max - target, 0.5 * math.pi, d_min - target, 0.1 * tol
     )
     if abs(residual) > tol:
         raise NonConvergenceError(
             f"flux root find stalled: drop residual {residual:g} exceeds tolerance {tol:g}"
         )
-    slacks = slacks_at(theta)
-    # C from the end its smaller slack is measured from: exactly that end there
-    c_star = c_hi - slacks[0] if slacks[0] <= slacks[1] else c_lo + slacks[1]
-
-    if c_star < 0.0:
-        shift = u_b - height(h, -c_star, annulus.b)
+    graph = graphs[theta]
+    if graph.C < 0.0:
+        shift = u_b - height(h, -graph.C, b)
     else:
         shift = u_a  # no family anchor; the inner value fixes the translate
-    evaluator = _anchored_graph(h, annulus.a, annulus.b, slacks, u_b, -drops[theta])
-    return RadialSolution(c_star, shift, evaluator)
+    return RadialSolution(graph.C, shift, graph.radial_function())

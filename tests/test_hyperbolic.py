@@ -119,6 +119,14 @@ def test_curvature_stencil_domain_check():
         mean_curvature_radial(rf, 5e-5, step=1e-4)
 
 
+def test_curvature_rejects_a_nan_domain():
+    # with a nan domain both stencil tests are false, so the checker
+    # returned 0.8000000013356096 here; the domain is now checked when built
+    f = HeightProfile(0.4, 3.0).as_radial_function(10.0)
+    with pytest.raises(ValueError, match="domain start must be finite"):
+        mean_curvature_radial(RadialFunction(f.value, f.derivative, (math.nan, math.nan)), 3.0)
+
+
 @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-4])
 def test_curvature_rejects_bad_step(step):
     with pytest.raises(ValueError, match="step must be finite and positive"):

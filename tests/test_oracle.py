@@ -14,15 +14,13 @@ radius, found from alpha by ``mpmath.findroot``.
 """
 
 import math
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import cmc_annuli as ca
-from cmc_annuli import radial
-from cmc_annuli.profiles import _drop as _drop_of_slacks, _flux_graph, _flux_interval
+from cmc_annuli.profiles import _Graph, _flux_interval
 
 DIGITS = 50
 
@@ -125,7 +123,7 @@ def test_drop_next_to_a_vertical_circle(h, a, b, offset, end):
     near = offset * span
     slacks = (span - near, near) if end == "lower" else (near, span - near)
     expected = float(flux_drop(h, a, b, *slacks))
-    assert _drop_of_slacks(h, a, b, slacks) == pytest.approx(expected, abs=1e-12)
+    assert -_Graph(h, a, b, slacks, 0.0).rise_at == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("h, a, b", VERTICAL_CASES)
@@ -137,9 +135,7 @@ def test_near_extremal_solve_keeps_its_tolerance(h, a, b):
     annulus = ca.Annulus(a, b)
     drops = ca.extremal_drops(h, annulus)
     u_a = drops.d_max - 1e-8 * (drops.d_max - drops.d_min)
-    with mock.patch.object(radial, "_anchored_graph", wraps=radial._anchored_graph) as spy:
-        ca.solve_radial(h, annulus, u_a, 0.0)
-    slacks = spy.call_args.args[3]
+    slacks = ca.solve_radial(h, annulus, u_a, 0.0).evaluator.value.__self__.slacks
     assert abs(float(flux_drop(h, a, b, *slacks)) - u_a) <= ca.DEFAULT_TOL
 
 # (h, alpha): both branches, either side of the neck alpha = 2h, and h = 1/2
@@ -169,9 +165,8 @@ def test_radial_solution(h, a, b, frac):
     annulus, u_b = ca.Annulus(a, b), 0.3
     drops = ca.extremal_drops(h, annulus)
     u_a = u_b + drops.d_min + frac * (drops.d_max - drops.d_min)
-    with mock.patch.object(radial, "_anchored_graph", wraps=radial._anchored_graph) as spy:
-        solution = ca.solve_radial(h, annulus, u_a, u_b)
-    slacks = spy.call_args.args[3]
+    solution = ca.solve_radial(h, annulus, u_a, u_b)
+    slacks = solution.evaluator.value.__self__.slacks
     drop = float(flux_drop(h, a, b, *slacks))
     for rho in (a + (b - a) / 3, a + 2 * (b - a) / 3):
         expected = u_b + drop - float(flux_drop(h, a, rho, *slacks))
@@ -232,9 +227,9 @@ def test_neck_integrand(s):
         rm = mp.mpf(r)
         f = 4 * mp.mpf(h) * mp.sinh(rm / 2) ** 2
         expected = float(f / mp.sqrt(mp.sinh(rm) ** 2 - f**2))
-    _, slope = _flux_graph(h, 0.0, 0.0, 0.0)
-    assert slope(math, r) == pytest.approx(expected, rel=1e-14, abs=0.0)
-    assert slope(np, np.array([r]))[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+    graph = _Graph(h, 0.0, 1.0, (0.0, 0.0), 0.0)
+    assert graph.slope(math, r) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert graph.slope(np, np.array([r]))[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 SLOPE_DIGITS = 60
@@ -323,9 +318,8 @@ def test_radial_solution_slopes_next_to_tiny_inner_circle(h, a, frac):
     annulus, rho = ca.Annulus(a, 1.0), 2.0 * a
     drops = ca.extremal_drops(h, annulus)
     u_a = drops.d_min + frac * (drops.d_max - drops.d_min)
-    with mock.patch.object(radial, "_anchored_graph", wraps=radial._anchored_graph) as spy:
-        solution = ca.solve_radial(h, annulus, u_a, 0.0)
-    slacks = spy.call_args.args[3]
+    solution = ca.solve_radial(h, annulus, u_a, 0.0)
+    slacks = solution.evaluator.value.__self__.slacks
     with mp.workdps(SLOPE_DIGITS):
         sinh_a = mp.sinh(mp.mpf(a))
         f_a = sinh_a - slacks[0] if slacks[0] <= slacks[1] else slacks[1] - sinh_a

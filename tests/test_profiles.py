@@ -10,20 +10,25 @@ from cmc_annuli import (
     Annulus,
     Branch,
     HeightProfile,
+    MAX_RADIUS,
     HoleTooLargeError,
     OuterBoundaryData,
     PolarGrid,
+    RadialFunction,
     boundary_radius,
     bounding_box,
     flux,
     height,
     hole_threshold,
+    lower_envelope,
     mean_curvature_radial,
     param_large,
     param_small,
     sample_profile,
     slope,
     solve_dirichlet_2d,
+    solve_radial,
+    upper_envelope,
 )
 from cmc_annuli import profiles
 
@@ -494,6 +499,41 @@ class TestHeightProfileConstructor:
         np.testing.assert_equal(call(Fraction(2, 5), 0.5), call(0.4, 0.5))
 
 
+def test_public_graph_holders_are_pinned():
+    """What a caller sees of every object that holds a graph.
+
+    ``HeightProfile`` compares, hashes and prints by its fields and cannot be
+    changed. Profiles, envelopes and radial solutions are handed out as
+    ``RadialFunction`` over (rho0, upper) or (a, b), and each is exactly its
+    value at its anchor: 0 on the profile's circle, the outer value at b.
+    """
+    profile = HeightProfile(0.4, 0.5)
+    assert profile == HeightProfile(0.4, 0.5) and profile != HeightProfile(0.4, 0.6)
+    assert hash(profile) == hash(HeightProfile(0.4, 0.5))
+    assert repr(profile) == (
+        "HeightProfile(h=0.4, alpha=0.5, branch=<Branch.SMALL: 'small'>, rho0=0.3401261514743677)"
+    )
+    for name in ("h", "alpha", "branch", "rho0"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(profile, name, 1.0)
+    h, annulus, m, M, u_b = 0.4, Annulus(0.5, 2.0), -0.25, 0.5, 0.125
+    box = bounding_box(h, annulus, OuterBoundaryData(m, M))
+    graphs = [
+        (profile.as_radial_function(), (profile.rho0, MAX_RADIUS), profile.rho0, 0.0),
+        (profile.as_radial_function(3.0), (profile.rho0, 3.0), profile.rho0, 0.0),
+        (upper_envelope(h, annulus, M), (0.5, 2.0), 2.0, M),
+        (lower_envelope(h, annulus, m), (0.5, 2.0), 2.0, m),
+        (box.upper, (0.5, 2.0), 2.0, M),
+        (box.lower, (0.5, 2.0), 2.0, m),
+        (solve_radial(h, annulus, 0.1, u_b).evaluator, (0.5, 2.0), 2.0, u_b),
+    ]
+    for graph, domain, anchor, top in graphs:
+        assert type(graph) is RadialFunction
+        assert graph.domain == domain
+        assert graph.value(anchor) == top
+        assert graph.value([anchor])[0] == top
+
+
 def _kernel_cases():
     """(name, (h, C, r0), slacks) over both branches, the neck and exact-zero slacks."""
     h, a = 0.4, 0.5
@@ -524,20 +564,20 @@ def test_array_integrand_matches_scalar(name, params, slacks):
     where F keeps its digits that is 4 ulp of u'.
     """
     h, C, r0 = params
-    rise, slope = profiles._flux_graph(h, r0, *slacks)
+    graph = profiles._Graph(h, r0, r0 + 3.0, slacks, 0.0)
     rng = np.random.default_rng(20)
     s = np.concatenate(([1e-12, 1e-6], rng.uniform(0.0, 1.5, 400), 10.0 ** rng.uniform(-9, 0, 100)))
     r = r0 + s * s
     r = r[r > r0]
-    scalar = np.array([slope(math, x) for x in r.tolist()])
+    scalar = np.array([graph.slope(math, x) for x in r.tolist()])
     two_h_cosh = 2 * h * np.cosh(r)
     with np.errstate(divide="ignore", invalid="ignore"):
         size = np.abs(scalar) * (two_h_cosh + abs(C)) / np.abs(two_h_cosh + C)
     bound = np.where(np.isfinite(size), 4 * np.spacing(size), np.inf)  # F rounds to 0
-    for array in (slope(np, r), slope(np, r[:400].reshape(20, 20)).ravel()):
+    for array in (graph.slope(np, r), graph.slope(np, r[:400].reshape(20, 20)).ravel()):
         n = array.size
         close = np.abs(array - scalar[:n]) <= bound[:n]
         assert close.all(), (name, r[:n][~close])
-    rises = np.array([rise(math, x) for x in r.tolist()])
+    rises = np.array([graph.rise(math, x) for x in r.tolist()])
     # the large branch's rise crosses 0, so the bound is relative to the largest
-    np.testing.assert_allclose(rise(np, r), rises, rtol=0.0, atol=1e-14 * np.abs(rises).max(), err_msg=name)
+    np.testing.assert_allclose(graph.rise(np, r), rises, rtol=0.0, atol=1e-14 * np.abs(rises).max(), err_msg=name)

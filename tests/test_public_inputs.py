@@ -25,10 +25,12 @@ ANNULUS = ca.Annulus(0.5, 1.5)
 DATA = ca.OuterBoundaryData(0.0, 0.1)
 PROFILE = ca.HeightProfile(0.4, 1.0)
 BOX = ca.bounding_box(0.4, ANNULUS, DATA)
+GRAPH = PROFILE.as_radial_function(3.0)
 GRID = ca.PolarGrid(ANNULUS, 5, 8)
 
 # Valid arguments by parameter name. A float is a numeric parameter, an int a
-# count, a tuple of ints a count at each position; anything else is not numeric.
+# count, a tuple of floats a number and a tuple of ints a count at each
+# position; anything else is not numeric.
 CALLS = {
     "Annulus": (ca.Annulus, dict(a=0.5, b=1.5)),
     "OuterBoundaryData": (ca.OuterBoundaryData, dict(m=0.0, M=0.1)),
@@ -37,6 +39,10 @@ CALLS = {
     "HeightProfile.slope": (PROFILE.slope, dict(rho=2.0)),
     "HeightProfile.sample": (PROFILE.sample, dict(rho_max=2.0, n=5)),
     "HeightProfile.as_radial_function": (PROFILE.as_radial_function, dict(upper=3.0)),
+    "RadialFunction": (
+        ca.RadialFunction,
+        dict(value=GRAPH.value, derivative=GRAPH.derivative, domain=(PROFILE.rho0, 3.0)),
+    ),
     "AprioriBounds.sample": (BOX.sample, dict(n=5)),
     "boundary_radius": (ca.boundary_radius, dict(h=0.4, alpha=1.0)),
     "height": (ca.height, dict(h=0.4, alpha=1.0, rho=2.0)),
@@ -59,7 +65,7 @@ CALLS = {
     "flux": (ca.flux, dict(slope=1.0, rho=1.0)),
     "mean_curvature_radial": (
         ca.mean_curvature_radial,
-        dict(u=PROFILE.as_radial_function(3.0), rho=2.0, step=1e-4),
+        dict(u=GRAPH, rho=2.0, step=1e-4),
     ),
     "PolarGrid": (ca.PolarGrid, dict(annulus=ANNULUS, n_rho=5, n_theta=8)),
     "cmc_residual": (ca.cmc_residual, dict(field2d=ca.Field2D(GRID, np.zeros((5, 8))), h=0.4)),
@@ -73,7 +79,6 @@ CALLS = {
 NOT_WALKED = {
     "max_gradient": "takes a Field2D only",
     "Field2D": "an array of heights on a grid, checked for its shape",
-    "RadialFunction": "a record of two callables and their domain, validated by nothing",
     "AprioriBounds": "a record of an annulus and two graphs",
     "FeasibilityResult": "a record the package returns",
     "FeasibleDropInterval": "a record the package returns",
@@ -117,8 +122,9 @@ def _cases():
             elif isinstance(value, int):
                 yield from ((call, param, None, bad) for bad in BAD_COUNTS)
             elif isinstance(value, tuple):
+                bads = BAD if isinstance(value[0], float) else BAD_COUNTS
                 for index in range(len(value)):
-                    yield from ((call, param, index, bad) for bad in BAD_COUNTS)
+                    yield from ((call, param, index, bad) for bad in bads)
 
 
 CASES = list(_cases())

@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cmc_annuli.profiles import _anchored_graph, _drop, _flux_graph, _flux_interval
+from cmc_annuli.profiles import _Graph, _flux_interval
 
 # Abscissae of the 21-point Kronrod rule on [-1, 1] in ascending order; the
 # odd positions are the nodes of the 10-point Gauss rule (QUADPACK's QK21).
@@ -112,22 +112,22 @@ class TestAgainstQuadpack:
     def test_point_queries(self):
         quad = pytest.importorskip("scipy.integrate").quad
         for (h, a, b, C), slacks in GRAPHS:
-            _, slope = _flux_graph(h, a, *slacks)
-            g = lambda s: 2.0 * s * slope(math, a + s * s)  # noqa: E731
+            graph = _Graph(h, a, b, slacks, 0.0)
+            g = lambda s: 2.0 * s * graph.slope(math, a + s * s)  # noqa: E731
             expected = quad(g, 0.0, math.sqrt(b - a), epsabs=1e-10, epsrel=5e-14, limit=200)[0]
-            assert -_drop(h, a, b, slacks) == pytest.approx(expected, abs=1e-12), (h, a, b, C)
+            assert graph.rise_at == pytest.approx(expected, abs=1e-12), (h, a, b, C)
 
     def test_tables(self):
         quad = pytest.importorskip("scipy.integrate").quad
         for (h, a, b, C), slacks in GRAPHS[::3]:
-            _, slope = _flux_graph(h, a, *slacks)
-            g = lambda s: 2.0 * s * slope(math, a + s * s)  # noqa: E731
+            graph = _Graph(h, a, b, slacks, 0.0)
+            g = lambda s: 2.0 * s * graph.slope(math, a + s * s)  # noqa: E731
             edges = np.sqrt(np.linspace(0.0, b - a, 17))
             rises = [0.0]
             for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
                 rises.append(rises[-1] + quad(g, lo, hi, epsabs=1e-10, epsrel=5e-14, limit=200)[0])
             # the graph with value 0 at b is minus the rise still to come
-            got = _anchored_graph(h, a, b, slacks, 0.0).value(a + edges * edges)
+            got = graph.value(a + edges * edges)
             np.testing.assert_allclose(got, np.array(rises) - rises[-1], rtol=0.0, atol=1e-12,
                                        err_msg=str((h, a, b, C)))
 
@@ -136,16 +136,15 @@ class TestDrivers:
     def test_panels_match_point_queries(self):
         # an interior flux: the slope is smooth on [a, b], so the reference runs in rho
         (h, a, b, _), slacks = GRAPHS[5]
-        _, slope = _flux_graph(h, a, *slacks)
         radii = a + np.array([0.0, 1e-9, 0.1, 0.1, 0.5, b - a])  # a repeated radius
-        graph = _anchored_graph(h, a, b, slacks, 1.0)
+        graph = _Graph(h, a, b, slacks, 1.0)
         table = graph.value(radii)
         points = [graph.value(rho) for rho in radii.tolist()]
         np.testing.assert_allclose(table, points, rtol=0.0, atol=4e-16)
         assert table[3] == table[2] and table[-1] == points[-1] == 1.0
         rises = [0.0]
         for lo, hi in zip(radii[:-1].tolist(), radii[1:].tolist()):
-            value, certificate = kronrod(lambda r: slope(np, r), lo, hi, 8)
+            value, certificate = kronrod(lambda r: graph.slope(np, r), lo, hi, 8)
             assert certificate <= 1e-15
             rises.append(rises[-1] + value)
         np.testing.assert_allclose(table, 1.0 - (rises[-1] - np.array(rises)), rtol=0.0, atol=1e-14)
@@ -153,8 +152,8 @@ class TestDrivers:
     def test_relative_floor_for_large_integrals(self):
         # u(30) is about 3e6: an absolute 1e-12 is below what doubles carry
         (h, a, b, _), slacks = GRAPHS[-4]  # h = 1/2 on (0.5, 2), an interior flux
-        _, slope = _flux_graph(h, a, *slacks)
+        graph = _Graph(h, a, 30.0, slacks, 0.0)
         assert h == 0.5 and min(slacks) > 0.0
-        expected, certificate = kronrod(lambda r: slope(np, r), a, 30.0, 64)
+        expected, certificate = kronrod(lambda r: graph.slope(np, r), a, 30.0, 64)
         assert expected > 1e6 and certificate <= 1e-15 * expected
-        assert -_drop(h, a, 30.0, slacks) == pytest.approx(expected, rel=1e-14)
+        assert graph.rise_at == pytest.approx(expected, rel=1e-14)

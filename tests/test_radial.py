@@ -231,38 +231,49 @@ class TestSolveRadial:
         assert math.isinf(expected)
         assert solution.evaluator.derivative(ann.a) == expected
 
-    @pytest.mark.parametrize("offset", [0.5, 1e-8, 5e-12], ids=["interior", "near-end", "bracket-end"])
+    @pytest.mark.parametrize(
+        "offset", [0.5, 1e-8, 5e-12, 1e-13], ids=["interior", "near-end", "bracket-end", "on-the-end"]
+    )
     def test_evaluator_build_evaluates_no_drop(self, offset):
-        # the evaluator's rise to b is the root find's drop at the returned
-        # theta, or an extremal drop when it returns a bracket end
+        # the evaluator is the graph the root find built at the theta it
+        # returned, and handing it out builds no graph and computes no rise:
+        # each graph computes one rise, to b, when it is built. At 5e-12 the
+        # root find stops at theta = 7.9e-12, C rounding to the end; at 1e-13
+        # it returns the end theta = 0 itself, the first bracket graph
         h, ann = 0.4, Annulus(0.5, 2.0)
         drops = extremal_drops(h, ann)
         target = drops.d_max - offset * (drops.d_max - drops.d_min)
-        real_graph, real_anchor = profiles._flux_graph, profiles._anchored_graph
-        rises, in_build = [], []
+        built, rises, thetas, returned = [], [], [0.0, 0.5 * math.pi], []
+        false_position = radial._false_position
 
-        def counting_graph(*args):
-            rise, graph_slope = real_graph(*args)
+        class Counted(profiles._Graph):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
 
-            def counted(xp, r):
+            def rise(self, xp, r):
                 rises.append(r)
-                return rise(xp, r)
+                return super().rise(xp, r)
 
-            return counted, graph_slope
+        def counted_false_position(f, *args):
+            def residual(t):
+                thetas.append(t)
+                return f(t)
 
-        def counting_anchor(*args):
-            before = len(rises)
-            graph = real_anchor(*args)
-            in_build.append(len(rises) - before)
-            return graph
+            returned.append(false_position(residual, *args))
+            return returned[-1]
 
-        with mock.patch.object(profiles, "_flux_graph", side_effect=counting_graph), \
-                mock.patch.object(radial, "_anchored_graph", side_effect=counting_anchor), \
-                mock.patch.object(radial, "_drop", wraps=profiles._drop) as drop:
+        with mock.patch.object(radial, "_Graph", Counted), \
+                mock.patch.object(radial, "_false_position", counted_false_position):
             solution = solve_radial(h, ann, target, 0.0)
-        assert in_build == [0] and drop.call_count >= 2
-        if offset == 5e-12:
+            assert rises == [ann.b] * len(built) and len(built) == len(thetas)
+        graph = solution.evaluator.value.__self__
+        assert graph is built[thetas.index(returned[0][0])]
+        assert solution.evaluator.derivative.__self__ is graph
+        if offset <= 5e-12:
             assert solution.C == _flux_interval(h, ann.a)[0]
+        if offset == 1e-13:
+            assert returned[0][0] == 0.0 and graph is built[0]
         assert solution.evaluator.value(ann.b) == 0.0
         assert solution.evaluator.value(ann.a) == pytest.approx(target, abs=1e-10)
 
@@ -300,18 +311,11 @@ class TestSolveRadial:
         fraction = 1.0 - 10.0**exponent if near_max else 10.0**exponent
         u_a = u_b + drops.d_min + fraction * (drops.d_max - drops.d_min)
         assume(drops.d_min < u_a - u_b < drops.d_max)
-        calls = []
-        drop = radial._drop
-
-        def counted(*args):
-            calls.append(args)
-            return drop(*args)
-
-        with mock.patch.object(radial, "_drop", counted):
+        with mock.patch.object(radial, "_Graph", wraps=profiles._Graph) as graph:
             solution = solve_radial(h, ann, u_a, u_b)
         assert abs(solution.evaluator.value(a) - u_a) <= DEFAULT_TOL
         assert solution.evaluator.value(a + width) == u_b
-        assert len(calls) <= 12  # bracket ends included
+        assert 2 <= graph.call_count <= 12  # bracket ends included
 
     def test_tolerance_below_an_ulp_of_the_drop_stalls(self):
         # 1e-17 is below an ulp of the drop 0.1, so no theta meets it: false
