@@ -149,11 +149,12 @@ def _with_config(argv: list[str]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
-def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
+def _write_csv(path: str, header: str, *columns: Iterable[float]) -> None:
+    """Write the columns side by side, each value by ``_fmt`` and a NaN as an empty field."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join("" if math.isnan(v) else _fmt(v) for v in row) + "\n")
 
 
 def _print_json(payload: dict) -> None:
@@ -206,7 +207,7 @@ def _data_extremes(datum: str) -> tuple[float, float]:
 
 def _cmd_profile(ns: argparse.Namespace) -> int:
     table = sample_profile(ns.h, ns.alpha, ns.rho_max, ns.n)
-    _write_csv(ns.out, "rho,height,slope", ([_fmt(v) for v in row] for row in table))
+    _write_csv(ns.out, "rho,height,slope", *table.T)
     return 0
 
 
@@ -214,12 +215,7 @@ def _cmd_bounds(ns: argparse.Namespace) -> int:
     annulus = Annulus(ns.a, ns.b)
     box = bounding_box(ns.h, annulus, OuterBoundaryData(ns.m, ns.M))
     table = box.sample(ns.n)
-
-    def rows():
-        for rho, lower, upper in table:
-            yield [_fmt(rho), "" if math.isnan(lower) else _fmt(lower), _fmt(upper)]
-
-    _write_csv(ns.out, "rho,lower,upper", rows())
+    _write_csv(ns.out, "rho,lower,upper", *table.T)
     _print_json(
         {
             "beta": param_large(ns.h, annulus.a),
@@ -257,18 +253,17 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     if ns.two_d:
         # imported here: pde2d and its Newton-Krylov module take about 10 ms
         # to load on top of numpy, which every other command skips
+        import numpy as np
+
         from .pde2d import solve_dirichlet_2d
 
         field, report = solve_dirichlet_2d(
             ns.h, annulus, ns.u_a, ns.u_b, grid=(ns.n_rho, ns.n_theta), **tol
         )
-
-        def rows():
-            for i, rho in enumerate(field.grid.rho):
-                for j, theta in enumerate(field.grid.theta):
-                    yield [_fmt(rho), _fmt(theta), _fmt(field.values[i, j])]
-
-        _write_csv(ns.out, "rho,theta,u", rows())
+        rho, theta = field.grid.rho, field.grid.theta
+        _write_csv(
+            ns.out, "rho,theta,u", np.repeat(rho, theta.size), np.tile(theta, rho.size), field.values.ravel()
+        )
         _print_json({"status": "converged", **_report_fields(report)})
         return 0
     _check_count(ns.n, 2)
@@ -278,7 +273,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
     radii = np.linspace(annulus.a, annulus.b, ns.n)
     values = solution.evaluator.value(radii)
-    _write_csv(ns.out, "rho,u", ([_fmt(rho), _fmt(u)] for rho, u in zip(radii, values)))
+    _write_csv(ns.out, "rho,u", radii, values)
     _print_json(
         {
             "status": "solved",

@@ -8,13 +8,12 @@ annulus at h = 1/2, and for a < artanh(2h) otherwise) bounds it from below
 once shifted to the outer minimum m. Both envelopes depend only on the
 annulus and the outer boundary values. Inner Dirichlet data that exits the
 box at rho = a therefore certifies that no solution exists. The envelopes
-are the graphs at the ends of the flux interval at a, with the radicand
-slacks (span, 0) and (0, span) there of ``profiles._vertical_slacks``, so a
-threshold is the outer extreme plus an extremal drop, M + d_max or
-m + d_min: one closed-form drop, as in ``radial.extremal_drops``. Envelopes
-are ``profiles._Graph``, like profiles and radial solutions: values and
-derivatives take a radius or an array of radii, and an array is tabulated in
-one pass of the same closed form. h and the parameters of the two profiles,
+are the graphs at the ends of the flux interval at a (``profiles._slacks``
+at ``_LARGE`` and ``_SMALL``), so a threshold is the outer extreme plus an
+extremal drop, M + d_max or m + d_min: one closed-form drop, as in
+``radial.extremal_drops``. Envelopes are ``profiles._Graph``, like profiles
+and radial solutions: values and derivatives take a radius or an array of
+radii, and an array is tabulated in one pass of the same closed form. h and the parameters of the two profiles,
 ``param_large(h, a)`` and ``param_small(h, a)``, are plain floats, and
 ``Annulus`` and ``OuterBoundaryData`` store their values as the floats they
 validate.
@@ -28,14 +27,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import HoleTooLargeError
 from .hyperbolic import RadialFunction, _finite, check_radius
-from .profiles import (
-    _Graph,
-    _check_count,
-    _drop,
-    _vertical_slacks,
-    check_curvature,
-    param_small,
-)
+from .profiles import _LARGE, _SMALL, _Graph, _check_count, _slacks, check_curvature, param_small
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,8 +71,7 @@ def upper_envelope(h, annulus: Annulus, M: float) -> RadialFunction:
     """
     h = check_curvature(h)
     M = _finite(M, "outer maximum M")
-    large, _ = _vertical_slacks(annulus.a)
-    return _Graph(h, annulus.a, annulus.b, large, M).radial_function()
+    return _Graph(h, annulus.a, annulus.b, _slacks(annulus.a, _LARGE), M).radial_function()
 
 
 def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
@@ -93,8 +84,7 @@ def lower_envelope(h, annulus: Annulus, m: float) -> RadialFunction:
     h = check_curvature(h)
     m = _finite(m, "outer minimum m")
     param_small(h, annulus.a)  # raises where the hole is too large
-    _, small = _vertical_slacks(annulus.a)
-    return _Graph(h, annulus.a, annulus.b, small, m).radial_function()
+    return _Graph(h, annulus.a, annulus.b, _slacks(annulus.a, _SMALL), m).radial_function()
 
 
 @dataclass(frozen=True)
@@ -178,14 +168,14 @@ def dirichlet_feasibility(
     if inner_min > inner_max:
         raise ValueError(f"need inner_min <= inner_max, got {inner_min:g} > {inner_max:g}")
     h = check_curvature(h)
-    large, small = _vertical_slacks(annulus.a)
-    t_upper = data.M + _drop(h, annulus.a, annulus.b, large)
+    a, b = annulus.a, annulus.b
+    t_upper = data.M - _Graph(h, a, b, _slacks(a, _LARGE), 0.0).rise_at
     try:
-        param_small(h, annulus.a)
+        param_small(h, a)
     except HoleTooLargeError:
         t_lower = None
     else:
-        t_lower = data.m + _drop(h, annulus.a, annulus.b, small)
+        t_lower = data.m - _Graph(h, a, b, _slacks(a, _SMALL), 0.0).rise_at
     if inner_max > t_upper:
         return FeasibilityResult(Verdict.VIOLATES_UPPER, t_upper, t_lower, inner_max - t_upper)
     if t_lower is not None and inner_min < t_lower:

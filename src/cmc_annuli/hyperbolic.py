@@ -22,9 +22,13 @@ MAX_RADIUS = 100.0
 def _finite(value, name: str, positive: bool = False) -> float:
     """``float(value)``, raising ValueError unless it is finite (and, if asked, positive).
 
-    The one check of every numeric input of the package.
+    The one check of every numeric input of the package; a value ``float``
+    rejects, None or "x", fails it like nan.
     """
-    x = float(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
     if not math.isfinite(x) or (positive and x <= 0.0):
         raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {value!r}")
     return x
@@ -46,7 +50,7 @@ def euclidean_to_hyperbolic(r: float) -> float:
     Integrating the conformal factor along a ray gives
     rho = log((1+r)/(1-r)) = 2*artanh(r). Requires 0 <= r < 1.
     """
-    r = float(r)
+    r = _finite(r, "disc coordinate radius")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"disc coordinate radius must lie in [0, 1), got {r!r}")
     return 2.0 * math.atanh(r)
@@ -80,15 +84,13 @@ def flux(slope: float, rho: float) -> float:
     absolute value is < sinh(rho) for finite slope. A signed infinite slope
     (vertical graph) is accepted and returns +/- sinh(rho); a NaN slope is not.
     """
-    slope = float(slope)
-    if math.isnan(slope):
-        raise ValueError("flux requires a slope that is a number, got nan")
     rho = _finite(rho, "rho")
     if rho < 0.0:
         raise ValueError(f"flux requires a nonnegative radius, got {rho!r}")
     s = math.sinh(rho)
-    if math.isinf(slope):
+    if slope in (math.inf, -math.inf):
         return math.copysign(s, slope)
+    slope = _finite(slope, "slope")
     # hypot keeps slope/sqrt(1+slope^2) accurate for huge finite slopes
     return s * slope / math.hypot(1.0, slope)
 
@@ -104,7 +106,7 @@ def mean_curvature_radial(
     difference of the flux, second-order accurate in ``step``. Only u' enters,
     so vertical translates of ``u`` give bitwise identical results.
     """
-    rho = float(rho)
+    rho = _finite(rho, "rho")
     step = _finite(step, "step", positive=True)
     if rho <= 0.0:
         raise ValueError("mean_curvature_radial needs rho > 0 (sinh(rho) divides)")

@@ -41,9 +41,10 @@ positive on the annulus, so it is a closed form in Carlson's R_F, R_J and R_C
 (``carlson``), built from the slacks without cancellation. Profiles (0 on
 their circle), the envelopes and thresholds of ``estimates`` and the drops
 and solutions of ``radial`` are all this class, values and derivatives,
-points and tables alike, handed out as ``RadialFunction``. A graph vertical
-on its circle has the slacks of ``_vertical_slacks``, the one rule for
-profiles, envelopes, thresholds and extremal drops.
+points and tables alike, handed out as ``RadialFunction``. One rule,
+``_slacks``, places every graph the package builds from a circle in that
+interval: profiles, envelopes, thresholds, extremal drops and the radial root
+find.
 """
 
 from __future__ import annotations
@@ -175,15 +176,24 @@ def _is_array_like(x) -> bool:
     return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
 
 
-def _vertical_slacks(r0: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Slacks at r0 of the graphs vertical there: (span, 0) on the large branch, (0, span) on the small.
+#: theta of ``_slacks`` at the two ends of the flux interval: the graphs
+#: vertical at r0 on the large branch and on the small one
+_LARGE, _SMALL = 0.0, 0.5 * math.pi
 
-    span is large(r0) - small(r0) written as 2 sinh(r0), 0 on the neck: the
-    rounded width c_hi - c_lo of the flux interval has a relative error of
-    about 1e-16/r0, which the slopes would carry next to a tiny circle.
+
+def _slacks(r0: float, theta: float) -> tuple[float, float]:
+    """Slacks at r0 of the graph with flux C = -large(r0) + span*sin(theta)^2.
+
+    They are (span*sin(pi/2 - theta)^2, span*sin(theta)^2), the flux's
+    distances to -small(r0) and to -large(r0): exactly (span, 0) at
+    theta = ``_LARGE`` and (0, span) at ``_SMALL``, and exact next to either
+    end, where C itself cannot hold the offset. span is large(r0) - small(r0)
+    written as 2 sinh(r0), 0 on the neck: the rounded width c_hi - c_lo of
+    the flux interval has a relative error of about 1e-16/r0, which the
+    slopes would carry next to a tiny circle.
     """
     span = 2.0 * math.sinh(r0)
-    return (span, 0.0), (0.0, span)
+    return span * math.sin(0.5 * math.pi - theta) ** 2, span * math.sin(theta) ** 2
 
 
 class _Graph:
@@ -191,7 +201,11 @@ class _Graph:
 
     The slacks are the flux's distances to the ends of the flux interval at
     r0 = a, ``slacks[0]`` to -small(r0) and ``slacks[1]`` to -large(r0); one
-    is exactly 0 for a graph vertical at r0. ``C`` is the flux constant.
+    is exactly 0 for a graph vertical at r0. The graph keeps one pair, read by
+    both ``rise`` and ``slope``: the smaller slack as given and the larger as
+    2 sinh(r0) minus it, since Carlson's reduction needs the four factors of
+    one quartic, and slacks summing to the rounded width c_hi - c_lo would be
+    off by a large fraction of it for r0 near 0. ``C`` is the flux constant.
     ``at`` is b unless given; a profile has it at a, with top 0. Building the
     graph computes ``rise_at``, its rise from a to ``at``: the drop
     u(a) - u(b) is -rise_at when at = b. ``value`` is top minus the difference
@@ -218,15 +232,12 @@ class _Graph:
     X_i = sqrt(f_i(cosh r)) and Y_i = sqrt(f_i(cosh r0)) built from half-angle
     sinh and cosh and the factors above, without subtraction. R_F and R_J share
     their first three arguments and come from one duplication loop
-    (``carlson.rf_rj``). The factors must be one polynomial's, so the rise
-    takes the smaller slack as given and the other as 2 sinh(r0) minus it:
-    slacks summing to the rounded width c_hi - c_lo would be off by a large
-    fraction of it for r0 near 0. On the neck (r0 = 0) Y1 = 0, and the rise
+    (``carlson.rf_rj``). On the neck (r0 = 0) Y1 = 0, and the rise
     is 4h*D*R_C(1 + k*D^2, 1) with D = sinh(r/2)^2/(cosh(r/2) + sqrt(4h^2 + k*cosh(r/2)^2)).
     """
 
     def __init__(self, h: float, a: float, b: float, slacks: tuple[float, float], top: float, at=None):
-        self.h, self.r0, self.slacks, self.top = h, a, slacks, top
+        self.h, self.r0, self.top = h, a, top
         self.at = b if at is None else at
         self.domain = (a, b)
         self._lo, self._hi = max(a - _BOUNDARY_SLACK, 0.0), b + _BOUNDARY_SLACK
@@ -241,13 +252,14 @@ class _Graph:
         # cancellation in these forms
         c_lo, c_hi = _flux_interval(h, a)
         if slack_small <= slack_large:
-            exact = (slack_small, 2.0 * sinh0 - slack_small)
             C = c_hi - slack_small
             e = half_sinh * (minus * math.exp(0.5 * a) + plus * math.exp(-0.5 * a)) - slack_small
+            slack_large = 2.0 * sinh0 - slack_small
         else:
-            exact = (2.0 * sinh0 - slack_large, slack_large)
             C = c_lo + slack_large
             e = slack_large - sinh0 - 4.0 * h * half_sinh * half_sinh
+            slack_small = 2.0 * sinh0 - slack_large
+        self.slacks = (slack_small, slack_large)
         self._flux0 = flux0 = 0.5 * (slack_large - slack_small)
         radicand0 = slack_small * slack_large
         if radicand0 > 0.0:
@@ -258,9 +270,9 @@ class _Graph:
         # c4 = sqrt(C^2 + k) - 2hC, which cancels for C > 0 unless written as a quotient
         c4 = root - 2.0 * h * C if C <= 0.0 else k * (1.0 + C * C) / (root + 2.0 * h * C)
         y4_sq = k * cosh0 + c4
-        y3 = math.sqrt(exact[0] * exact[1] / y4_sq)
+        y3 = math.sqrt(radicand0 / y4_sq)
         self._y = (math.sqrt(2.0) * half_sinh, math.sqrt(2.0) * half_cosh, y3, math.sqrt(y4_sq))
-        self.C, self._e, self._exact, self._k, self._c4 = C, e, exact, k, c4
+        self.C, self._e, self._k, self._c4 = C, e, k, c4
         self._cosh0, self._sinh0 = cosh0, sinh0
         self.rise_at = self.rise(math, self.at)
 
@@ -293,7 +305,7 @@ class _Graph:
             rho = xp.asarray(rho, dtype=float)
             below, inside = xp.any(rho < lo), xp.all((rho >= lo) & (rho <= hi))
         else:
-            xp, rho = math, float(rho)
+            xp, rho = math, _finite(rho, "rho")
             below, inside = rho < lo, lo <= rho <= hi
         if below:
             raise ValueError(f"rho = {rho} is inside the starting circle rho = {self.r0:g}")
@@ -309,8 +321,9 @@ class _Graph:
         inside = r > r0
         return xp.where(inside, f(xp, xp.where(inside, r, r0 + 1.0)), at_r0)
 
-    def _factors(self, xp, r, slacks):
-        """Growth of F since r0, and the radicand factors sinh(r) -/+ F(r) for these slacks."""
+    def _factors(self, xp, r):
+        """Growth of F since r0, and the radicand factors sinh(r) -/+ F(r)."""
+        slacks = self.slacks
         plus, minus, exp_plus, exp_minus = self._coefs
         up = xp.expm1(r - self.r0)
         down = -xp.expm1(self.r0 - r)
@@ -320,7 +333,7 @@ class _Graph:
         return self.h * (self._cosh0 * up * down + self._sinh0 * (up + down)), small, large
 
     def _slope_beyond(self, xp, r):
-        growth, small, large = self._factors(xp, r, self.slacks)
+        growth, small, large = self._factors(xp, r)
         return (self._flux0 + growth) / xp.sqrt(small * large)
 
     def _neck_rise(self, xp, r):
@@ -331,7 +344,7 @@ class _Graph:
 
     def _rise_beyond(self, xp, r):
         h, k, c4, e, (y1, y2, y3, y4) = self.h, self._k, self._c4, self._e, self._y
-        _, small, large = self._factors(xp, r, self._exact)
+        _, small, large = self._factors(xp, r)
         x1, x2 = math.sqrt(2.0) * xp.sinh(0.5 * r), math.sqrt(2.0) * xp.cosh(0.5 * r)
         x4_sq = k * xp.cosh(r) + c4
         x3, x4 = xp.sqrt(small * large / x4_sq), xp.sqrt(x4_sq)
@@ -343,11 +356,6 @@ class _Graph:
         q2 = w2 / (x1 * y1) ** 2
         r_f, r_j = rf_rj(u12, u13, u14, w2)
         return 2.0 * h * (2.0 * rc(q2 + k, q2) - 4.0 / 3.0 * e * e * r_j) + 2.0 * e * r_f
-
-
-def _drop(h: float, a: float, b: float, slacks: tuple[float, float]) -> float:
-    """u(a) - u(b) of the graph anchored at a with the given radicand slacks there."""
-    return -_Graph(h, a, b, slacks, 0.0).rise_at
 
 
 def slope(h, alpha, rho) -> float:
@@ -416,9 +424,8 @@ class HeightProfile:
 
     def _graph(self, upper: float = MAX_RADIUS) -> _Graph:
         """The profile as the graph vertical on its circle, 0 there, over [rho0, upper]."""
-        large, small = _vertical_slacks(self.rho0)
-        slacks = large if self.branch is Branch.LARGE else small
-        return _Graph(self.h, self.rho0, upper, slacks, 0.0, self.rho0)
+        theta = _LARGE if self.branch is Branch.LARGE else _SMALL
+        return _Graph(self.h, self.rho0, upper, _slacks(self.rho0, theta), 0.0, self.rho0)
 
     def height(self, rho) -> float:
         return self._graph().value(check_radius(rho))

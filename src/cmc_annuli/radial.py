@@ -14,13 +14,12 @@ whose endpoints are exactly the envelope drops of the a-priori estimates:
 both are the flux graphs at the ends of the flux interval, anchored at
 rho = a. A flux is handed to the graph (``profiles._Graph``) as its
 distances to those ends, its slacks at a: (c_hi - C, C - c_lo) in
-``integrate_radial``, (span*cos^2, span*sin^2) of theta in the root find,
-exactly (span, 0) and (0, span) at the ends (``profiles._vertical_slacks``,
-as for the envelopes). So the thresholds, ``extremal_drops`` and the interval
-of an infeasible solve are one computation and agree bit for bit. Each drop
-is a closed form in Carlson's elliptic integrals, good to about 1e-15
-relative with no tolerance of its own; the mpmath reference in the test
-suite checks them independently. The root find is false position in theta
+``integrate_radial``, and ``profiles._slacks`` of theta in the root find and
+at its ends, as for the envelopes. So the thresholds, ``extremal_drops`` and
+the interval of an infeasible solve are one computation and agree bit for
+bit. Each drop is a closed form in Carlson's elliptic integrals, good to
+about 1e-15 relative with no tolerance of its own; the mpmath reference in
+the test suite checks them independently. The root find is false position in theta
 with the Anderson-Björck weighting, from the two extremal graphs to one whose
 drop is within tol/10 of the target, each built at u_b on b; the solution is
 that graph.
@@ -28,7 +27,6 @@ that graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,10 +35,11 @@ from .estimates import Annulus
 from .hyperbolic import RadialFunction, _finite
 from .profiles import (
     DEFAULT_TOL,
+    _LARGE,
+    _SMALL,
     _Graph,
-    _drop,
     _flux_interval,
-    _vertical_slacks,
+    _slacks,
     check_curvature,
     height,
 )
@@ -119,14 +118,14 @@ def integrate_radial(h, annulus: Annulus, C: float) -> float:
     interval [-large(a), -small(a)].
     """
     h = check_curvature(h)
-    C = float(C)
+    C = _finite(C, "flux constant C")
     c_lo, c_hi = _flux_interval(h, annulus.a)
     if not c_lo <= C <= c_hi:
         raise InfeasibleFluxError(
             f"flux constant {C:g} outside the graph interval [{c_lo:g}, {c_hi:g}] "
             f"for the annulus [{annulus.a:g}, {annulus.b:g}]"
         )
-    return _drop(h, annulus.a, annulus.b, (c_hi - C, C - c_lo))
+    return -_Graph(h, annulus.a, annulus.b, (c_hi - C, C - c_lo), 0.0).rise_at
 
 
 def extremal_drops(h, annulus: Annulus) -> FeasibleDropInterval:
@@ -138,9 +137,9 @@ def extremal_drops(h, annulus: Annulus) -> FeasibleDropInterval:
     flux graph (which is no family profile, but still spans the annulus).
     """
     h = check_curvature(h)
-    large, small = _vertical_slacks(annulus.a)
     a, b = annulus.a, annulus.b
-    return FeasibleDropInterval(_drop(h, a, b, small), _drop(h, a, b, large))
+    d_min, d_max = (-_Graph(h, a, b, _slacks(a, theta), 0.0).rise_at for theta in (_SMALL, _LARGE))
+    return FeasibleDropInterval(d_min, d_max)
 
 
 def solve_radial(
@@ -163,31 +162,21 @@ def solve_radial(
     target = u_a - u_b
     a, b = annulus.a, annulus.b
     # The drop has a square-root singularity in C at both ends of the flux
-    # interval. C = c_lo + span*sin(theta)^2 makes it Lipschitz in theta at
-    # both, and hands the kernel the slacks at a as span*sin(pi/2 - theta)^2
-    # and span*sin(theta)^2: exact next to either end, where C itself cannot
-    # hold the offset, and exactly 0 at the ends theta = 0 and pi/2. span is
-    # the width of the flux interval, the large end's slack as for the envelopes.
-    large, small = _vertical_slacks(a)
-    span = large[0]
-
-    def slacks_at(theta: float) -> tuple[float, float]:
-        return span * math.sin(0.5 * math.pi - theta) ** 2, span * math.sin(theta) ** 2
-
-    # the root find's graphs by theta, each at u_b on b; the bracket ends are
-    # the extremal graphs, so the interval is ``extremal_drops`` bit for bit
-    graphs = {0.0: _Graph(h, a, b, large, u_b), 0.5 * math.pi: _Graph(h, a, b, small, u_b)}
-    d_max, d_min = -graphs[0.0].rise_at, -graphs[0.5 * math.pi].rise_at
+    # interval; the theta of ``_slacks`` makes it Lipschitz at both. The root
+    # find's graphs by theta, each at u_b on b; the bracket ends are the
+    # extremal graphs, so the interval is ``extremal_drops`` bit for bit
+    graphs = {theta: _Graph(h, a, b, _slacks(a, theta), u_b) for theta in (_LARGE, _SMALL)}
+    d_max, d_min = -graphs[_LARGE].rise_at, -graphs[_SMALL].rise_at
     # the bracket is the closed flux interval, so exactly the open drop interval is solvable
     if not d_min < target < d_max:
         raise InfeasibleBoundaryError(target, d_min, d_max)
 
     def drop_residual(t: float) -> float:
-        graphs[t] = _Graph(h, a, b, slacks_at(t), u_b)
+        graphs[t] = _Graph(h, a, b, _slacks(a, t), u_b)
         return -graphs[t].rise_at - target
 
     theta, residual = _false_position(
-        drop_residual, 0.0, d_max - target, 0.5 * math.pi, d_min - target, 0.1 * tol
+        drop_residual, _LARGE, d_max - target, _SMALL, d_min - target, 0.1 * tol
     )
     if abs(residual) > tol:
         raise NonConvergenceError(

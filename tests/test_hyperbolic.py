@@ -58,6 +58,11 @@ def test_flux_rejects_nan_slope():
         flux(math.nan, 1.0)
 
 
+def test_flux_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="nonnegative radius, got -1.0"):
+        flux(1.0, -1.0)
+
+
 @given(st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=1e-3, max_value=10.0))
 def test_flux_bounded_by_sinh(slope, rho):
     # strict at double precision for |slope| up to ~1e6; beyond that the

@@ -21,7 +21,7 @@ from cmc_annuli import (
     solve_dirichlet_2d,
     solve_radial,
 )
-from cmc_annuli.krylov import _armijo, givens, gmres
+from cmc_annuli.krylov import _armijo, givens, gmres, newton_krylov
 
 ANN = Annulus(0.5, 1.5)
 H = 0.4
@@ -561,6 +561,38 @@ class TestNewtonKrylov:
         )
         assert steps == len(counted)
         assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @staticmethod
+    def never(*args):
+        raise AssertionError("not to be called")
+
+    def test_gmres_of_a_zero_right_hand_side_is_zero(self):
+        x, steps = gmres(self.never, np.zeros(5), self.never, 1e-6)
+        assert steps == 0 and x.shape == (5,) and not x.any()
+
+    def test_newton_stops_on_a_non_finite_start(self):
+        x0 = np.zeros(3)
+        x, history, steps = newton_krylov(lambda x: np.full(3, np.inf), self.never, x0, self.never, 1e-8, 10)
+        assert x is x0 and history == [math.inf] and steps == 0
+
+    def test_newton_stops_on_a_non_finite_jacobian_product(self):
+        x0 = np.zeros(3)
+        x, history, steps = newton_krylov(lambda x: x - 1.0, lambda x: lambda v: None, x0, lambda v: v.copy(), 1e-8, 10)
+        assert x is x0 and history == [1.0] and steps == 0
+
+    def test_newton_stops_on_a_non_finite_trial(self):
+        # F is finite at the start only, so every step of the line search
+        # fails, and the unit step it then takes is not finite
+        calls = []
+
+        def F(x):
+            calls.append(x.copy())
+            return x - 1.0 if len(calls) == 1 else np.full_like(x, np.nan)
+
+        x0 = np.zeros(3)
+        x, history, steps = newton_krylov(F, lambda x: lambda v: v.copy(), x0, lambda v: v.copy(), 1e-8, 10)
+        assert x is x0 and history == [1.0] and steps == 1
+        assert len(calls) == 3 and not calls[-1].any()  # the start, the unit step and step 0
 
     @staticmethod
     def scipy_newton_krylov(F, jacobian, x, psolve, f_tol, maxiter):

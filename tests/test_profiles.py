@@ -534,6 +534,25 @@ def test_public_graph_holders_are_pinned():
         assert graph.value([anchor])[0] == top
 
 
+@pytest.mark.parametrize("r0", [0.0, 1e-13, 0.5, 3.0, MAX_RADIUS])
+def test_slacks_are_exact_at_the_ends_of_the_flux_interval(r0):
+    span = 2.0 * math.sinh(r0)
+    assert profiles._slacks(r0, profiles._LARGE) == (span, 0.0)
+    assert profiles._slacks(r0, profiles._SMALL) == (0.0, span)
+
+
+@pytest.mark.parametrize("r0", [1e-10, 0.5, 3.0])
+@pytest.mark.parametrize("theta", [1e-9, 0.3, 1.2, 0.5 * math.pi - 1e-9])
+def test_graph_keeps_one_slack_pair(r0, theta):
+    # the smaller slack as given and the larger as 2 sinh(r0) minus it,
+    # whatever the given pair sums to
+    given = profiles._slacks(r0, theta)
+    small = min(given)
+    pair = profiles._Graph(0.4, r0, r0 + 1.0, given, 0.0).slacks
+    assert sorted(pair) == [small, 2.0 * math.sinh(r0) - small]
+    assert pair.index(small) == given.index(small)
+
+
 def _kernel_cases():
     """(name, (h, C, r0), slacks) over both branches, the neck and exact-zero slacks."""
     h, a = 0.4, 0.5

@@ -2,7 +2,7 @@
 
 Each numeric parameter of each public callable, the names of
 ``cmc_annuli.__all__`` and the public methods of its classes, takes a finite
-number. A non-number string, nan, +inf or -inf raises ValueError: never a
+number. None, a non-number string, nan, +inf or -inf raises ValueError: never a
 TypeError and never a result. A count takes an integer, so it also rejects
 2.5. The one exception is ``flux``'s slope, where a signed infinity is the
 slope of a vertical graph and gives +/- sinh(rho).
@@ -86,7 +86,7 @@ NOT_WALKED = {
     "SolverReport": "a record the package returns",
 }
 
-BAD = ["x", math.nan, math.inf, -math.inf]
+BAD = [None, "x", math.nan, math.inf, -math.inf]
 BAD_COUNTS = BAD + [2.5]
 
 #: (callable, parameter, bad value) that return a result by design

@@ -277,6 +277,17 @@ class TestSolveRadial:
         assert solution.evaluator.value(ann.b) == 0.0
         assert solution.evaluator.value(ann.a) == pytest.approx(target, abs=1e-10)
 
+    @pytest.mark.parametrize("a, b", [(1e-10, 1.0), (0.5, 2.0), (1.5, 3.0)])
+    @pytest.mark.parametrize("fraction", [1e-6, 0.3, 0.7, 1.0 - 1e-6])
+    def test_solution_keeps_one_slack_pair(self, a, b, fraction):
+        # its value and its slope read one pair: the larger slack is 2 sinh(a)
+        # minus the smaller, not what the root find's theta rounds it to
+        ann = Annulus(a, b)
+        drops = extremal_drops(0.4, ann)
+        solution = solve_radial(0.4, ann, drops.d_min + fraction * (drops.d_max - drops.d_min), 0.0)
+        small, large = sorted(solution.evaluator.value.__self__.slacks)
+        assert large == 2.0 * math.sinh(a) - small
+
     @pytest.mark.parametrize("t", [-3.0, 4.5])
     def test_translation_invariance(self, t):
         ann = Annulus(0.5, 2.0)
