@@ -14,14 +14,18 @@ as the 2D solver would call it, with the caller's exact Jacobian product:
 - one cycle of left-preconditioned GMRES (Saad & Schultz, SIAM J. Sci.
   Stat. Comput. 7, 1986) of at most 20 steps from zero, with modified
   Gram-Schmidt and LAPACK's Givens rotation ``dlartg``;
-- two departures from scipy. The Jacobian products are the caller's
-  linearization of F at each accepted iterate, in place of
-  ``KrylovJacobian``'s matrix-free one, so a product costs no evaluation of
-  F. And the relative tolerance handed to GMRES is at least
+- three departures from scipy. The Jacobian products are the caller's
+  linearization of F, in place of ``KrylovJacobian``'s matrix-free one: one
+  callback returns F(x) and the product at x together, so a product costs
+  no evaluation of F and the accepted line-search trial's product serves
+  the next Newton step. The relative tolerance handed to GMRES is at least
   0.5 f_tol / |F|_2, Kelley's terminal safeguard. The forcing term shrinks
   quadratically, so without it the last Newton step asks for relative
   residuals near rounding, far below what ``f_tol`` needs, and runs the
-  whole cycle. The carried forcing term is scipy's.
+  whole cycle. The carried forcing term is scipy's. And a line search
+  that accepts a zero step counts as failed, as when no step is found:
+  the full step is taken, so a non-finite one stops the solve, where
+  scipy would repeat the same iterate until ``maxiter``.
 
 As in scipy, the solve stops early when an iterate's residual or a
 Jacobian product is not finite, or when GMRES returns a zero step. It
@@ -42,6 +46,8 @@ import numpy as np
 Operator = Callable[[np.ndarray], np.ndarray]
 #: a Jacobian product, None where it is not finite
 Product = Callable[[np.ndarray], np.ndarray | None]
+#: x -> (F(x), the product v -> F'(x) v)
+Linearization = Callable[[np.ndarray], tuple[np.ndarray, Product]]
 
 _EPS = float(np.finfo(float).eps)
 #: Eisenstat-Walker forcing: first term, gamma, cap, safeguard threshold
@@ -179,18 +185,19 @@ def _armijo(phi: Callable[[float], float], phi0: float) -> float | None:
     return None
 
 
-def _line_search(F: Operator, x: np.ndarray, fx: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x + s dx and its residual, s from Armijo backtracking on |F|^2 (1 if that fails)."""
-    trials = {}  # step -> F(x + step dx)
+def _line_search(
+    linearize: Linearization, x: np.ndarray, fx: np.ndarray, dx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, Product]:
+    """(x + s dx, its residual, its product), s from Armijo backtracking on |F|^2,
+    or 1 where that finds no step or a zero one."""
+    trials = {}  # step -> linearize(x + step dx)
 
     def phi(s: float) -> float:
-        fs = trials[s] = F(x + s * dx)
+        fs, _ = trials[s] = linearize(x + s * dx)
         return np.linalg.norm(fs) ** 2 if np.isfinite(fs).all() else math.inf
 
-    s = _armijo(phi, np.linalg.norm(fx) ** 2)
-    if s is None:
-        s = 1.0
-    return x + s * dx, trials[s]
+    s = _armijo(phi, np.linalg.norm(fx) ** 2) or 1.0
+    return x + s * dx, *trials[s]
 
 
 def _max_norm(v: np.ndarray) -> float:
@@ -198,8 +205,7 @@ def _max_norm(v: np.ndarray) -> float:
 
 
 def newton_krylov(
-    F: Operator,
-    jacobian: Callable[[np.ndarray], Product],
+    linearize: Linearization,
     x: np.ndarray,
     psolve: Operator,
     f_tol: float,
@@ -207,15 +213,15 @@ def newton_krylov(
 ) -> tuple[np.ndarray, list[float], int]:
     """Solve F(x) = 0 by inexact Newton steps, each one GMRES cycle preconditioned by ``psolve``.
 
-    ``jacobian(x)`` linearizes F at x once per Newton step. It returns the
-    product v -> F'(x) v, which returns None where it is not finite.
-    Returns the last iterate, the max-norm of F at the start and after each
-    Newton step (one entry more than steps taken), and the total GMRES
-    steps. Stops once that max-norm is at most ``f_tol`` after a step, after
-    ``maxiter`` steps, or early (see the module notes); the caller checks
-    the last residual.
+    ``linearize(x)`` returns F(x) and the product v -> F'(x) v, which returns
+    None where it is not finite; it runs once at the start and once per
+    line-search trial. Returns the last iterate, the max-norm of F at the
+    start and after each Newton step (one entry more than steps taken), and
+    the total GMRES steps. Stops once that max-norm is at most ``f_tol``
+    after a step, after ``maxiter`` steps, or early (see the module notes);
+    the caller checks the last residual.
     """
-    fx = F(x)
+    fx, product = linearize(x)
     history = [_max_norm(fx)]
     krylov_steps = 0
     if not np.isfinite(fx).all():
@@ -227,17 +233,17 @@ def newton_krylov(
             break
         # |F|_inf <= |F|_2, so a linear residual of 2-norm _ETA_FLOOR * f_tol suffices
         rtol = min(_ETA_MAX, max(min(eta, eta * fx_norm), _ETA_FLOOR * f_tol / fx_norm))
-        solved = gmres(jacobian(x), fx, psolve, rtol)
+        solved = gmres(product, fx, psolve, rtol)
         if solved is None:
             break
         dx, steps = -solved[0], solved[1]
         krylov_steps += steps
         if not (np.isfinite(dx).all() and dx.any()):
             break
-        x_new, fx_new = _line_search(F, x, fx, dx)
+        x_new, fx_new, product_new = _line_search(linearize, x, fx, dx)
         if not np.isfinite(fx_new).all():
             break
-        x, fx = x_new, fx_new
+        x, fx, product = x_new, fx_new, product_new
         history.append(_max_norm(fx))
 
         # Eisenstat-Walker forcing term for the next step

@@ -17,9 +17,10 @@ means (``solve_radial``) less its own linear interpolant, or the linear
 interpolant alone where those means have no radial solution. Inexact Newton
 steps (Kelley 1995) with Eisenstat-Walker forcing, each one cycle of restarted
 GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. GMRES
-multiplies by the residual's exact Jacobian, linearized once per Newton
-step: the derivative of each half-node flux, slope over W, in both gradient
-components, so a product costs less than half a residual. Its
+multiplies by the residual's exact Jacobian: the derivative of each
+half-node flux, slope over W, in both gradient components. One evaluation
+of an iterate's half-node state gives its residual and that product, so a
+product costs less than half a residual and evaluates none. Its
 preconditioner is that stencil with W frozen at the start and its
 weights averaged over theta, T. Chan's optimal circulant preconditioner
 (SIAM J. Sci. Stat. Comput. 9, 1988): an FFT in theta turns it into one
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import InfeasibleBoundaryError, NonConvergenceError
 from .estimates import Annulus
 from .hyperbolic import _finite
-from .krylov import newton_krylov
+from .krylov import Product, newton_krylov
 from .profiles import _check_count, check_curvature
 from .radial import solve_radial
 
@@ -156,13 +157,13 @@ def _half_nodes(grid: PolarGrid, u: np.ndarray) -> tuple[tuple[np.ndarray, ...],
     return (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta)
 
 
-def _stencil(grid: PolarGrid, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Five-point weights (out, in, east, west) at the interior nodes, W frozen at u.
+def _stencil(grid: PolarGrid, half_nodes: tuple[tuple[np.ndarray, ...], ...]) -> tuple[np.ndarray, ...]:
+    """Five-point weights (out, in, east, west) at the interior nodes, W frozen at ``half_nodes``.
 
     Q(u) at a node sums weight * (neighbour - node) over its four neighbours.
     """
     s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
-    (_, _, w_rho), (_, _, w_theta) = _half_nodes(grid, u)
+    (_, _, w_rho), (_, _, w_theta) = half_nodes
     g = s_half / (grid.d_rho**2 * w_rho)
     c_theta = 1.0 / (grid.d_theta**2 * s**2 * w_theta)
     return g[1:, :] / s, g[:-1, :] / s, c_theta[:, 1:], c_theta[:, :-1]
@@ -180,8 +181,9 @@ def _flux_derivatives(along: np.ndarray, across: np.ndarray, w: np.ndarray) -> t
     return iw * (iw * iw + across_w * across_w), -iw * along_w * across_w
 
 
-def _jacobian(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray | None]:
-    """The derivative of ``cmc_residual`` at u, as a product on flattened interior vectors.
+def _linearize(grid: PolarGrid, u: np.ndarray, h: float) -> tuple[np.ndarray, Product]:
+    """The residual Q(u) - 2h at the interior nodes and its derivative at u, as a
+    product on flattened interior vectors, from one ``_half_nodes`` evaluation.
 
     Each half-node flux of the residual is a slope over W: s_half u_rho / (d_rho W)
     across a rho half node, u_theta / (d_theta sinh^2 W) across a theta half
@@ -192,7 +194,12 @@ def _jacobian(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np.ndarr
     s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
     d_rho, d_theta = grid.d_rho, grid.d_theta
     with np.errstate(over="ignore", invalid="ignore"):
-        (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta) = _half_nodes(grid, u)
+        half_nodes = _half_nodes(grid, u)
+        c_out, c_in, c_east, c_west = _stencil(grid, half_nodes)
+        mid, rows = u[1:-1, :], _padded(u[1:-1, :])
+        q = c_out * (u[2:, :] - mid) + c_in * (u[:-2, :] - mid)
+        q = q + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
+        (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta) = half_nodes
         along, across = _flux_derivatives(ur_rho, ut_rho, w_rho)
         a_rho = along * (s_half / d_rho**2)
         b_rho = across * (0.25 / (d_rho * d_theta))
@@ -213,7 +220,7 @@ def _jacobian(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np.ndarr
             jv = (flux_rho[1:, :] - flux_rho[:-1, :]) * inv_s + (flux_theta[:, 1:] - flux_theta[:, :-1])
         return jv.ravel() if np.isfinite(jv).all() else None
 
-    return product
+    return q - 2.0 * h, product
 
 
 def cmc_residual(field2d: Field2D, h) -> np.ndarray:
@@ -221,13 +228,7 @@ def cmc_residual(field2d: Field2D, h) -> np.ndarray:
 
     Shape (n_rho - 2, n_theta); identically -2h for a constant field.
     """
-    h = check_curvature(h)
-    grid, u = field2d.grid, field2d.values
-    c_out, c_in, c_east, c_west = _stencil(grid, u)
-    mid, rows = u[1:-1, :], _padded(u[1:-1, :])
-    q = c_out * (u[2:, :] - mid) + c_in * (u[:-2, :] - mid)
-    q = q + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
-    return q - 2.0 * h
+    return _linearize(field2d.grid, field2d.values, check_curvature(h))[0]
 
 
 def max_gradient(field2d: Field2D) -> float:
@@ -267,7 +268,7 @@ def _preconditioner(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np
     """
     n = grid.n_rho - 2
     shape = (n, grid.n_theta)
-    c_out, c_in, c_east, _ = (w.mean(axis=1) for w in _stencil(grid, u))
+    c_out, c_in, c_east, _ = (w.mean(axis=1) for w in _stencil(grid, _half_nodes(grid, u)))
     if not np.all(c_east > 0.0):
         return None
     s = grid.sinh_rho[1:-1]
@@ -367,32 +368,23 @@ def solve_dirichlet_2d(
 
     evaluations = 0
 
-    def with_interior(x: np.ndarray) -> np.ndarray:
-        padded = u.copy()
-        padded[1:-1, :] = x.reshape(shape)
-        return padded
-
-    def interior_residual(x: np.ndarray) -> np.ndarray:
+    def linearize(x: np.ndarray) -> tuple[np.ndarray, Product]:
         nonlocal evaluations
         evaluations += 1
-        return cmc_residual(Field2D(grid, with_interior(x)), h).ravel()
-
-    def interior_jacobian(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray | None]:
-        return _jacobian(grid, with_interior(x))
+        residual, product = _linearize(grid, np.concatenate((u[:1], x.reshape(shape), u[-1:])), h)
+        return residual.ravel(), product
 
     x = u[1:-1, :].ravel()
     precondition = _preconditioner(grid, u)
     if precondition is None:
         # W overflows on data steeper than ~1e154: no Newton step
-        history, krylov_steps = [float(np.abs(interior_residual(x)).max())], 0
+        history, krylov_steps = [float(np.abs(linearize(x)[0]).max())], 0
     else:
         # on slopes near 1e154, where W is about to overflow, the preconditioned
         # Krylov vectors overflow in GMRES's norms; the residual check below
         # reports such a solve
         with np.errstate(over="ignore", invalid="ignore"):
-            x, history, krylov_steps = newton_krylov(
-                interior_residual, interior_jacobian, x, precondition, tol, _MAX_NEWTON_STEPS
-            )
+            x, history, krylov_steps = newton_krylov(linearize, x, precondition, tol, _MAX_NEWTON_STEPS)
 
     u[1:-1, :] = x.reshape(shape)
     field2d = Field2D(grid, u)

@@ -122,6 +122,9 @@ def test_curvature_stencil_domain_check():
         mean_curvature_radial(rf, 10.0, step=1e-4)
     with pytest.raises(ValueError):
         mean_curvature_radial(rf, 5e-5, step=1e-4)
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError, match="needs rho > 0"):
+            mean_curvature_radial(rf, rho, step=1e-4)
 
 
 def test_curvature_rejects_a_nan_domain():

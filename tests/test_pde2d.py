@@ -100,14 +100,14 @@ class TestDiscreteOperator:
     def test_preconditioner_inverts_stencil_on_radial_field(self):
         # for W independent of theta the theta-averaged preconditioner is the
         # inverse of the residual's frozen-W stencil with zero boundary rows
-        from cmc_annuli.pde2d import _padded, _preconditioner, _stencil
+        from cmc_annuli.pde2d import _half_nodes, _padded, _preconditioner, _stencil
 
         grid = PolarGrid(ANN, 12, 10)
         u = radial_field(grid, lambda r: math.sin(3 * r) + r**2).values
         rng = np.random.default_rng(11)
         v = np.zeros_like(u)
         v[1:-1, :] = rng.standard_normal((grid.n_rho - 2, grid.n_theta))
-        c_out, c_in, c_east, c_west = _stencil(grid, u)
+        c_out, c_in, c_east, c_west = _stencil(grid, _half_nodes(grid, u))
         mid, rows = v[1:-1, :], _padded(v[1:-1, :])
         applied = c_out * (v[2:, :] - mid) + c_in * (v[:-2, :] - mid)
         applied = applied + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
@@ -118,12 +118,12 @@ class TestDiscreteOperator:
     def test_preconditioner_matches_dense_averaged_operator(self, n_rho, n_theta):
         # referee: the theta-averaged stencil assembled on the whole interior
         # grid, with zero boundary rows, and solved densely
-        from cmc_annuli.pde2d import _preconditioner, _stencil
+        from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
 
         grid = PolarGrid(ANN, n_rho, n_theta)
         mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
         u = np.sin(3 * mesh_r) + mesh_r**2 + 0.3 * mesh_r * np.cos(mesh_t + 0.4 * np.sin(2 * mesh_t))
-        c_out, c_in, c_east, c_west = (w.mean(axis=1) for w in _stencil(grid, u))
+        c_out, c_in, c_east, c_west = (w.mean(axis=1) for w in _stencil(grid, _half_nodes(grid, u)))
         radial = np.diag(-(c_out + c_in)) + np.diag(c_out[:-1], 1) + np.diag(c_in[1:], -1)
         shift = np.roll(np.eye(n_theta), 1, axis=1)  # (shift @ v)[j] = v[j + 1]
         dense = (
@@ -141,7 +141,7 @@ class TestDiscreteOperator:
         # W overflows to inf and the theta weights to 0, next to the inner
         # row or on every row; the diagonalization scales each row by its
         # theta weight, so it needs all of them positive
-        from cmc_annuli.pde2d import _preconditioner, _stencil
+        from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
 
         grid = PolarGrid(ANN, 12, 10)
         u = np.zeros((12, 10))
@@ -151,9 +151,39 @@ class TestDiscreteOperator:
             u[:] = 1e300 * (grid.rho[:, None] - ANN.b)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert not np.all(_stencil(grid, u)[2].mean(axis=1) > 0.0)
+            assert not np.all(_stencil(grid, _half_nodes(grid, u))[2].mean(axis=1) > 0.0)
             assert _preconditioner(grid, u) is None
         assert caught == []
+
+    def test_preconditioner_is_none_when_the_averaged_operator_is_singular(self):
+        # rows alternating +-1.5e308: every rho slope overflows, so every rho
+        # weight is 0, while the theta weights stay positive; mode 0 of the
+        # averaged operator is then 0, and its inverse not finite
+        from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
+
+        grid = PolarGrid(ANN, 12, 10)
+        u = 1.5e308 * (-1.0) ** np.arange(12)[:, None] * np.ones((1, 10))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            c_out, c_in, c_east, _ = _stencil(grid, _half_nodes(grid, u))
+            assert not c_out.any() and not c_in.any() and np.all(c_east > 0.0)
+            assert _preconditioner(grid, u) is None
+        assert caught == []
+
+    def test_preconditioner_is_none_when_its_weights_overflow(self):
+        # on an annulus of radius 1e-160 the stencil's weights themselves
+        # overflow to inf, so the theta weights pass the positivity check and
+        # the scaled operator is inf / inf. numpy warns on that overflow, which
+        # this test does not check; the solve never gets here, its radial
+        # start raises first
+        from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
+
+        grid = PolarGrid(Annulus(1e-160, 2e-160), 5, 4)
+        u = np.zeros((5, 4))
+        with np.errstate(over="ignore", divide="ignore"):
+            c_east = _stencil(grid, _half_nodes(grid, u))[2]
+            assert np.all(c_east > 0.0) and not np.isfinite(c_east).any()
+            assert _preconditioner(grid, u) is None
 
     @pytest.mark.parametrize("scale", [1.0, 30.0])
     @pytest.mark.parametrize("n_rho, n_theta", [(3, 4), (12, 10), (20, 16)])
@@ -161,14 +191,14 @@ class TestDiscreteOperator:
         # referee: central differences of the residual, whose error falls 100x
         # per decade of the step, second order, while it is above rounding; the
         # perturbation's slopes are 20x the field's scale on every grid
-        from cmc_annuli.pde2d import _jacobian
+        from cmc_annuli.pde2d import _linearize
 
         grid = PolarGrid(ANN, n_rho, n_theta)
         mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
         u = scale * (np.sin(3 * mesh_r) + mesh_r**2 + 0.3 * mesh_r * np.cos(mesh_t + 0.4 * np.sin(2 * mesh_t)))
         v = np.zeros_like(u)
         v[1:-1, :] = 20 * scale * grid.d_rho * np.random.default_rng(5).standard_normal((n_rho - 2, n_theta))
-        product = _jacobian(grid, u)(v[1:-1, :].ravel())
+        product = _linearize(grid, u, H)[1](v[1:-1, :].ravel())
         errors = []
         for e in (1e-4, 1e-5, 1e-6):
             plus = cmc_residual(Field2D(grid, u + e * v), H)
@@ -181,7 +211,7 @@ class TestDiscreteOperator:
     def test_jacobian_product_is_none_when_slopes_overflow(self, rows):
         # slopes past the double range make W inf and the product inf * 0;
         # the product reports that as None and prints nothing
-        from cmc_annuli.pde2d import _jacobian
+        from cmc_annuli.pde2d import _linearize
 
         grid = PolarGrid(ANN, 12, 10)
         u = np.zeros((12, 10))
@@ -192,7 +222,7 @@ class TestDiscreteOperator:
         v = np.random.default_rng(3).standard_normal((10, 10)).ravel()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert _jacobian(grid, u)(v) is None
+            assert _linearize(grid, u, H)[1](v) is None
         assert caught == []
 
     def test_max_gradient_of_tilted_plane(self):
@@ -376,6 +406,30 @@ class TestSolver:
         # evaluate no residual, and this solve takes every full step
         assert report.residual_evaluations == report.iterations + 1
 
+    def test_each_iterate_is_evaluated_once(self, monkeypatch):
+        # one half-node evaluation gives a trial's residual and its Jacobian
+        # product, and one more builds the preconditioner; the field is wrapped
+        # once, at the end. Near the upper envelope the line search
+        # backtracks, so trials outnumber Newton steps
+        from cmc_annuli import pde2d
+
+        calls = {"_half_nodes": 0, "Field2D": 0}
+
+        def counted(name):
+            original = getattr(pde2d, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(pde2d, name, call)
+
+        counted("_half_nodes")
+        counted("Field2D")
+        _, report = solve_dirichlet_2d(*TestNewtonKrylov.steep_wavy_case(), grid=(32, 32))
+        assert report.converged and report.residual_evaluations > report.iterations + 1
+        assert calls == {"_half_nodes": report.residual_evaluations + 1, "Field2D": 1}
+
     def test_failed_report_carries_residual_history(self):
         # W overflows on the interpolant, so no Newton step is taken
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -532,14 +586,14 @@ class TestNewtonKrylov:
     @pytest.mark.parametrize("rtol", [1e-6, 1e-14])
     def test_gmres_cycle_matches_scipy(self, rtol):
         linalg = pytest.importorskip("scipy.sparse.linalg")
-        from cmc_annuli.pde2d import _padded, _preconditioner, _stencil
+        from cmc_annuli.pde2d import _half_nodes, _padded, _preconditioner, _stencil
 
         # the frozen-W stencil of wavy data, preconditioned by its theta average;
         # rtol = 1e-6 takes 9 steps, 1e-14 stops at the cycle's 20
         grid = PolarGrid(ANN, 12, 10)
         mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
         u = 0.3 * mesh_r + np.cos(2 * mesh_t) * np.sin(3 * mesh_r)
-        c_out, c_in, c_east, c_west = _stencil(grid, u)
+        c_out, c_in, c_east, c_west = _stencil(grid, _half_nodes(grid, u))
         shape = (grid.n_rho - 2, grid.n_theta)
 
         def apply(x):
@@ -572,12 +626,12 @@ class TestNewtonKrylov:
 
     def test_newton_stops_on_a_non_finite_start(self):
         x0 = np.zeros(3)
-        x, history, steps = newton_krylov(lambda x: np.full(3, np.inf), self.never, x0, self.never, 1e-8, 10)
+        x, history, steps = newton_krylov(lambda x: (np.full(3, np.inf), self.never), x0, self.never, 1e-8, 10)
         assert x is x0 and history == [math.inf] and steps == 0
 
     def test_newton_stops_on_a_non_finite_jacobian_product(self):
         x0 = np.zeros(3)
-        x, history, steps = newton_krylov(lambda x: x - 1.0, lambda x: lambda v: None, x0, lambda v: v.copy(), 1e-8, 10)
+        x, history, steps = newton_krylov(lambda x: (x - 1.0, lambda v: None), x0, lambda v: v.copy(), 1e-8, 10)
         assert x is x0 and history == [1.0] and steps == 0
 
     def test_newton_stops_on_a_non_finite_trial(self):
@@ -585,28 +639,52 @@ class TestNewtonKrylov:
         # fails, and the unit step it then takes is not finite
         calls = []
 
-        def F(x):
+        def linearize(x):
             calls.append(x.copy())
-            return x - 1.0 if len(calls) == 1 else np.full_like(x, np.nan)
+            return (x - 1.0 if len(calls) == 1 else np.full_like(x, np.nan)), lambda v: v.copy()
 
         x0 = np.zeros(3)
-        x, history, steps = newton_krylov(F, lambda x: lambda v: v.copy(), x0, lambda v: v.copy(), 1e-8, 10)
+        x, history, steps = newton_krylov(linearize, x0, lambda v: v.copy(), 1e-8, 10)
         assert x is x0 and history == [1.0] and steps == 1
         assert len(calls) == 3 and not calls[-1].any()  # the start, the unit step and step 0
 
+    def test_newton_stops_when_the_line_search_accepts_a_zero_step(self):
+        # F = x - 1 is finite below 0.5 only, so the unit step from 0 is not
+        # finite and Armijo's quadratic step is 0, where F is the start's
+        # residual again; that zero step counts as a failed search, whose full
+        # step stops the solve, where scipy would repeat x = 0 up to maxiter
+        calls = []
+
+        def linearize(x):
+            calls.append(x.copy())
+            return np.where(x < 0.5, x - 1.0, np.inf), lambda v: v.copy()
+
+        x0 = np.zeros(3)
+        x, history, steps = newton_krylov(linearize, x0, lambda v: v.copy(), 1e-8, 10)
+        assert x is x0 and history == [1.0] and steps == 1
+        # the start, the unit step (its GMRES step is 1 - 2^-52) and step 0
+        assert len(calls) == 3 and np.all(calls[1] > 0.5) and not calls[0].any() and not calls[2].any()
+
     @staticmethod
-    def scipy_newton_krylov(F, jacobian, x, psolve, f_tol, maxiter):
+    def scipy_newton_krylov(linearize, x, psolve, f_tol, maxiter):
         """``krylov.newton_krylov``'s contract on top of scipy's ``nonlin_solve``.
 
         scipy's ``newton_krylov`` with the package's exact Jacobian product in
-        place of its forward difference, linearized at each accepted iterate
-        by ``setup`` and ``update``, and with GMRES's relative tolerance
+        place of its forward difference, linearized again at each accepted
+        iterate by ``setup`` and ``update``, and with GMRES's relative tolerance
         floored at 0.5 f_tol / |F|_2, as the package floors it: ``nonlin_solve``
         hands the forcing term min(eta, eta |F|) to the Jacobian's ``solve``.
         """
         optimize = pytest.importorskip("scipy.optimize")
         nonlin = pytest.importorskip("scipy.optimize._nonlin")
         linalg = pytest.importorskip("scipy.sparse.linalg")
+
+        def F(x):
+            return linearize(x)[0]
+
+        def jacobian(x):
+            return linearize(x)[1]
+
         history, last, krylov = [float(np.abs(F(x)).max())], [x], []
 
         def record(x, fx):
