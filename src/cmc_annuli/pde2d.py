@@ -12,9 +12,16 @@ second-order consistent on the uniform periodic grid. With W frozen it is one
 five-point stencil, which the residual applies. The solve is one
 Newton-Krylov iteration from a physics-based start (Knoll & Keyes, J.
 Comput. Phys. 193, 2004): the linear-in-rho interpolant of the boundary rows
-plus, on the interior rows only, the radial solution of the rows' theta
-means (``solve_radial``) less its own linear interpolant, or the linear
-interpolant alone where those means have no radial solution. Inexact Newton
+plus, on the interior rows only, the stencil's own radial solution of the
+rows' theta means less its own linear interpolant. On a theta-independent
+field the stencil conserves a discrete flux, F_j = F_0 + 2h sum_{0<i<=j}
+sinh rho_i at half node j, so that solution is one root find in F_0 on an
+O(n_rho) closed form, and on radial data the start solves the stencil up to
+rounding. It is taken only where the means' drop lies strictly inside
+``extremal_drops``' open interval, the data that have a continuous radial
+solution; elsewhere (certified-infeasible or overflowing means), or where
+the root find reaches its evaluation cap, the start is the linear
+interpolant alone. Inexact Newton
 steps (Kelley 1995) with Eisenstat-Walker forcing, each one cycle of restarted
 GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. GMRES
 multiplies by the residual's exact Jacobian: the derivative of each
@@ -42,17 +49,20 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InfeasibleBoundaryError, NonConvergenceError
+from .errors import NonConvergenceError
 from .estimates import Annulus
 from .hyperbolic import _finite
 from .krylov import Product, newton_krylov
 from .profiles import _check_count, check_curvature
-from .radial import solve_radial
+from .radial import extremal_drops
 
 BoundaryData = Union[float, np.ndarray, Callable[[float], float]]
 
 #: Newton steps allowed before the solve is reported as non-converged
 _MAX_NEWTON_STEPS = 50
+
+#: evaluations the start's flux root find may take before the linear start is used
+_MAX_FLUX_EVALUATIONS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +118,11 @@ class SolverReport:
     interior residual: the start's and one per line-search trial, so
     ``iterations + 1`` when every Newton step is taken in full. Jacobian
     products evaluate none. ``start`` names the field Newton started from
-    and the preconditioner was built at: ``"radial"``, the radial solution
-    of the theta-averaged boundary rows, or ``"linear"``, the linear-in-rho
-    interpolant, where that radial solve raises.
+    and the preconditioner was built at: ``"radial"``, the stencil's radial
+    solution of the theta-averaged boundary rows, or ``"linear"``, the
+    linear-in-rho interpolant, where the averaged drop is outside the open
+    interval of ``extremal_drops``, the means overflow, or the flux root find
+    reaches its evaluation cap.
     """
 
     converged: bool
@@ -301,26 +313,88 @@ def _linear_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarra
     return (1.0 - weight) * inner[None, :] + weight * outer[None, :], "linear"
 
 
-def _radial_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, str]:
-    """The linear start plus, on the interior rows, the radial solution of the
-    theta-averaged rows minus its own linear interpolant, and the name ``"radial"``.
+def _flux_slopes(alpha: np.ndarray, beta: np.ndarray, f0: float) -> tuple[np.ndarray, float]:
+    """Half-node slopes p_j of the theta-independent field with inner flux F_0 = f0,
+    and d(sum p_j)/dF_0.
 
-    The boundary rows stay exactly the data. Where the averaged data has no
-    radial solution (``solve_radial`` raises), or its mean overflows, this is
-    the linear start.
+    With sigma_j = alpha_j f0 + beta_j, p_j = sigma_j / sqrt(1 - sigma_j^2),
+    whose derivative in F_0 is alpha_j (1 - sigma_j^2)^(-3/2); p_j is +-inf
+    where |sigma_j| rounds to 1 or above.
+    """
+    sigma = alpha * f0 + beta
+    gap = np.maximum((1.0 - sigma) * (1.0 + sigma), 0.0)
+    root = np.sqrt(gap)
+    with np.errstate(divide="ignore"):
+        return sigma / root, float(np.sum(alpha / (gap * root)))
+
+
+def _radial_rows(grid: PolarGrid, h: float, u_a: float, u_b: float) -> np.ndarray | None:
+    """The stencil's theta-independent solution with rows u_a at a and u_b at b,
+    at the interior rows; None when the root find takes _MAX_FLUX_EVALUATIONS.
+
+    On such a field the theta fluxes vanish, so row i reads
+    (F_i - F_{i-1}) / sinh rho_i = 2h with the half-node flux
+    F_j = sinh rho_{j+1/2} p_j / (d_rho W_j): F_j = F_0 + 2h sum_{0<i<=j} sinh rho_i.
+    So sigma_j = p_j / W_j = d_rho F_j / sinh rho_{j+1/2} = alpha_j F_0 + beta_j,
+    and the rise d_rho sum p_j is strictly increasing in F_0 and runs over all
+    reals on the open interval where every |sigma_j| < 1. Newton in F_0 with
+    its exact derivative, from the middle of that interval, bisects where a
+    step leaves the bracket, and stops on a zero residual or once the bracket
+    holds no float between its ends; the best point taken is the answer.
+    """
+    d = grid.d_rho
+    alpha = d / grid.sinh_half
+    beta = alpha * (2.0 * h * np.concatenate(([0.0], np.cumsum(grid.sinh_rho[1:-1]))))
+    lo, hi = float(np.max((-1.0 - beta) / alpha)), float(np.min((1.0 - beta) / alpha))
+    rise = u_b - u_a
+    best, best_residual = None, math.inf
+    f0 = 0.5 * (lo + hi)
+    for _ in range(_MAX_FLUX_EVALUATIONS):
+        p, derivative = _flux_slopes(alpha, beta, f0)
+        # +-inf where rounding puts some |sigma_j| at 1: that end moves in, and the step is nan
+        residual = d * float(np.sum(p)) - rise
+        if abs(residual) < abs(best_residual):
+            best, best_residual = p, residual
+        if residual == 0.0:
+            break
+        if residual < 0.0:
+            lo = f0
+        else:
+            hi = f0
+        step = f0 - residual / (d * derivative)
+        if step == f0:  # a step below the resolution of F_0: to the next float
+            step = math.nextafter(f0, hi if residual < 0.0 else lo)
+        f0 = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < f0 < hi:
+            break
+    else:
+        return None
+    return None if best is None else u_a + d * np.cumsum(best[:-1])
+
+
+def _radial_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, str]:
+    """The linear start plus, on the interior rows, the stencil's radial solution
+    of the theta-averaged rows (``_radial_rows``) minus its own linear
+    interpolant, and the name ``"radial"``.
+
+    The boundary rows stay exactly the data, and on theta-independent data the
+    start is the discrete solution up to rounding. The discrete problem has a
+    solution for every finite drop, the continuous one only inside the open
+    interval of ``extremal_drops``; where the averaged drop is outside that
+    interval (certified infeasible), the means overflow, or the root find
+    reaches its evaluation cap, this is the linear start.
     """
     u, linear = _linear_start(grid, h, inner, outer)
     with np.errstate(over="ignore"):
         u_a, u_b = float(inner.mean()), float(outer.mean())
-    if not (math.isfinite(u_a) and math.isfinite(u_b)):
+    drops = extremal_drops(h, grid.annulus)
+    if not drops.d_min < u_a - u_b < drops.d_max:  # also where a mean overflows: the drop is +-inf or nan
         return u, linear
-    try:
-        radial = solve_radial(h, grid.annulus, u_a, u_b)
-    except (InfeasibleBoundaryError, NonConvergenceError):
+    rows = _radial_rows(grid, h, u_a, u_b)
+    if rows is None:
         return u, linear
-    rho = grid.rho[1:-1]
-    weight = (rho - grid.annulus.a) / (grid.annulus.b - grid.annulus.a)
-    u[1:-1, :] += (radial.evaluator.value(rho) - ((1.0 - weight) * u_a + weight * u_b))[:, None]
+    weight = (grid.rho[1:-1] - grid.annulus.a) / (grid.annulus.b - grid.annulus.a)
+    u[1:-1, :] += (rows - ((1.0 - weight) * u_a + weight * u_b))[:, None]
     return u, "radial"
 
 
@@ -338,9 +412,11 @@ def solve_dirichlet_2d(
     theta, and ``grid`` is the node count (n_rho, n_theta). Newton-Krylov
     (``krylov.newton_krylov``, one GMRES cycle on exact Jacobian products per
     Newton step) runs from the radial start: the linear-in-rho interpolant of
-    the boundary rows plus, on the interior rows, the radial solution of the
-    rows' theta means less its linear interpolant, or the interpolant alone
-    when ``solve_radial`` finds those means infeasible or does not converge.
+    the boundary rows plus, on the interior rows, the stencil's radial
+    solution of the rows' theta means (one root find in the conserved
+    discrete flux) less its linear interpolant. It is the interpolant alone
+    when the means' drop is outside the open interval of ``extremal_drops``,
+    the means overflow, or the root find reaches its evaluation cap.
     It is preconditioned by the inverse of the W-lagged operator at that start
     with its weights averaged over theta (an FFT in theta, fast
     diagonalization in rho), until the largest

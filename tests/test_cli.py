@@ -1,9 +1,13 @@
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -439,6 +443,27 @@ class TestSolveCommand:
         payload = json.loads(stdout)
         assert payload["status"] == "non_convergence"
         assert payload["converged"] is False
+
+    def test_two_d_file_does_not_depend_on_the_blas_threads(self, tmp_path):
+        # the preconditioner's dense products run on numpy's BLAS, whose
+        # partial sums depend on its thread count. From the discrete radial
+        # start, constant data take one Newton step of size ~1e-12, whose
+        # last bits do not reach the written values; from a start off by the
+        # discretization error, this file differed in one row (by 6.8e-21)
+        src = Path(__file__).resolve().parents[1] / "src"
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"field-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-m", "cmc_annuli.cli", "solve", "--h", "0.4", "--a", "0.5", "--b", "1.5",
+                 "--u-a", "0.1", "--u-b", "0", "--two-d", "--n-rho", "256", "--n-theta", "256",
+                 "--out", str(out)],
+                env=env, capture_output=True, check=True, timeout=300,
+            )
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
 
     def test_two_d_overflow_strict_json(self, capsys, tmp_path):
         # data steep enough to overflow W: the failure is reported as strict

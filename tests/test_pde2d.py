@@ -8,7 +8,6 @@ from cmc_annuli import (
     Annulus,
     Field2D,
     HeightProfile,
-    InfeasibleBoundaryError,
     NonConvergenceError,
     OuterBoundaryData,
     PolarGrid,
@@ -472,14 +471,23 @@ class TestSolver:
         assert report.residual_evaluations == report.iterations + 1
 
     def test_radial_start_on_radial_data(self, monkeypatch):
-        # the same rung from the radial start: the start is the radial
-        # solution up to its discretization error, two Newton steps remove it
+        # the same rung from the radial start: the start is the stencil's own
+        # radial solution up to rounding, so the one Newton step the solver
+        # always takes needs one GMRES step
         steps = self.gmres_steps(monkeypatch)
         _, report = solve_dirichlet_2d(H, ANN, 0.1, 0.0, grid=(128, 128), tol=1e-8)
         assert report.start == "radial"
-        assert report.iterations == 2
-        assert steps == [5, 5]
-        assert report.residual_evaluations == report.iterations + 1
+        assert report.iterations == 1
+        assert steps == [1]
+        assert report.residual_evaluations == 2
+
+    def test_far_annulus_at_half_converges_from_the_discrete_start(self):
+        # h = 1/2 on (10, 11) with data in the middle of the drop interval
+        # (-28873, 0.527): the continuous radial root find stalls on these
+        # data, and from the linear start the solve fails with residual 127
+        _, report = solve_dirichlet_2d(0.5, Annulus(10.0, 11.0), -1.44e4, 0.0, grid=(64, 32))
+        assert report.converged and report.start == "radial"
+        assert (report.iterations, report.krylov_iterations) == (2, 8)
 
 
 def wavy(theta):
@@ -535,19 +543,66 @@ class TestStart:
         assert started.value.report == linear.value.report
         assert np.array_equal(started.value.field.values, linear.value.field.values)
 
-    @pytest.mark.parametrize("error", [InfeasibleBoundaryError(1.0, 0.0, 0.5), NonConvergenceError("stalled")])
-    def test_radial_failure_keeps_the_linear_start(self, error, monkeypatch):
+    @pytest.mark.parametrize("fallback", ["d_min", "d_max", "evaluation-cap"])
+    def test_radial_failure_keeps_the_linear_start(self, fallback, monkeypatch):
+        # a drop on an end of extremal_drops' open interval has a discrete
+        # radial solution but no continuous one, and the gate keeps the linear
+        # start; so does a flux root find stopped by its evaluation cap
         from cmc_annuli import pde2d
 
-        def fails(*args):
-            raise error
-
         grid = PolarGrid(ANN, 16, 16)
-        inner, outer = np.full(16, 0.1), wavy(grid.theta)
-        monkeypatch.setattr(pde2d, "solve_radial", fails)
+        drops = extremal_drops(H, ANN)
+        u_a = {"d_min": drops.d_min, "d_max": drops.d_max}.get(fallback, 0.1)
+        inner, outer = np.full(16, u_a), np.zeros(16)
+        if fallback == "evaluation-cap":
+            assert pde2d._radial_start(grid, H, inner, outer)[1] == "radial"
+            monkeypatch.setattr(pde2d, "_MAX_FLUX_EVALUATIONS", 1)
+        else:
+            assert pde2d._radial_rows(grid, H, u_a, 0.0) is not None
         u, name = pde2d._radial_start(grid, H, inner, outer)
         assert name == "linear"
         assert np.array_equal(u, pde2d._linear_start(grid, H, inner, outer)[0])
+
+    def test_flux_slopes_are_infinite_at_the_ends_of_the_flux_interval(self):
+        # where rounding puts some |sigma_j| at or past 1, the slopes there are
+        # infinite with the sign of that end, and numpy warns of nothing
+        from cmc_annuli import pde2d
+
+        alpha, beta = np.array([0.5, 0.25]), np.array([0.0, 0.75])
+        p, derivative = pde2d._flux_slopes(alpha, beta, 2.0)  # sigma = (1, 1.25)
+        assert p.tolist() == [math.inf, math.inf] and derivative == math.inf
+        p, derivative = pde2d._flux_slopes(alpha, beta, -3.0)  # sigma = (-1.5, 0)
+        assert p.tolist() == [-math.inf, 0.0] and derivative == math.inf
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    @pytest.mark.parametrize("data", ["benchmark", 1e-6, 0.999999])
+    def test_start_is_the_discrete_radial_solution(self, n, data, monkeypatch):
+        # on theta-independent data the start solves the stencil up to rounding
+        # (measured at most 5.4e-11, at 256^2 and 1e-6 of the drop interval),
+        # Newton leaves it where it is, and the flux root find takes 5-17
+        # evaluations, the most next to the ends of the drop interval
+        from cmc_annuli import pde2d
+
+        if data == "benchmark":  # grid-2d's radial data, at one of its shifts
+            u_a, u_b = 0.1 - 0.3, -0.3
+        else:
+            drops = extremal_drops(H, ANN)
+            u_a, u_b = drops.d_min + data * (drops.d_max - drops.d_min), 0.0
+        evaluations, slopes = [], pde2d._flux_slopes
+
+        def counted(*args):
+            evaluations.append(args[-1])
+            return slopes(*args)
+
+        monkeypatch.setattr(pde2d, "_flux_slopes", counted)
+        grid = PolarGrid(ANN, n, n)
+        start, name = pde2d._radial_start(grid, H, np.full(n, u_a), np.full(n, u_b))
+        assert name == "radial" and len(evaluations) <= 20
+        assert np.abs(pde2d._linearize(grid, start, H)[0]).max() <= 1e-10
+        tol = 1e-8
+        field, report = solve_dirichlet_2d(H, ANN, u_a, u_b, grid=(n, n), tol=tol)
+        assert report.converged and report.start == "radial"
+        assert np.abs(field.values - start).max() <= tol / 10
 
 
 class TestNewtonKrylov:
