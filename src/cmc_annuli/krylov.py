@@ -18,14 +18,16 @@ as the 2D solver would call it, with the caller's exact Jacobian product:
   linearization of F, in place of ``KrylovJacobian``'s matrix-free one: one
   callback returns F(x) and the product at x together, so a product costs
   no evaluation of F and the accepted line-search trial's product serves
-  the next Newton step. The relative tolerance handed to GMRES is at least
-  0.5 f_tol / |F|_2, Kelley's terminal safeguard. The forcing term shrinks
-  quadratically, so without it the last Newton step asks for relative
-  residuals near rounding, far below what ``f_tol`` needs, and runs the
-  whole cycle. The carried forcing term is scipy's. And a line search
-  that accepts a zero step counts as failed, as when no step is found:
-  the full step is taken, so a non-finite one stops the solve, where
-  scipy would repeat the same iterate until ``maxiter``.
+  the next Newton step. The caller evaluates the start and passes it in,
+  so that one evaluation also tells it whether to call at all. The
+  relative tolerance handed to GMRES is at least 0.5 f_tol / |F|_2,
+  Kelley's terminal safeguard. The forcing term shrinks quadratically, so
+  without it the last Newton step asks for relative residuals near
+  rounding, far below what ``f_tol`` needs, and runs the whole cycle. The
+  carried forcing term is scipy's. And a line search that accepts a zero
+  step counts as failed, as when no step is found: the full step is taken,
+  so a non-finite one stops the solve, where scipy would repeat the same
+  iterate until ``maxiter``.
 
 As in scipy, the solve stops early when an iterate's residual or a
 Jacobian product is not finite, or when GMRES returns a zero step. It
@@ -207,6 +209,8 @@ def _max_norm(v: np.ndarray) -> float:
 def newton_krylov(
     linearize: Linearization,
     x: np.ndarray,
+    fx: np.ndarray,
+    product: Product,
     psolve: Operator,
     f_tol: float,
     maxiter: int,
@@ -214,14 +218,15 @@ def newton_krylov(
     """Solve F(x) = 0 by inexact Newton steps, each one GMRES cycle preconditioned by ``psolve``.
 
     ``linearize(x)`` returns F(x) and the product v -> F'(x) v, which returns
-    None where it is not finite; it runs once at the start and once per
-    line-search trial. Returns the last iterate, the max-norm of F at the
-    start and after each Newton step (one entry more than steps taken), and
-    the total GMRES steps. Stops once that max-norm is at most ``f_tol``
-    after a step, after ``maxiter`` steps, or early (see the module notes);
-    the caller checks the last residual.
+    None where it is not finite; it runs once per line-search trial. The
+    caller passes the start: ``x`` and its ``fx, product = linearize(x)``,
+    whose product is dropped at the first step. Returns the last iterate, the
+    max-norm of F at the start and after each Newton step (one entry more
+    than steps taken), and the total GMRES steps. Stops once that max-norm is
+    at most ``f_tol`` after a step, so at least one step is taken as in
+    scipy, after ``maxiter`` steps, or early (see the module notes); the
+    caller checks the last residual.
     """
-    fx, product = linearize(x)
     history = [_max_norm(fx)]
     krylov_steps = 0
     if not np.isfinite(fx).all():

@@ -9,36 +9,37 @@ of u(rho, theta) reads
 
 The discretization puts fluxes at half nodes with centered differences,
 second-order consistent on the uniform periodic grid. With W frozen it is one
-five-point stencil, which the residual applies. The solve is one
-Newton-Krylov iteration from a physics-based start (Knoll & Keyes, J.
-Comput. Phys. 193, 2004): the linear-in-rho interpolant of the boundary rows
-plus, on the interior rows only, the stencil's own radial solution of the
-rows' theta means less its own linear interpolant. On a theta-independent
-field the stencil conserves a discrete flux, F_j = F_0 + 2h sum_{0<i<=j}
-sinh rho_i at half node j, so that solution is one root find in F_0 on an
-O(n_rho) closed form, and on radial data the start solves the stencil up to
-rounding. It is taken only where the means' drop lies strictly inside
-``extremal_drops``' open interval, the data that have a continuous radial
-solution; elsewhere (certified-infeasible or overflowing means), or where
-the root find reaches its evaluation cap, the start is the linear
-interpolant alone. Inexact Newton
-steps (Kelley 1995) with Eisenstat-Walker forcing, each one cycle of restarted
-GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. GMRES
-multiplies by the residual's exact Jacobian: the derivative of each
-half-node flux, slope over W, in both gradient components. One evaluation
-of an iterate's half-node state gives its residual and that product, so a
-product costs less than half a residual and evaluates none. Its
-preconditioner is that stencil with W frozen at the start and its
-weights averaged over theta, T. Chan's optimal circulant preconditioner
-(SIAM J. Sci. Stat. Comput. 9, 1988): an FFT in theta turns it into one
-tridiagonal system in rho per Fourier mode, and one symmetric
-eigendecomposition in rho diagonalizes all of them at once, the fast
+five-point stencil, which the residual applies. The solve begins at a
+physics-based start (Knoll & Keyes, J. Comput. Phys. 193, 2004): the
+linear-in-rho interpolant of the boundary rows plus, on the interior rows
+only, the stencil's own radial solution of the rows' theta means less its own
+linear interpolant. On a theta-independent field the stencil conserves a
+discrete flux, F_j = F_0 + 2h sum_{0<i<=j} sinh rho_i at half node j, so that
+solution is one root find in F_0 on an O(n_rho) closed form, and on radial
+data the start solves the stencil up to rounding. It is taken only where the
+means' drop lies strictly inside ``extremal_drops``' open interval, the data
+that have a continuous radial solution; elsewhere (certified-infeasible or
+overflowing means), or where the root find reaches its evaluation cap, the
+start is the linear interpolant alone. One evaluation of the start decides: a
+start whose largest interior residual meets the tolerance, as on radial data,
+is the answer, with no Newton step and no preconditioner. Otherwise the solve
+takes inexact Newton steps (Kelley 1995) with Eisenstat-Walker forcing, each
+one cycle of restarted GMRES (Saad & Schultz 1986), in the package's
+``krylov`` module. GMRES multiplies by the residual's exact Jacobian: the
+derivative of each half-node flux, slope over W, in both gradient components.
+One evaluation of an iterate's half-node state gives its residual and that
+product, so a product costs less than half a residual and evaluates none. Its
+preconditioner, built from the start's evaluation, is that stencil with W
+frozen at the start and its weights averaged over theta, T. Chan's optimal
+circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988): an FFT in theta
+turns it into one tridiagonal system in rho per Fourier mode, and one
+symmetric eigendecomposition in rho diagonalizes all of them at once, the fast
 diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964). Each
 apply is then two dense products in rho and an FFT pair in theta. For W
-independent of theta it is the frozen-W stencil itself.
-Non-convergence is reported with diagnostics, never turned into a verdict:
-steep inner data violating the a-priori envelopes typically shows up as a
-residual plateau with the inner-row gradient growing under grid refinement.
+independent of theta it is the frozen-W stencil itself. Non-convergence is
+reported with diagnostics, never turned into a verdict: steep inner data
+violating the a-priori envelopes typically shows up as a residual plateau with
+the inner-row gradient growing under grid refinement.
 """
 
 from __future__ import annotations
@@ -112,17 +113,18 @@ class SolverReport:
     """What a 2D solve did.
 
     ``iterations`` counts Newton steps and ``krylov_iterations`` the GMRES
-    steps over all of them; ``residual_history`` holds the largest interior
-    residual at the start and after each Newton step, so its last entry is
-    ``residual``. ``residual_evaluations`` counts the evaluations of the
-    interior residual: the start's and one per line-search trial, so
+    steps over all of them; both are 0 on a converged report whose start
+    already met the tolerance. ``residual_history`` holds the largest
+    interior residual at the start and after each Newton step, so its last
+    entry is ``residual``. ``residual_evaluations`` counts the evaluations
+    of the interior residual: the start's and one per line-search trial, so
     ``iterations + 1`` when every Newton step is taken in full. Jacobian
-    products evaluate none. ``start`` names the field Newton started from
-    and the preconditioner was built at: ``"radial"``, the stencil's radial
-    solution of the theta-averaged boundary rows, or ``"linear"``, the
-    linear-in-rho interpolant, where the averaged drop is outside the open
-    interval of ``extremal_drops``, the means overflow, or the flux root find
-    reaches its evaluation cap.
+    products evaluate none. ``start`` names the field the solve started
+    from, and any preconditioner was built at: ``"radial"``, the stencil's
+    radial solution of the theta-averaged boundary rows, or ``"linear"``,
+    the linear-in-rho interpolant, where the averaged drop is outside the
+    open interval of ``extremal_drops``, the means overflow, or the flux
+    root find reaches its evaluation cap.
     """
 
     converged: bool
@@ -193,9 +195,10 @@ def _flux_derivatives(along: np.ndarray, across: np.ndarray, w: np.ndarray) -> t
     return iw * (iw * iw + across_w * across_w), -iw * along_w * across_w
 
 
-def _linearize(grid: PolarGrid, u: np.ndarray, h: float) -> tuple[np.ndarray, Product]:
-    """The residual Q(u) - 2h at the interior nodes and its derivative at u, as a
-    product on flattened interior vectors, from one ``_half_nodes`` evaluation.
+def _linearize(grid: PolarGrid, u: np.ndarray, h: float) -> tuple[np.ndarray, Product, tuple[np.ndarray, ...]]:
+    """The residual Q(u) - 2h at the interior nodes, its derivative at u as a
+    product on flattened interior vectors, and the ``_stencil`` weights the
+    residual applies, all from one ``_half_nodes`` evaluation.
 
     Each half-node flux of the residual is a slope over W: s_half u_rho / (d_rho W)
     across a rho half node, u_theta / (d_theta sinh^2 W) across a theta half
@@ -232,7 +235,7 @@ def _linearize(grid: PolarGrid, u: np.ndarray, h: float) -> tuple[np.ndarray, Pr
             jv = (flux_rho[1:, :] - flux_rho[:-1, :]) * inv_s + (flux_theta[:, 1:] - flux_theta[:, :-1])
         return jv.ravel() if np.isfinite(jv).all() else None
 
-    return q - 2.0 * h, product
+    return q - 2.0 * h, product, (c_out, c_in, c_east, c_west)
 
 
 def cmc_residual(field2d: Field2D, h) -> np.ndarray:
@@ -263,8 +266,8 @@ def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray
     return arr
 
 
-def _preconditioner(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Inverse of the interior stencil with W frozen at u, its weights averaged over theta.
+def _preconditioner(grid: PolarGrid, weights: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Inverse of the interior stencil of ``weights``, as ``_stencil`` gives them, averaged over theta.
 
     Averaged, east and west weigh alike, so Fourier mode k in theta is the
     tridiagonal T0 - lambda_k diag(east) in rho, with T0 the radial part and
@@ -280,7 +283,7 @@ def _preconditioner(grid: PolarGrid, u: np.ndarray) -> Callable[[np.ndarray], np
     """
     n = grid.n_rho - 2
     shape = (n, grid.n_theta)
-    c_out, c_in, c_east, _ = (w.mean(axis=1) for w in _stencil(grid, _half_nodes(grid, u)))
+    c_out, c_in, c_east, _ = (w.mean(axis=1) for w in weights)
     if not np.all(c_east > 0.0):
         return None
     s = grid.sinh_rho[1:-1]
@@ -409,20 +412,23 @@ def solve_dirichlet_2d(
     """Solve Q(u) = 2h on the annulus with Dirichlet rows at rho = a and b.
 
     ``g_inner``/``g_outer`` may be constants, per-theta arrays, or callables of
-    theta, and ``grid`` is the node count (n_rho, n_theta). Newton-Krylov
-    (``krylov.newton_krylov``, one GMRES cycle on exact Jacobian products per
-    Newton step) runs from the radial start: the linear-in-rho interpolant of
-    the boundary rows plus, on the interior rows, the stencil's radial
-    solution of the rows' theta means (one root find in the conserved
-    discrete flux) less its linear interpolant. It is the interpolant alone
-    when the means' drop is outside the open interval of ``extremal_drops``,
-    the means overflow, or the root find reaches its evaluation cap.
-    It is preconditioned by the inverse of the W-lagged operator at that start
-    with its weights averaged over theta (an FFT in theta, fast
-    diagonalization in rho), until the largest
-    interior residual is at most ``tol``; the report counts its Newton and
-    GMRES steps and its residual evaluations, and keeps the residual after
-    each Newton step.
+    theta, and ``grid`` is the node count (n_rho, n_theta). The solve starts
+    from the radial start: the linear-in-rho interpolant of the boundary rows
+    plus, on the interior rows, the stencil's radial solution of the rows'
+    theta means (one root find in the conserved discrete flux) less its
+    linear interpolant. It is the interpolant alone when the means' drop is
+    outside the open interval of ``extremal_drops``, the means overflow, or
+    the root find reaches its evaluation cap. One evaluation of the start
+    gives its residual, its Jacobian product and its stencil weights. Where
+    the largest interior residual is already at most ``tol``, as on radial
+    data, the start is returned as it is, with no Newton step. Otherwise
+    Newton-Krylov (``krylov.newton_krylov``, one GMRES cycle on exact
+    Jacobian products per Newton step) runs from it, preconditioned by the
+    inverse of the W-lagged operator at the start with its weights averaged
+    over theta (an FFT in theta, fast diagonalization in rho), until the
+    largest interior residual is at most ``tol``. The report counts the
+    Newton and GMRES steps and the residual evaluations, and keeps the
+    residual at the start and after each Newton step.
     Raises NonConvergenceError (report and last iterate attached) when that
     fails within the step cap, an iterate is not finite, or the averaged
     operator is singular (W overflows on data steeper than ~1e154); for inner
@@ -442,27 +448,34 @@ def solve_dirichlet_2d(
     u, start = _radial_start(grid, h, inner, outer)
     shape = (grid.n_rho - 2, grid.n_theta)
 
-    evaluations = 0
+    evaluations = 1  # the start's
 
     def linearize(x: np.ndarray) -> tuple[np.ndarray, Product]:
         nonlocal evaluations
         evaluations += 1
-        residual, product = _linearize(grid, np.concatenate((u[:1], x.reshape(shape), u[-1:])), h)
+        residual, product, _ = _linearize(grid, np.concatenate((u[:1], x.reshape(shape), u[-1:])), h)
         return residual.ravel(), product
 
-    x = u[1:-1, :].ravel()
-    precondition = _preconditioner(grid, u)
-    if precondition is None:
-        # W overflows on data steeper than ~1e154: no Newton step
-        history, krylov_steps = [float(np.abs(linearize(x)[0]).max())], 0
-    else:
-        # on slopes near 1e154, where W is about to overflow, the preconditioned
-        # Krylov vectors overflow in GMRES's norms; the residual check below
-        # reports such a solve
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, history, krylov_steps = newton_krylov(linearize, x, precondition, tol, _MAX_NEWTON_STEPS)
+    # one evaluation of the start decides whether to step at all, builds the
+    # preconditioner and seeds Newton: its residual, product and stencil weights
+    start_state = list(_linearize(grid, u, h))
+    history, krylov_steps = [float(np.abs(start_state[0]).max())], 0
+    if not history[0] <= tol:  # nor is a nan residual converged
+        precondition = _preconditioner(grid, start_state.pop())
+        # None where W overflows, on data steeper than ~1e154: no Newton step
+        if precondition is not None:
+            # Newton takes the only references to the start's residual and
+            # product, so the product's coefficients go at its first step. On
+            # slopes near 1e154, where W is about to overflow, the
+            # preconditioned Krylov vectors overflow in GMRES's norms; the
+            # residual check below reports such a solve
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, history, krylov_steps = newton_krylov(
+                    linearize, u[1:-1, :].ravel(), start_state.pop(0).ravel(), start_state.pop(), precondition,
+                    tol, _MAX_NEWTON_STEPS,
+                )
+            u[1:-1, :] = x.reshape(shape)
 
-    u[1:-1, :] = x.reshape(shape)
     field2d = Field2D(grid, u)
     res, steps = history[-1], len(history) - 1
     report = SolverReport(

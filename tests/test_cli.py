@@ -445,11 +445,13 @@ class TestSolveCommand:
         assert payload["converged"] is False
 
     def test_two_d_file_does_not_depend_on_the_blas_threads(self, tmp_path):
-        # the preconditioner's dense products run on numpy's BLAS, whose
-        # partial sums depend on its thread count. From the discrete radial
-        # start, constant data take one Newton step of size ~1e-12, whose
-        # last bits do not reach the written values; from a start off by the
-        # discretization error, this file differed in one row (by 6.8e-21)
+        # the preconditioner's dense products and Newton's norms run on
+        # numpy's BLAS, whose partial sums depend on its thread count. These
+        # constant data start at the stencil's own radial solution, whose
+        # residual meets tol, so the solve builds no preconditioner, takes no
+        # Newton step and reaches no BLAS call: the file cannot depend on the
+        # thread count. From a start off by the discretization error, it
+        # differed in one row (by 6.8e-21); theta-dependent data still do
         src = Path(__file__).resolve().parents[1] / "src"
         files = []
         for threads in ("1", "2"):

@@ -110,7 +110,7 @@ class TestDiscreteOperator:
         mid, rows = v[1:-1, :], _padded(v[1:-1, :])
         applied = c_out * (v[2:, :] - mid) + c_in * (v[:-2, :] - mid)
         applied = applied + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
-        back = _preconditioner(grid, u)(applied.ravel())
+        back = _preconditioner(grid, _stencil(grid, _half_nodes(grid, u)))(applied.ravel())
         assert np.abs(back - mid.ravel()).max() <= 1e-12 * np.abs(mid).max()
 
     @pytest.mark.parametrize("n_rho, n_theta", [(3, 4), (3, 5), (4, 7), (12, 10), (33, 17)])
@@ -132,7 +132,7 @@ class TestDiscreteOperator:
         )
         r = np.random.default_rng(5).standard_normal((n_rho - 2) * n_theta)
         expected = np.linalg.solve(dense, r)
-        got = _preconditioner(grid, u)(r)
+        got = _preconditioner(grid, _stencil(grid, _half_nodes(grid, u)))(r)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("rows", ["inner", "all"])
@@ -151,7 +151,7 @@ class TestDiscreteOperator:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert not np.all(_stencil(grid, _half_nodes(grid, u))[2].mean(axis=1) > 0.0)
-            assert _preconditioner(grid, u) is None
+            assert _preconditioner(grid, _stencil(grid, _half_nodes(grid, u))) is None
         assert caught == []
 
     def test_preconditioner_is_none_when_the_averaged_operator_is_singular(self):
@@ -166,7 +166,7 @@ class TestDiscreteOperator:
             warnings.simplefilter("always")
             c_out, c_in, c_east, _ = _stencil(grid, _half_nodes(grid, u))
             assert not c_out.any() and not c_in.any() and np.all(c_east > 0.0)
-            assert _preconditioner(grid, u) is None
+            assert _preconditioner(grid, _stencil(grid, _half_nodes(grid, u))) is None
         assert caught == []
 
     def test_preconditioner_is_none_when_its_weights_overflow(self):
@@ -182,7 +182,7 @@ class TestDiscreteOperator:
         with np.errstate(over="ignore", divide="ignore"):
             c_east = _stencil(grid, _half_nodes(grid, u))[2]
             assert np.all(c_east > 0.0) and not np.isfinite(c_east).any()
-            assert _preconditioner(grid, u) is None
+            assert _preconditioner(grid, _stencil(grid, _half_nodes(grid, u))) is None
 
     @pytest.mark.parametrize("scale", [1.0, 30.0])
     @pytest.mark.parametrize("n_rho, n_theta", [(3, 4), (12, 10), (20, 16)])
@@ -407,8 +407,8 @@ class TestSolver:
 
     def test_each_iterate_is_evaluated_once(self, monkeypatch):
         # one half-node evaluation gives a trial's residual and its Jacobian
-        # product, and one more builds the preconditioner; the field is wrapped
-        # once, at the end. Near the upper envelope the line search
+        # product, and the start's also builds the preconditioner; the field is
+        # wrapped once, at the end. Near the upper envelope the line search
         # backtracks, so trials outnumber Newton steps
         from cmc_annuli import pde2d
 
@@ -427,7 +427,7 @@ class TestSolver:
         counted("Field2D")
         _, report = solve_dirichlet_2d(*TestNewtonKrylov.steep_wavy_case(), grid=(32, 32))
         assert report.converged and report.residual_evaluations > report.iterations + 1
-        assert calls == {"_half_nodes": report.residual_evaluations + 1, "Field2D": 1}
+        assert calls == {"_half_nodes": report.residual_evaluations, "Field2D": 1}
 
     def test_failed_report_carries_residual_history(self):
         # W overflows on the interpolant, so no Newton step is taken
@@ -472,14 +472,14 @@ class TestSolver:
 
     def test_radial_start_on_radial_data(self, monkeypatch):
         # the same rung from the radial start: the start is the stencil's own
-        # radial solution up to rounding, so the one Newton step the solver
-        # always takes needs one GMRES step
+        # radial solution up to rounding, so it meets the tolerance and the
+        # solve takes no Newton step
         steps = self.gmres_steps(monkeypatch)
         _, report = solve_dirichlet_2d(H, ANN, 0.1, 0.0, grid=(128, 128), tol=1e-8)
         assert report.start == "radial"
-        assert report.iterations == 1
-        assert steps == [1]
-        assert report.residual_evaluations == 2
+        assert report.iterations == 0
+        assert steps == []
+        assert report.residual_evaluations == 1
 
     def test_far_annulus_at_half_converges_from_the_discrete_start(self):
         # h = 1/2 on (10, 11) with data in the middle of the drop interval
@@ -604,6 +604,48 @@ class TestStart:
         assert report.converged and report.start == "radial"
         assert np.abs(field.values - start).max() <= tol / 10
 
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    @pytest.mark.parametrize("data", ["benchmark", 1e-6, 0.999999])
+    def test_radial_data_return_the_start(self, n, data, monkeypatch):
+        # the start's residual meets tol, so the solve returns the start bit
+        # for bit, builds no preconditioner and takes no Newton step
+        from cmc_annuli import pde2d
+
+        if data == "benchmark":
+            u_a, u_b = 0.1 - 0.3, -0.3
+        else:
+            drops = extremal_drops(H, ANN)
+            u_a, u_b = drops.d_min + data * (drops.d_max - drops.d_min), 0.0
+        grid = PolarGrid(ANN, n, n)
+        start, _ = pde2d._radial_start(grid, H, np.full(n, u_a), np.full(n, u_b))
+        residual = float(np.abs(pde2d._linearize(grid, start, H)[0]).max())
+        for patched in ("_preconditioner", "newton_krylov"):
+            monkeypatch.setattr(pde2d, patched, TestNewtonKrylov.never)
+        field, report = solve_dirichlet_2d(H, ANN, u_a, u_b, grid=(n, n))
+        assert np.array_equal(field.values, start)
+        assert report.converged and report.start == "radial"
+        assert (report.iterations, report.krylov_iterations, report.residual_evaluations) == (0, 0, 1)
+        assert report.residual_history == (residual,) and report.residual == residual
+
+    def test_the_residual_decides_not_the_start(self, monkeypatch):
+        # wavy data return their radial start too, when tol is above its
+        # residual; at the default tol the same data take Newton steps
+        from cmc_annuli import pde2d
+
+        n = 32
+        grid = PolarGrid(ANN, n, n)
+        start, name = pde2d._radial_start(grid, H, np.full(n, 0.1), wavy(grid.theta))
+        residual = float(np.abs(pde2d._linearize(grid, start, H)[0]).max())
+        assert name == "radial" and residual > 1e-3
+        field, report = solve_dirichlet_2d(H, ANN, 0.1, wavy, grid=(n, n))
+        assert report.converged and report.iterations >= 1 and report.krylov_iterations >= 1
+        for patched in ("_preconditioner", "newton_krylov"):
+            monkeypatch.setattr(pde2d, patched, TestNewtonKrylov.never)
+        field, report = solve_dirichlet_2d(H, ANN, 0.1, wavy, grid=(n, n), tol=2.0 * residual)
+        assert np.array_equal(field.values, start)
+        assert report.converged and (report.iterations, report.residual_evaluations) == (0, 1)
+        assert report.residual_history == (residual,)
+
 
 class TestNewtonKrylov:
     """The in-package Newton-GMRES against scipy's ``nonlin_solve`` and ``gmres``."""
@@ -658,7 +700,7 @@ class TestNewtonKrylov:
             out = c_out * (v[2:, :] - mid) + c_in * (v[:-2, :] - mid)
             return (out + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)).ravel()
 
-        psolve = _preconditioner(grid, u)
+        psolve = _preconditioner(grid, _stencil(grid, _half_nodes(grid, u)))
         b = np.random.default_rng(7).standard_normal(shape).ravel()
         x, steps = gmres(apply, b, psolve, rtol)
 
@@ -681,12 +723,12 @@ class TestNewtonKrylov:
 
     def test_newton_stops_on_a_non_finite_start(self):
         x0 = np.zeros(3)
-        x, history, steps = newton_krylov(lambda x: (np.full(3, np.inf), self.never), x0, self.never, 1e-8, 10)
+        x, history, steps = newton_krylov(self.never, x0, np.full(3, np.inf), self.never, self.never, 1e-8, 10)
         assert x is x0 and history == [math.inf] and steps == 0
 
     def test_newton_stops_on_a_non_finite_jacobian_product(self):
         x0 = np.zeros(3)
-        x, history, steps = newton_krylov(lambda x: (x - 1.0, lambda v: None), x0, lambda v: v.copy(), 1e-8, 10)
+        x, history, steps = newton_krylov(self.never, x0, x0 - 1.0, lambda v: None, lambda v: v.copy(), 1e-8, 10)
         assert x is x0 and history == [1.0] and steps == 0
 
     def test_newton_stops_on_a_non_finite_trial(self):
@@ -699,7 +741,7 @@ class TestNewtonKrylov:
             return (x - 1.0 if len(calls) == 1 else np.full_like(x, np.nan)), lambda v: v.copy()
 
         x0 = np.zeros(3)
-        x, history, steps = newton_krylov(linearize, x0, lambda v: v.copy(), 1e-8, 10)
+        x, history, steps = newton_krylov(linearize, x0, *linearize(x0), lambda v: v.copy(), 1e-8, 10)
         assert x is x0 and history == [1.0] and steps == 1
         assert len(calls) == 3 and not calls[-1].any()  # the start, the unit step and step 0
 
@@ -715,20 +757,22 @@ class TestNewtonKrylov:
             return np.where(x < 0.5, x - 1.0, np.inf), lambda v: v.copy()
 
         x0 = np.zeros(3)
-        x, history, steps = newton_krylov(linearize, x0, lambda v: v.copy(), 1e-8, 10)
+        x, history, steps = newton_krylov(linearize, x0, *linearize(x0), lambda v: v.copy(), 1e-8, 10)
         assert x is x0 and history == [1.0] and steps == 1
         # the start, the unit step (its GMRES step is 1 - 2^-52) and step 0
         assert len(calls) == 3 and np.all(calls[1] > 0.5) and not calls[0].any() and not calls[2].any()
 
     @staticmethod
-    def scipy_newton_krylov(linearize, x, psolve, f_tol, maxiter):
+    def scipy_newton_krylov(linearize, x, fx, product, psolve, f_tol, maxiter):
         """``krylov.newton_krylov``'s contract on top of scipy's ``nonlin_solve``.
 
         scipy's ``newton_krylov`` with the package's exact Jacobian product in
-        place of its forward difference, linearized again at each accepted
-        iterate by ``setup`` and ``update``, and with GMRES's relative tolerance
-        floored at 0.5 f_tol / |F|_2, as the package floors it: ``nonlin_solve``
-        hands the forcing term min(eta, eta |F|) to the Jacobian's ``solve``.
+        place of its forward difference: the start's ``product`` at ``setup``,
+        linearized again at each accepted iterate by ``update``. scipy
+        evaluates F at the start itself; ``fx`` is its first history entry.
+        GMRES's relative tolerance is floored at 0.5 f_tol / |F|_2, as the
+        package floors it: ``nonlin_solve`` hands the forcing term
+        min(eta, eta |F|) to the Jacobian's ``solve``.
         """
         optimize = pytest.importorskip("scipy.optimize")
         nonlin = pytest.importorskip("scipy.optimize._nonlin")
@@ -740,7 +784,7 @@ class TestNewtonKrylov:
         def jacobian(x):
             return linearize(x)[1]
 
-        history, last, krylov = [float(np.abs(F(x)).max())], [x], []
+        history, last, krylov = [float(np.abs(fx).max())], [x], []
 
         def record(x, fx):
             last[0] = x
@@ -749,7 +793,7 @@ class TestNewtonKrylov:
         class ExactFlooredJacobian(nonlin.KrylovJacobian):
             def setup(self, x, f, func):
                 super().setup(x, f, func)
-                self.product = jacobian(x)
+                self.product = product
 
             def update(self, x, f):
                 super().update(x, f)
@@ -791,8 +835,8 @@ class TestNewtonKrylov:
 
     @pytest.mark.parametrize(
         "case, tol",
-        [("radial", 1e-9), ("wavy", 1e-9), ("steep wavy", 1e-9), ("radial", 1.0)],
-        ids=["radial", "wavy", "steep-wavy-backtracking", "start-within-tol-one-step"],
+        [("radial", 1e-9), ("wavy", 1e-9), ("steep wavy", 1e-9)],
+        ids=["radial", "wavy", "steep-wavy-backtracking"],
     )
     def test_solves_match_scipy(self, case, tol, monkeypatch):
         from cmc_annuli import pde2d
@@ -807,3 +851,34 @@ class TestNewtonKrylov:
         expected_field, expected = solve_dirichlet_2d(*data, grid=(32, 32), tol=tol)
         assert (report.iterations, report.krylov_iterations) == (expected.iterations, expected.krylov_iterations)
         assert np.abs(field.values - expected_field.values).max() <= 1e-9
+
+    def test_start_within_tol_takes_one_step_as_scipy(self):
+        # the 2D solve returns a start within tol without calling Newton;
+        # called on one, Newton takes one step, as scipy's nonlin_solve does.
+        # The start is the discrete radial solution of mid-interval radial data
+        from cmc_annuli import pde2d
+
+        grid, f_tol = PolarGrid(ANN, 32, 32), 1e-9
+        drops = extremal_drops(H, ANN)
+        inner, outer = np.full(32, 0.5 * (drops.d_min + drops.d_max)), np.zeros(32)
+        u, name = pde2d._radial_start(grid, H, inner, outer)
+        shape = (grid.n_rho - 2, grid.n_theta)
+
+        def linearize(x):
+            residual, product, _ = pde2d._linearize(grid, np.concatenate((u[:1], x.reshape(shape), u[-1:])), H)
+            return residual.ravel(), product
+
+        residual, product, weights = pde2d._linearize(grid, u, H)
+        x0, fx = u[1:-1, :].ravel(), residual.ravel()
+        assert name == "radial" and 0.0 < np.abs(fx).max() <= f_tol
+        psolve = pde2d._preconditioner(grid, weights)
+        x, history, krylov_steps = newton_krylov(linearize, x0, fx, product, psolve, f_tol, 50)
+        # within f_tol, scipy's first convergence check reads its infinite
+        # initial step over an infinite x_rtol, inf / inf, which keeps it stepping
+        with np.errstate(invalid="ignore"):
+            expected_x, expected_history, expected_steps = self.scipy_newton_krylov(
+                linearize, x0, fx, product, psolve, f_tol, 50
+            )
+        assert len(history) == len(expected_history) == 2
+        assert krylov_steps == expected_steps >= 1
+        assert np.abs(x - expected_x).max() <= 1e-12
