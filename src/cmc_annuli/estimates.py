@@ -33,17 +33,22 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+#: Smallest inner radius: the closed-form drops square a^2-sized factors, nan
+#: from about a = 1e-77 and dividing by zero from about 1e-81
+_MIN_INNER_RADIUS = 1e-70
+
+
 @dataclass(frozen=True)
 class Annulus:
-    """Circular annulus a <= rho <= b in hyperbolic radii, 0 < a < b <= MAX_RADIUS."""
+    """Circular annulus a <= rho <= b in hyperbolic radii, 1e-70 <= a < b <= MAX_RADIUS."""
 
     a: float
     b: float
 
     def __post_init__(self):
         a, b = check_radius(self.a, name="a"), check_radius(self.b, name="b")
-        if not 0.0 < a < b:
-            raise ValueError(f"annulus needs 0 < a < b, got a={a:g}, b={b:g}")
+        if not _MIN_INNER_RADIUS <= a < b:
+            raise ValueError(f"annulus needs {_MIN_INNER_RADIUS:g} <= a < b, got a={a:g}, b={b:g}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -15,14 +15,14 @@ linear-in-rho interpolant of the boundary rows plus, on the interior rows
 only, the stencil's own radial solution of the rows' theta means less its own
 linear interpolant. On a theta-independent field the stencil conserves a
 discrete flux, F_j = F_0 + 2h sum_{0<i<=j} sinh rho_i at half node j, so that
-solution is one root find in F_0 on an O(n_rho) closed form, and on radial
-data the start solves the stencil up to rounding. It is taken only where the
-means' drop lies strictly inside ``extremal_drops``' open interval, the data
-that have a continuous radial solution; elsewhere (certified-infeasible or
-overflowing means), or where the root find reaches its evaluation cap, the
-start is the linear interpolant alone. One evaluation of the start decides: a
-start whose largest interior residual meets the tolerance, as on radial data,
-is the answer, with no Newton step and no preconditioner. Otherwise the solve
+solution is one root find in the slack of F_0 from an end of its interval on
+an O(n_rho) closed form, and on radial data the start solves the stencil up
+to rounding. It is taken only where the means' drop lies strictly inside
+``extremal_drops``' open interval, the data that have a continuous radial
+solution, and the root find succeeds; elsewhere the start is the linear
+interpolant alone. One evaluation of the start decides: a start whose largest
+interior residual meets the tolerance, as on radial data, is the answer, with
+no Newton step and no preconditioner. Otherwise the solve
 takes inexact Newton steps (Kelley 1995) with Eisenstat-Walker forcing, each
 one cycle of restarted GMRES (Saad & Schultz 1986), in the package's
 ``krylov`` module. GMRES multiplies by the residual's exact Jacobian: the
@@ -55,15 +55,12 @@ from .estimates import Annulus
 from .hyperbolic import _finite
 from .krylov import Product, newton_krylov
 from .profiles import _check_count, check_curvature
-from .radial import extremal_drops
+from .radial import _false_position, extremal_drops
 
 BoundaryData = Union[float, np.ndarray, Callable[[float], float]]
 
 #: Newton steps allowed before the solve is reported as non-converged
 _MAX_NEWTON_STEPS = 50
-
-#: evaluations the start's flux root find may take before the linear start is used
-_MAX_FLUX_EVALUATIONS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +121,7 @@ class SolverReport:
     radial solution of the theta-averaged boundary rows, or ``"linear"``,
     the linear-in-rho interpolant, where the averaged drop is outside the
     open interval of ``extremal_drops``, the means overflow, or the flux
-    root find reaches its evaluation cap.
+    root find does not converge.
     """
 
     converged: bool
@@ -316,63 +313,54 @@ def _linear_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarra
     return (1.0 - weight) * inner[None, :] + weight * outer[None, :], "linear"
 
 
-def _flux_slopes(alpha: np.ndarray, beta: np.ndarray, f0: float) -> tuple[np.ndarray, float]:
-    """Half-node slopes p_j of the theta-independent field with inner flux F_0 = f0,
-    and d(sum p_j)/dF_0.
+def _scaled_slopes(alpha: np.ndarray, delta: np.ndarray, sign: float, s: float) -> np.ndarray:
+    """s p_j at F_0 = end - sign s^2, the interval's end where the half nodes with
+    delta_j = 0 reach sigma_j = ``sign``; delta_j is that of the others.
 
-    With sigma_j = alpha_j f0 + beta_j, p_j = sigma_j / sqrt(1 - sigma_j^2),
-    whose derivative in F_0 is alpha_j (1 - sigma_j^2)^(-3/2); p_j is +-inf
-    where |sigma_j| rounds to 1 or above.
+    With g_j = 1 - sign sigma_j = alpha_j (delta_j + s^2), free of cancellation,
+    s p_j = sign (1 - g_j) s / sqrt(g_j (2 - g_j)); at s = 0 its limit.
     """
-    sigma = alpha * f0 + beta
-    gap = np.maximum((1.0 - sigma) * (1.0 + sigma), 0.0)
-    root = np.sqrt(gap)
-    with np.errstate(divide="ignore"):
-        return sigma / root, float(np.sum(alpha / (gap * root)))
+    if s == 0.0:
+        return np.where(delta == 0.0, sign / np.sqrt(2.0 * alpha), 0.0)
+    gap = alpha * (delta + s * s)
+    return (sign * s) * (1.0 - gap) / np.sqrt(gap * (2.0 - gap))
 
 
 def _radial_rows(grid: PolarGrid, h: float, u_a: float, u_b: float) -> np.ndarray | None:
     """The stencil's theta-independent solution with rows u_a at a and u_b at b,
-    at the interior rows; None when the root find takes _MAX_FLUX_EVALUATIONS.
+    at the interior rows; None where the root find fails or ends on an end.
 
     On such a field the theta fluxes vanish, so row i reads
     (F_i - F_{i-1}) / sinh rho_i = 2h with the half-node flux
     F_j = sinh rho_{j+1/2} p_j / (d_rho W_j): F_j = F_0 + 2h sum_{0<i<=j} sinh rho_i.
     So sigma_j = p_j / W_j = d_rho F_j / sinh rho_{j+1/2} = alpha_j F_0 + beta_j,
     and the rise d_rho sum p_j is strictly increasing in F_0 and runs over all
-    reals on the open interval where every |sigma_j| < 1. Newton in F_0 with
-    its exact derivative, from the middle of that interval, bisects where a
-    step leaves the bracket, and stops on a zero residual or once the bracket
-    holds no float between its ends; the best point taken is the answer.
+    reals on the open interval where every |sigma_j| < 1. Its middle picks the
+    half that holds the root, and ``radial._false_position`` runs in
+    s = sqrt(slack of F_0 from that half's end) on s (rise - (u_b - u_a)),
+    finite at s = 0, to a zero residual or until its secant point rounds onto
+    an end.
     """
     d = grid.d_rho
     alpha = d / grid.sinh_half
     beta = alpha * (2.0 * h * np.concatenate(([0.0], np.cumsum(grid.sinh_rho[1:-1]))))
-    lo, hi = float(np.max((-1.0 - beta) / alpha)), float(np.min((1.0 - beta) / alpha))
-    rise = u_b - u_a
-    best, best_residual = None, math.inf
-    f0 = 0.5 * (lo + hi)
-    for _ in range(_MAX_FLUX_EVALUATIONS):
-        p, derivative = _flux_slopes(alpha, beta, f0)
-        # +-inf where rounding puts some |sigma_j| at 1: that end moves in, and the step is nan
-        residual = d * float(np.sum(p)) - rise
-        if abs(residual) < abs(best_residual):
-            best, best_residual = p, residual
-        if residual == 0.0:
-            break
-        if residual < 0.0:
-            lo = f0
-        else:
-            hi = f0
-        step = f0 - residual / (d * derivative)
-        if step == f0:  # a step below the resolution of F_0: to the next float
-            step = math.nextafter(f0, hi if residual < 0.0 else lo)
-        f0 = step if lo < step < hi else 0.5 * (lo + hi)
-        if not lo < f0 < hi:
-            break
-    else:
+    ends = {sign: (sign - beta) / alpha for sign in (-1.0, 1.0)}  # the F_0 where sigma_j = sign
+    lo, hi = float(ends[-1.0].max()), float(ends[1.0].min())
+    rise, slopes = u_b - u_a, {}
+
+    def scaled_residual(s: float) -> float:
+        slopes[s] = _scaled_slopes(alpha, delta, sign, s)
+        return d * float(np.sum(slopes[s])) - s * rise
+
+    sign, delta, s_mid = 1.0, ends[1.0] - hi, math.sqrt(0.5 * (hi - lo))  # the middle, from hi
+    f_mid = scaled_residual(s_mid)
+    if f_mid > 0.0:  # the middle's rise is above the target: the root is in the lower half
+        sign, delta = -1.0, lo - ends[-1.0]
+    try:
+        s, _ = _false_position(scaled_residual, 0.0, scaled_residual(0.0), s_mid, f_mid, 0.0)
+    except NonConvergenceError:
         return None
-    return None if best is None else u_a + d * np.cumsum(best[:-1])
+    return u_a + d / s * np.cumsum(slopes[s][:-1]) if s else None
 
 
 def _radial_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, str]:
@@ -385,7 +373,7 @@ def _radial_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarra
     solution for every finite drop, the continuous one only inside the open
     interval of ``extremal_drops``; where the averaged drop is outside that
     interval (certified infeasible), the means overflow, or the root find
-    reaches its evaluation cap, this is the linear start.
+    does not converge, this is the linear start.
     """
     u, linear = _linear_start(grid, h, inner, outer)
     with np.errstate(over="ignore"):
@@ -418,7 +406,7 @@ def solve_dirichlet_2d(
     theta means (one root find in the conserved discrete flux) less its
     linear interpolant. It is the interpolant alone when the means' drop is
     outside the open interval of ``extremal_drops``, the means overflow, or
-    the root find reaches its evaluation cap. One evaluation of the start
+    the root find does not converge. One evaluation of the start
     gives its residual, its Jacobian product and its stencil weights. Where
     the largest interior residual is already at most ``tol``, as on radial
     data, the start is returned as it is, with no Newton step. Otherwise

@@ -43,8 +43,9 @@ their circle), the envelopes and thresholds of ``estimates`` and the drops
 and solutions of ``radial`` are all this class, values and derivatives,
 points and tables alike, handed out as ``RadialFunction``. One rule,
 ``_slacks``, places every graph the package builds from a circle in that
-interval: profiles, envelopes, thresholds, extremal drops and the radial root
-find.
+interval, by an end and a slack from it: profiles, envelopes, thresholds and
+extremal drops at slack 0, and the radial root find at the slack s^2 it
+searches in, which keeps its digits however close to the end it is.
 """
 
 from __future__ import annotations
@@ -176,24 +177,20 @@ def _is_array_like(x) -> bool:
     return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
 
 
-#: theta of ``_slacks`` at the two ends of the flux interval: the graphs
-#: vertical at r0 on the large branch and on the small one
-_LARGE, _SMALL = 0.0, 0.5 * math.pi
+#: ends C = -small(r0), -large(r0) of the flux interval, as indices into ``_slacks``
+_SMALL, _LARGE = 0, 1
 
 
-def _slacks(r0: float, theta: float) -> tuple[float, float]:
-    """Slacks at r0 of the graph with flux C = -large(r0) + span*sin(theta)^2.
+def _slacks(r0: float, end: int, slack: float = 0.0) -> tuple[float, float]:
+    """Slacks at r0, the distances to -small(r0) and to -large(r0), of the flux
+    ``slack`` inside ``end``: exact however small, where C cannot hold it.
 
-    They are (span*sin(pi/2 - theta)^2, span*sin(theta)^2), the flux's
-    distances to -small(r0) and to -large(r0): exactly (span, 0) at
-    theta = ``_LARGE`` and (0, span) at ``_SMALL``, and exact next to either
-    end, where C itself cannot hold the offset. span is large(r0) - small(r0)
-    written as 2 sinh(r0), 0 on the neck: the rounded width c_hi - c_lo of
-    the flux interval has a relative error of about 1e-16/r0, which the
-    slopes would carry next to a tiny circle.
+    The other slack is span - slack, with span = large(r0) - small(r0) written
+    as 2 sinh(r0), 0 on the neck: the rounded width c_hi - c_lo has a relative
+    error of about 1e-16/r0, which the slopes would carry next to a tiny circle.
     """
-    span = 2.0 * math.sinh(r0)
-    return span * math.sin(0.5 * math.pi - theta) ** 2, span * math.sin(theta) ** 2
+    other = 2.0 * math.sinh(r0) - slack
+    return (slack, other) if end == _SMALL else (other, slack)
 
 
 class _Graph:
@@ -424,8 +421,8 @@ class HeightProfile:
 
     def _graph(self, upper: float = MAX_RADIUS) -> _Graph:
         """The profile as the graph vertical on its circle, 0 there, over [rho0, upper]."""
-        theta = _LARGE if self.branch is Branch.LARGE else _SMALL
-        return _Graph(self.h, self.rho0, upper, _slacks(self.rho0, theta), 0.0, self.rho0)
+        end = _LARGE if self.branch is Branch.LARGE else _SMALL
+        return _Graph(self.h, self.rho0, upper, _slacks(self.rho0, end), 0.0, self.rho0)
 
     def height(self, rho) -> float:
         return self._graph().value(check_radius(rho))

@@ -14,19 +14,21 @@ whose endpoints are exactly the envelope drops of the a-priori estimates:
 both are the flux graphs at the ends of the flux interval, anchored at
 rho = a. A flux is handed to the graph (``profiles._Graph``) as its
 distances to those ends, its slacks at a: (c_hi - C, C - c_lo) in
-``integrate_radial``, and ``profiles._slacks`` of theta in the root find and
-at its ends, as for the envelopes. So the thresholds, ``extremal_drops`` and
-the interval of an infeasible solve are one computation and agree bit for
-bit. Each drop is a closed form in Carlson's elliptic integrals, good to
-about 1e-15 relative with no tolerance of its own; the mpmath reference in
-the test suite checks them independently. The root find is false position in theta
-with the Anderson-Björck weighting, from the two extremal graphs to one whose
-drop is within tol/10 of the target, each built at u_b on b; the solution is
-that graph.
+``integrate_radial``, and ``profiles._slacks`` of an end and a slack in the
+root find and at its ends, as for the envelopes. So the thresholds,
+``extremal_drops`` and the interval of an infeasible solve are one
+computation and agree bit for bit. Each drop is a closed form in Carlson's
+elliptic integrals, good to about 1e-15 relative. The middle graph picks the
+half of the flux interval that holds the root, and the package's one root
+find, Anderson-Björck false position, runs in s = sqrt(slack from that half's
+end), where the drop's square-root singularity is smooth and s^2 keeps its
+digits however close the root lies. Its graph within tol/10 of the target, each
+built at u_b on b, or an end already that close, is the solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,10 +81,12 @@ def _false_position(
     """A point x of [x0, x1] with |f(x)| <= ftol, and f(x), by false position.
 
     f0 and f1 are f at the ends and differ in sign. Each step takes the secant
-    point of the bracket; when the same end is kept twice in a row its residual
-    is scaled by m = 1 - f_new/f_old, or by 1/2 when m <= 0 (N. Anderson and
-    Å. Björck, BIT 13, 1973). Returns the better end once the secant point
-    rounds onto an end; raises NonConvergenceError after _MAXITER steps.
+    point of the bracket, as an offset from the end with the smaller weighted
+    residual so that it keeps its digits next to that end; when the same end
+    is kept twice in a row its residual is scaled by m = 1 - f_new/f_old, or
+    by 1/2 when m <= 0 (N. Anderson and Å. Björck, BIT 13, 1973). Returns the
+    better end once the secant point rounds onto an end; raises
+    NonConvergenceError after _MAXITER steps.
     """
     for x, fx in ((x0, f0), (x1, f1)):
         if abs(fx) <= ftol:
@@ -91,7 +95,7 @@ def _false_position(
         raise ValueError("the root is not bracketed")
     w0 = f0  # the kept end's residual as the secant weighs it
     for _ in range(_MAXITER):
-        x = x1 - f1 * (x1 - x0) / (f1 - w0)
+        x = x0 + w0 * (x1 - x0) / (w0 - f1) if abs(w0) < abs(f1) else x1 - f1 * (x1 - x0) / (f1 - w0)
         if not min(x0, x1) < x < max(x0, x1):
             return (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
         fx = f(x)
@@ -138,7 +142,7 @@ def extremal_drops(h, annulus: Annulus) -> FeasibleDropInterval:
     """
     h = check_curvature(h)
     a, b = annulus.a, annulus.b
-    d_min, d_max = (-_Graph(h, a, b, _slacks(a, theta), 0.0).rise_at for theta in (_SMALL, _LARGE))
+    d_min, d_max = (-_Graph(h, a, b, _slacks(a, end), 0.0).rise_at for end in (_SMALL, _LARGE))
     return FeasibleDropInterval(d_min, d_max)
 
 
@@ -161,28 +165,33 @@ def solve_radial(
     u_a, u_b = _finite(u_a, "u_a"), _finite(u_b, "u_b")
     target = u_a - u_b
     a, b = annulus.a, annulus.b
-    # The drop has a square-root singularity in C at both ends of the flux
-    # interval; the theta of ``_slacks`` makes it Lipschitz at both. The root
-    # find's graphs by theta, each at u_b on b; the bracket ends are the
-    # extremal graphs, so the interval is ``extremal_drops`` bit for bit
-    graphs = {theta: _Graph(h, a, b, _slacks(a, theta), u_b) for theta in (_LARGE, _SMALL)}
-    d_max, d_min = -graphs[_LARGE].rise_at, -graphs[_SMALL].rise_at
+    # the extremal graphs at u_b on b, so the interval is ``extremal_drops`` bit for bit
+    large, small = (_Graph(h, a, b, _slacks(a, end), u_b) for end in (_LARGE, _SMALL))
+    d_max, d_min = -large.rise_at, -small.rise_at
     # the bracket is the closed flux interval, so exactly the open drop interval is solvable
     if not d_min < target < d_max:
         raise InfeasibleBoundaryError(target, d_min, d_max)
+    ftol = 0.1 * tol
+    graph = min((large, small), key=lambda g: abs(g.rise_at + target))  # the answer if within ftol
+    if abs(graph.rise_at + target) > ftol:
+        end, graphs = _LARGE, {}  # by s; the middle's, from _LARGE, is a rounding off its mirror
 
-    def drop_residual(t: float) -> float:
-        graphs[t] = _Graph(h, a, b, _slacks(a, t), u_b)
-        return -graphs[t].rise_at - target
+        def drop_residual(s: float) -> float:
+            graphs[s] = _Graph(h, a, b, _slacks(a, end, s * s), u_b)
+            return -graphs[s].rise_at - target
 
-    theta, residual = _false_position(
-        drop_residual, _LARGE, d_max - target, _SMALL, d_min - target, 0.1 * tol
-    )
+        s_mid = math.sqrt(math.sinh(a))  # the middle: slack sinh(a) from either end
+        f_mid = drop_residual(s_mid)
+        # the middle's drop above the target puts the root in the small half
+        end, graphs[0.0] = (_SMALL, small) if f_mid > 0.0 else (_LARGE, large)
+        s, _ = _false_position(drop_residual, 0.0, -graphs[0.0].rise_at - target, s_mid, f_mid, ftol)
+        graph = graphs[s]
+    residual = -graph.rise_at - target
     if abs(residual) > tol:
         raise NonConvergenceError(
             f"flux root find stalled: drop residual {residual:g} exceeds tolerance {tol:g}"
+            f" (one ulp of the target is {math.ulp(target):g})"
         )
-    graph = graphs[theta]
     if graph.C < 0.0:
         shift = u_b - height(h, -graph.C, b)
     else:

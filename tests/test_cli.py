@@ -172,6 +172,16 @@ class TestBoundsCommand:
         assert code == 2
         assert "annulus" in err
 
+    @pytest.mark.parametrize("a", ["1e-77", "1e-85"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_inner_radius_below_the_floor_exit_2(self, capsys, tmp_path, command, a):
+        data = ["--inner", "0", "--outer", "0"] if command == "check" else [
+            "--u-a", "0", "--u-b", "0", "--out", str(tmp_path / "x.csv")]
+        code, stdout, err = run(capsys, command, "--h", "0.4", "--a", a, "--b", "1", *data)
+        assert code == 2
+        assert stdout == "" and "1e-70 <= a < b" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestCheckCommand:
     def threshold(self, c):
@@ -389,6 +399,18 @@ class TestSolveCommand:
         assert code == 0
         written = re.search(r"\(default (\S+) root find, (\S+) 2D Newton\)", " ".join(stdout.split()))
         assert written and tuple(map(float, written.groups())) == (DEFAULT_TOL, two_d)
+
+    def test_far_annulus_at_half_solves(self, capsys, tmp_path):
+        # the root lies closer to the small end than an ulp of the flux constant
+        out = tmp_path / "radial.csv"
+        code, stdout, _ = run(
+            capsys, "solve", "--h", "0.5", "--a", "10", "--b", "11",
+            "--u-a", "-14000", "--u-b", "0", "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads(stdout)["status"] == "solved"
+        _, rows = read_csv(out)
+        assert float(rows[0][1]) == pytest.approx(-14000.0, abs=1e-10)
 
     def test_infeasible_exit_3(self, capsys, tmp_path):
         code, stdout, _ = run(

@@ -30,6 +30,25 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Annulus(a, b)
 
+    @pytest.mark.parametrize("a", [1e-77, 1e-85, 5e-324])
+    def test_annulus_rejects_a_below_its_floor(self, a):
+        # below about 1e-77 the closed-form drops are nan, and below about
+        # 1e-81 they divide by zero, so the annulus is rejected first
+        with pytest.raises(ValueError, match="1e-70 <= a < b"):
+            Annulus(a, 2.0 * a)
+
+    @pytest.mark.parametrize("h", [0.05, 0.4, 0.5])
+    @pytest.mark.parametrize("b", [2e-70, 1e-67, 1.0])
+    def test_drops_are_finite_at_the_floor(self, h, b):
+        from cmc_annuli import extremal_drops
+
+        annulus = Annulus(1e-70, b)
+        drops = extremal_drops(h, annulus)
+        assert math.isfinite(drops.d_min) and math.isfinite(drops.d_max)
+        assert drops.d_min <= drops.d_max
+        verdict = dirichlet_feasibility(h, annulus, 0.0, 0.0, OuterBoundaryData(0.0, 0.0))
+        assert math.isfinite(verdict.threshold_upper) and math.isfinite(verdict.threshold_lower)
+
     def test_outer_data_validation(self):
         with pytest.raises(ValueError):
             OuterBoundaryData(1.0, 0.0)

@@ -173,11 +173,13 @@ class TestDiscreteOperator:
         # on an annulus of radius 1e-160 the stencil's weights themselves
         # overflow to inf, so the theta weights pass the positivity check and
         # the scaled operator is inf / inf. numpy warns on that overflow, which
-        # this test does not check; the solve never gets here, its radial
-        # start raises first
+        # this test does not check. The solve never gets here: ``Annulus``
+        # rejects inner radii below 1e-70, so the grid takes a stand-in
+        from types import SimpleNamespace
+
         from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
 
-        grid = PolarGrid(Annulus(1e-160, 2e-160), 5, 4)
+        grid = PolarGrid(SimpleNamespace(a=1e-160, b=2e-160), 5, 4)
         u = np.zeros((5, 4))
         with np.errstate(over="ignore", divide="ignore"):
             c_east = _stencil(grid, _half_nodes(grid, u))[2]
@@ -483,11 +485,14 @@ class TestSolver:
 
     def test_far_annulus_at_half_converges_from_the_discrete_start(self):
         # h = 1/2 on (10, 11) with data in the middle of the drop interval
-        # (-28873, 0.527): the continuous radial root find stalls on these
-        # data, and from the linear start the solve fails with residual 127
-        _, report = solve_dirichlet_2d(0.5, Annulus(10.0, 11.0), -1.44e4, 0.0, grid=(64, 32))
-        assert report.converged and report.start == "radial"
-        assert (report.iterations, report.krylov_iterations) == (2, 8)
+        # (-28873, 0.527): from the linear start the solve fails with residual
+        # 127. The root of the start's flux lies closer to its end than an ulp
+        # of F_0, and its slack from the end resolves it, so the start meets
+        # tol on every rho grid and no Newton step is taken
+        for grid in ((64, 32), (256, 32)):
+            _, report = solve_dirichlet_2d(0.5, Annulus(10.0, 11.0), -1.44e4, 0.0, grid=grid)
+            assert report.converged and report.start == "radial"
+            assert (report.iterations, report.krylov_iterations) == (0, 0)
 
 
 def wavy(theta):
@@ -547,8 +552,8 @@ class TestStart:
     def test_radial_failure_keeps_the_linear_start(self, fallback, monkeypatch):
         # a drop on an end of extremal_drops' open interval has a discrete
         # radial solution but no continuous one, and the gate keeps the linear
-        # start; so does a flux root find stopped by its evaluation cap
-        from cmc_annuli import pde2d
+        # start; so does a flux root find stopped by its step cap
+        from cmc_annuli import pde2d, radial
 
         grid = PolarGrid(ANN, 16, 16)
         drops = extremal_drops(H, ANN)
@@ -556,31 +561,37 @@ class TestStart:
         inner, outer = np.full(16, u_a), np.zeros(16)
         if fallback == "evaluation-cap":
             assert pde2d._radial_start(grid, H, inner, outer)[1] == "radial"
-            monkeypatch.setattr(pde2d, "_MAX_FLUX_EVALUATIONS", 1)
+            monkeypatch.setattr(radial, "_MAXITER", 1)
         else:
             assert pde2d._radial_rows(grid, H, u_a, 0.0) is not None
         u, name = pde2d._radial_start(grid, H, inner, outer)
         assert name == "linear"
         assert np.array_equal(u, pde2d._linear_start(grid, H, inner, outer)[0])
 
-    def test_flux_slopes_are_infinite_at_the_ends_of_the_flux_interval(self):
-        # where rounding puts some |sigma_j| at or past 1, the slopes there are
-        # infinite with the sign of that end, and numpy warns of nothing
+    def test_scaled_slopes_are_finite_at_the_ends_of_the_flux_interval(self):
+        # s p_j at s = 0 is its limit, sign / sqrt(2 alpha_j) on the half nodes
+        # that reach the end and 0 elsewhere; next to the end it tends there,
+        # and numpy warns of nothing on the way
         from cmc_annuli import pde2d
 
-        alpha, beta = np.array([0.5, 0.25]), np.array([0.0, 0.75])
-        p, derivative = pde2d._flux_slopes(alpha, beta, 2.0)  # sigma = (1, 1.25)
-        assert p.tolist() == [math.inf, math.inf] and derivative == math.inf
-        p, derivative = pde2d._flux_slopes(alpha, beta, -3.0)  # sigma = (-1.5, 0)
-        assert p.tolist() == [-math.inf, 0.0] and derivative == math.inf
+        alpha, delta = np.array([0.5, 0.125, 0.5]), np.array([0.0, 2.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sign in (1.0, -1.0):
+                at_end = pde2d._scaled_slopes(alpha, delta, sign, 0.0)
+                assert at_end.tolist() == [sign, 0.0, sign]
+                for s in (1e-150, 1e-9):
+                    near = pde2d._scaled_slopes(alpha, delta, sign, s)
+                    assert np.all(np.isfinite(near))
+                    np.testing.assert_allclose(near, at_end, rtol=1e-15, atol=1e-8)
 
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
     @pytest.mark.parametrize("data", ["benchmark", 1e-6, 0.999999])
     def test_start_is_the_discrete_radial_solution(self, n, data, monkeypatch):
         # on theta-independent data the start solves the stencil up to rounding
-        # (measured at most 5.4e-11, at 256^2 and 1e-6 of the drop interval),
-        # Newton leaves it where it is, and the flux root find takes 5-17
-        # evaluations, the most next to the ends of the drop interval
+        # (measured at most 3.5e-11, at 256^2), Newton leaves it where it is,
+        # and the flux root find takes 11-16 evaluations, the middle and the
+        # end of the flux interval included
         from cmc_annuli import pde2d
 
         if data == "benchmark":  # grid-2d's radial data, at one of its shifts
@@ -588,13 +599,13 @@ class TestStart:
         else:
             drops = extremal_drops(H, ANN)
             u_a, u_b = drops.d_min + data * (drops.d_max - drops.d_min), 0.0
-        evaluations, slopes = [], pde2d._flux_slopes
+        evaluations, slopes = [], pde2d._scaled_slopes
 
         def counted(*args):
             evaluations.append(args[-1])
             return slopes(*args)
 
-        monkeypatch.setattr(pde2d, "_flux_slopes", counted)
+        monkeypatch.setattr(pde2d, "_scaled_slopes", counted)
         grid = PolarGrid(ANN, n, n)
         start, name = pde2d._radial_start(grid, H, np.full(n, u_a), np.full(n, u_b))
         assert name == "radial" and len(evaluations) <= 20

@@ -536,17 +536,21 @@ def test_public_graph_holders_are_pinned():
 
 @pytest.mark.parametrize("r0", [0.0, 1e-13, 0.5, 3.0, MAX_RADIUS])
 def test_slacks_are_exact_at_the_ends_of_the_flux_interval(r0):
+    # and a slack from an end is passed as given, however small
     span = 2.0 * math.sinh(r0)
     assert profiles._slacks(r0, profiles._LARGE) == (span, 0.0)
     assert profiles._slacks(r0, profiles._SMALL) == (0.0, span)
+    assert profiles._slacks(r0, profiles._LARGE, 1e-300) == (span - 1e-300, 1e-300)
+    assert profiles._slacks(r0, profiles._SMALL, 1e-300) == (1e-300, span - 1e-300)
 
 
 @pytest.mark.parametrize("r0", [1e-10, 0.5, 3.0])
 @pytest.mark.parametrize("theta", [1e-9, 0.3, 1.2, 0.5 * math.pi - 1e-9])
 def test_graph_keeps_one_slack_pair(r0, theta):
     # the smaller slack as given and the larger as 2 sinh(r0) minus it,
-    # whatever the given pair sums to
-    given = profiles._slacks(r0, theta)
+    # whatever the given pair sums to: here span (cos^2 theta, sin^2 theta)
+    span = 2.0 * math.sinh(r0)
+    given = (span * math.cos(theta) ** 2, span * math.sin(theta) ** 2)
     small = min(given)
     pair = profiles._Graph(0.4, r0, r0 + 1.0, given, 0.0).slacks
     assert sorted(pair) == [small, 2.0 * math.sinh(r0) - small]

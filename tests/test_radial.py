@@ -235,15 +235,17 @@ class TestSolveRadial:
         "offset", [0.5, 1e-8, 5e-12, 1e-13], ids=["interior", "near-end", "bracket-end", "on-the-end"]
     )
     def test_evaluator_build_evaluates_no_drop(self, offset):
-        # the evaluator is the graph the root find built at the theta it
-        # returned, and handing it out builds no graph and computes no rise:
-        # each graph computes one rise, to b, when it is built. At 5e-12 the
-        # root find stops at theta = 7.9e-12, C rounding to the end; at 1e-13
-        # it returns the end theta = 0 itself, the first bracket graph
+        # the evaluator is the graph the root find built at the s it returned,
+        # and handing it out builds no graph and computes no rise: each graph
+        # computes one rise, to b, when it is built. The graphs are the two
+        # ends, the middle and one per root-find step. At 5e-12 the root find
+        # stops at a slack s^2 below an ulp of C, so C rounds to the end; at
+        # 1e-13 the end itself meets the tolerance and is the answer, with no
+        # middle graph and no root find
         h, ann = 0.4, Annulus(0.5, 2.0)
         drops = extremal_drops(h, ann)
         target = drops.d_max - offset * (drops.d_max - drops.d_min)
-        built, rises, thetas, returned = [], [], [0.0, 0.5 * math.pi], []
+        built, rises, steps, returned = [], [], [], []
         false_position = radial._false_position
 
         class Counted(profiles._Graph):
@@ -256,9 +258,9 @@ class TestSolveRadial:
                 return super().rise(xp, r)
 
         def counted_false_position(f, *args):
-            def residual(t):
-                thetas.append(t)
-                return f(t)
+            def residual(s):
+                steps.append(s)
+                return f(s)
 
             returned.append(false_position(residual, *args))
             return returned[-1]
@@ -266,14 +268,17 @@ class TestSolveRadial:
         with mock.patch.object(radial, "_Graph", Counted), \
                 mock.patch.object(radial, "_false_position", counted_false_position):
             solution = solve_radial(h, ann, target, 0.0)
-            assert rises == [ann.b] * len(built) and len(built) == len(thetas)
+            assert rises == [ann.b] * len(built)
         graph = solution.evaluator.value.__self__
-        assert graph is built[thetas.index(returned[0][0])]
         assert solution.evaluator.derivative.__self__ is graph
+        if offset == 1e-13:
+            assert returned == [] and len(built) == 2 and graph is built[0]
+        else:
+            s = returned[0][0]
+            assert len(built) == 3 + len(steps)
+            assert graph is built[3 + steps.index(s)] and min(graph.slacks) == s * s
         if offset <= 5e-12:
             assert solution.C == _flux_interval(h, ann.a)[0]
-        if offset == 1e-13:
-            assert returned[0][0] == 0.0 and graph is built[0]
         assert solution.evaluator.value(ann.b) == 0.0
         assert solution.evaluator.value(ann.a) == pytest.approx(target, abs=1e-10)
 
@@ -328,8 +333,29 @@ class TestSolveRadial:
         assert solution.evaluator.value(a + width) == u_b
         assert 2 <= graph.call_count <= 12  # bracket ends included
 
+    @pytest.mark.parametrize("a", [5.0, 7.0, 10.0, 15.0, 20.0, 30.0, 50.0, 99.0])
+    def test_far_annuli_at_half_solve(self, a):
+        # at h = 1/2 small(a) = e^-a, and the root of a target in the interval
+        # can lie closer to that end than an ulp of C; the slack from the end
+        # resolves it. A tolerance of a few ulps of the target keeps each
+        # target within what its float can meet: drops reach 1e43 at a = 99
+        for width in (0.01, 0.1, 1.0):
+            annulus = Annulus(a, a + width)
+            drops = extremal_drops(0.5, annulus)
+            for fraction in (0.01, 0.15, 0.5, 0.85, 0.99):
+                target = drops.d_min + fraction * (drops.d_max - drops.d_min)
+                tol = max(DEFAULT_TOL, 4.0 * math.ulp(target))
+                solution = solve_radial(0.5, annulus, target, 0.0, tol=tol)
+                assert abs(solution.evaluator.value(a) - target) <= tol
+                assert solution.evaluator.value(a + width) == 0.0
+
+    def test_stall_message_gives_an_ulp_of_the_target(self):
+        # a tolerance below float resolution reads as such
+        with pytest.raises(NonConvergenceError, match=r"one ulp of the target is 1\.38778e-17\)"):
+            solve_radial(0.4, Annulus(0.5, 2.0), 0.1, 0.0, tol=1e-17)
+
     def test_tolerance_below_an_ulp_of_the_drop_stalls(self):
-        # 1e-17 is below an ulp of the drop 0.1, so no theta meets it: false
+        # 1e-17 is below an ulp of the drop 0.1, so no graph meets it: false
         # position stops when its secant point rounds onto an end of the
         # bracket, and the solve reports the residual kept there
         match = r"stalled: drop residual -2\.77556e-17 exceeds tolerance 1e-17"
@@ -348,6 +374,8 @@ class TestFalsePosition:
         (lambda x: math.exp(x) - 1e-3, -10.0, 1.0, 15),
         (lambda x: (x - 0.3) ** 5, 0.0, 1.0, 30),  # a root of order five
         (lambda x: math.tanh(50 * (x - 0.7)), 0.0, 0.5 * math.pi, 13),
+        # the 2D start's shape s (c/s + smooth), as c + s smooth: it dips before it rises
+        (lambda x: -0.1 + x * (math.exp(x) - 1.5), 0.0, 2.0, 14),
     ]
 
     @pytest.mark.parametrize("f, lo, hi, evals", CASES)
@@ -374,6 +402,15 @@ class TestFalsePosition:
         f = lambda x: seen.append(x) or (-1.0 if x < 0.3 else 1.0)  # noqa: E731
         assert _false_position(f, 0.0, -1.0, 1.0, 1.0, 0.0) == (0.3, 1.0)
         assert len(seen) == 63
+
+    def test_secant_point_next_to_an_end_keeps_its_digits(self):
+        # a root 1e-20 from the end 0 of [0, 1]: the secant point is taken from
+        # that end, the one with the smaller residual, so it is not 1 minus a
+        # step that rounds to 1, which would land on the end
+        seen = []
+        f = lambda x: seen.append(x) or 1e30 * x - 1e10  # noqa: E731
+        assert _false_position(f, 0.0, -1e10, 1.0, 1e30 - 1e10, 0.0) == (1e-20, 0.0)
+        assert seen == [1e-20]
 
     def test_unbracketed_raises(self):
         f = lambda x: x * x + 1.0  # noqa: E731
