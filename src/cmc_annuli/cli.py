@@ -83,7 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--two-d", action="store_true", help="solve the 2D problem instead of the radial one")
     solve.add_argument("--n-rho", type=int, default=64, help="2D: radial grid nodes")
     solve.add_argument("--n-theta", type=int, default=64, help="2D: angular grid nodes")
-    solve.add_argument("--tol", type=float, help="stopping tolerance (default 1e-10 root find, 1e-8 2D Newton)")
+    solve.add_argument("--tol", type=float,
+                       help="stopping tolerance (default 1e-10 root find, 1e-8 2D Newton); the root find's is at "
+                            "least 4 ulps of the drop")
     figure.add_argument("--alphas", type=_float_list, help="family: comma-separated parameters")
     figure.add_argument("--rho-max", type=float, help="family: last sampled radius")
     figure.add_argument("--a", type=float, help="box: inner radius")

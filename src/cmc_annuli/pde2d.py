@@ -7,39 +7,40 @@ of u(rho, theta) reads
     (1/sinh rho) [ d_rho( sinh(rho) u_rho / W ) + d_theta( u_theta / (sinh(rho) W) ) ],
     W = sqrt(1 + u_rho^2 + u_theta^2 / sinh(rho)^2).
 
-The discretization puts fluxes at half nodes with centered differences,
-second-order consistent on the uniform periodic grid. With W frozen it is one
-five-point stencil, which the residual applies. The solve begins at a
-physics-based start (Knoll & Keyes, J. Comput. Phys. 193, 2004): the
-linear-in-rho interpolant of the boundary rows plus, on the interior rows
-only, the stencil's own radial solution of the rows' theta means less its own
-linear interpolant. On a theta-independent field the stencil conserves a
-discrete flux, F_j = F_0 + 2h sum_{0<i<=j} sinh rho_i at half node j, so that
-solution is one root find in the slack of F_0 from an end of its interval on
-an O(n_rho) closed form, and on radial data the start solves the stencil up
-to rounding. It is taken only where the means' drop lies strictly inside
+The residual is the divergence of half-node fluxes, each a slope over W with
+centered differences, second-order consistent on the uniform periodic grid.
+The solve begins at a physics-based start (Knoll & Keyes, J. Comput. Phys.
+193, 2004): the linear-in-rho interpolant of the boundary rows plus, on the
+interior rows only, the residual's own radial solution of the rows' theta
+means less its own linear interpolant. On a theta-independent field the theta
+fluxes vanish and the residual conserves a discrete flux,
+F_j = F_0 + 2h sum_{0<i<=j} sinh rho_i at half node j, so that solution is one
+root find in the slack of F_0 from an end of its interval on an O(n_rho)
+closed form, and on radial data the start solves the residual up to rounding.
+It is taken only where the means' drop lies strictly inside
 ``extremal_drops``' open interval, the data that have a continuous radial
 solution, and the root find succeeds; elsewhere the start is the linear
 interpolant alone. One evaluation of the start decides: a start whose largest
 interior residual meets the tolerance, as on radial data, is the answer, with
-no Newton step and no preconditioner. Otherwise the solve
-takes inexact Newton steps (Kelley 1995) with Eisenstat-Walker forcing, each
-one cycle of restarted GMRES (Saad & Schultz 1986), in the package's
-``krylov`` module. GMRES multiplies by the residual's exact Jacobian: the
-derivative of each half-node flux, slope over W, in both gradient components.
-One evaluation of an iterate's half-node state gives its residual and that
+no Newton step and no preconditioner. Otherwise the solve takes inexact Newton
+steps (Kelley 1995) with Eisenstat-Walker forcing, each one cycle of restarted
+GMRES (Saad & Schultz 1986), in the package's ``krylov`` module. GMRES
+multiplies by the residual's exact Jacobian: the derivative of each half-node
+flux in both gradient components, applied as the same divergence. One
+evaluation of an iterate's half-node state gives its residual and that
 product, so a product costs less than half a residual and evaluates none. Its
-preconditioner, built from the start's evaluation, is that stencil with W
-frozen at the start and its weights averaged over theta, T. Chan's optimal
-circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988): an FFT in theta
-turns it into one tridiagonal system in rho per Fourier mode, and one
+preconditioner, built from the start's evaluation, is that Jacobian without
+its cross terms and with its coefficients averaged over theta, T. Chan's
+optimal circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988): an FFT
+in theta turns it into one tridiagonal system in rho per Fourier mode, and one
 symmetric eigendecomposition in rho diagonalizes all of them at once, the fast
 diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964). Each
-apply is then two dense products in rho and an FFT pair in theta. For W
-independent of theta it is the frozen-W stencil itself. Non-convergence is
-reported with diagnostics, never turned into a verdict: steep inner data
-violating the a-priori envelopes typically shows up as a residual plateau with
-the inner-row gradient growing under grid refinement.
+apply is then two dense products in rho and an FFT pair in theta. On a
+theta-independent field the cross terms vanish, and it is the Jacobian's exact
+inverse. Non-convergence is reported with diagnostics, never turned into a
+verdict: steep inner data violating the a-priori envelopes typically shows up
+as a residual plateau with the inner-row gradient growing under grid
+refinement.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class SolverReport:
     of the interior residual: the start's and one per line-search trial, so
     ``iterations + 1`` when every Newton step is taken in full. Jacobian
     products evaluate none. ``start`` names the field the solve started
-    from, and any preconditioner was built at: ``"radial"``, the stencil's
+    from, and any preconditioner was built at: ``"radial"``, the residual's
     radial solution of the theta-averaged boundary rows, or ``"linear"``,
     the linear-in-rho interpolant, where the averaged drop is outside the
     open interval of ``extremal_drops``, the means overflow, or the flux
@@ -168,20 +169,8 @@ def _half_nodes(grid: PolarGrid, u: np.ndarray) -> tuple[tuple[np.ndarray, ...],
     return (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta)
 
 
-def _stencil(grid: PolarGrid, half_nodes: tuple[tuple[np.ndarray, ...], ...]) -> tuple[np.ndarray, ...]:
-    """Five-point weights (out, in, east, west) at the interior nodes, W frozen at ``half_nodes``.
-
-    Q(u) at a node sums weight * (neighbour - node) over its four neighbours.
-    """
-    s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
-    (_, _, w_rho), (_, _, w_theta) = half_nodes
-    g = s_half / (grid.d_rho**2 * w_rho)
-    c_theta = 1.0 / (grid.d_theta**2 * s**2 * w_theta)
-    return g[1:, :] / s, g[:-1, :] / s, c_theta[:, 1:], c_theta[:, :-1]
-
-
-def _flux_derivatives(along: np.ndarray, across: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of along / W, W = sqrt(1 + along^2 + across^2), in along and in across.
+def _slope_over_w(along: np.ndarray, across: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """along / W, W = sqrt(1 + along^2 + across^2), and its derivatives in along and in across.
 
     They are (1 + across^2) / W^3 and -along * across / W^3, written in the
     bounded ratios along / W and across / W, so they are 0, not inf / inf,
@@ -189,36 +178,40 @@ def _flux_derivatives(along: np.ndarray, across: np.ndarray, w: np.ndarray) -> t
     """
     iw = 1.0 / w
     along_w, across_w = along * iw, across * iw
-    return iw * (iw * iw + across_w * across_w), -iw * along_w * across_w
+    return along_w, iw * (iw * iw + across_w * across_w), -iw * along_w * across_w
 
 
 def _linearize(grid: PolarGrid, u: np.ndarray, h: float) -> tuple[np.ndarray, Product, tuple[np.ndarray, ...]]:
     """The residual Q(u) - 2h at the interior nodes, its derivative at u as a
-    product on flattened interior vectors, and the ``_stencil`` weights the
-    residual applies, all from one ``_half_nodes`` evaluation.
+    product on flattened interior vectors, and the product's along
+    coefficients (a_rho, a_theta), all from one ``_half_nodes`` evaluation.
 
-    Each half-node flux of the residual is a slope over W: s_half u_rho / (d_rho W)
-    across a rho half node, u_theta / (d_theta sinh^2 W) across a theta half
-    node, with the other gradient component in W a half-sum of centered
-    differences, so it enters the product with a factor 1/4. The product
-    returns None where it is not finite.
+    Both are divergences of half-node fluxes. The residual's is the slope over
+    W: s_half u_rho / (d_rho W) across a rho half node and
+    u_theta / (d_theta sinh W) across a theta one, with u_theta over sinh as
+    ``_half_nodes`` gives it. The product's is its derivative: a_rho or
+    a_theta times the difference along the half node, plus the other
+    gradient component's, a half-sum of centered differences, with a factor
+    1/4. The product returns None where it is not finite.
     """
     s, s_half = grid.sinh_rho[1:-1, None], grid.sinh_half[:, None]
     d_rho, d_theta = grid.d_rho, grid.d_theta
+    inv_s = 1.0 / s
+
+    def divergence(flux_rho: np.ndarray, flux_theta: np.ndarray) -> np.ndarray:
+        return (flux_rho[1:, :] - flux_rho[:-1, :]) * inv_s + (flux_theta[:, 1:] - flux_theta[:, :-1])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        half_nodes = _half_nodes(grid, u)
-        c_out, c_in, c_east, c_west = _stencil(grid, half_nodes)
-        mid, rows = u[1:-1, :], _padded(u[1:-1, :])
-        q = c_out * (u[2:, :] - mid) + c_in * (u[:-2, :] - mid)
-        q = q + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
-        (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta) = half_nodes
-        along, across = _flux_derivatives(ur_rho, ut_rho, w_rho)
+        (ur_rho, ut_rho, w_rho), (ur_theta, ut_theta, w_theta) = _half_nodes(grid, u)
+        slope, along, across = _slope_over_w(ur_rho, ut_rho, w_rho)
+        flux_rho = slope * (s_half / d_rho)
         a_rho = along * (s_half / d_rho**2)
         b_rho = across * (0.25 / (d_rho * d_theta))
-        along, across = _flux_derivatives(ut_theta, ur_theta, w_theta)
+        slope, along, across = _slope_over_w(ut_theta, ur_theta, w_theta)
+        flux_theta = slope * (inv_s / d_theta)
         a_theta = along * (1.0 / (d_theta * s) ** 2)
         b_theta = across * (0.25 / (d_rho * d_theta * s))
-    inv_s = 1.0 / s
+        residual = divergence(flux_rho, flux_theta) - 2.0 * h
     v = np.zeros_like(u)  # boundary rows stay 0
 
     def product(x: np.ndarray) -> np.ndarray | None:
@@ -229,10 +222,10 @@ def _linearize(grid: PolarGrid, u: np.ndarray, h: float) -> tuple[np.ndarray, Pr
             vr = vp[2:, :] - vp[:-2, :]
             flux_rho = a_rho * (v[1:, :] - v[:-1, :]) + b_rho * (vt[:-1, :] + vt[1:, :])
             flux_theta = a_theta * (vp[1:-1, 1:] - vp[1:-1, :-1]) + b_theta * (vr[:, :-1] + vr[:, 1:])
-            jv = (flux_rho[1:, :] - flux_rho[:-1, :]) * inv_s + (flux_theta[:, 1:] - flux_theta[:, :-1])
+            jv = divergence(flux_rho, flux_theta)
         return jv.ravel() if np.isfinite(jv).all() else None
 
-    return q - 2.0 * h, product, (c_out, c_in, c_east, c_west)
+    return residual, product, (a_rho, a_theta)
 
 
 def cmc_residual(field2d: Field2D, h) -> np.ndarray:
@@ -263,33 +256,39 @@ def _boundary_array(g: BoundaryData, theta: np.ndarray, name: str) -> np.ndarray
     return arr
 
 
-def _preconditioner(grid: PolarGrid, weights: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Inverse of the interior stencil of ``weights``, as ``_stencil`` gives them, averaged over theta.
+def _preconditioner(grid: PolarGrid, coefficients: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Inverse of the Jacobian without cross terms, its along ``coefficients``
+    (a_rho, a_theta) from ``_linearize`` averaged over theta; exact on a
+    theta-independent field, where the cross terms vanish.
 
     Averaged, east and west weigh alike, so Fourier mode k in theta is the
     tridiagonal T0 - lambda_k diag(east) in rho, with T0 the radial part and
     lambda_k = 4 sin^2(k d_theta / 2). With S = diag(sinh rho) the product
     S T0 is symmetric and E = S diag(east) diagonal and positive, so one
-    eigendecomposition Q diag(mu) Q^T of E^-1/2 S T0 E^-1/2 serves every
-    mode: the fast diagonalization method (Lynch, Rice & Thomas, Numer.
-    Math. 6, 1964). An apply scales by sinh(rho) E^-1/2, multiplies by Q^T,
-    divides mode k by mu - lambda_k between rfft and irfft, and multiplies by
-    Q, then by E^-1/2. Returns the solve on flattened interior vectors, or None
-    when the theta weight of a row is 0 or the operator is singular or not
-    finite, as when W overflows.
+    eigendecomposition Q diag(mu) Q^T of E^-1/2 S T0 E^-1/2 serves every mode:
+    the fast diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6,
+    1964). An apply scales by sinh(rho) E^-1/2, multiplies by Q^T, divides
+    mode k by mu - lambda_k between rfft and irfft, and multiplies by Q, then
+    by E^-1/2. Returns the solve on flattened interior vectors, or None when
+    the theta weight of a row is 0 or the operator is singular or not finite,
+    as when W overflows.
     """
     n = grid.n_rho - 2
     shape = (n, grid.n_theta)
-    c_out, c_in, c_east, _ = (w.mean(axis=1) for w in weights)
-    if not np.all(c_east > 0.0):
-        return None
     s = grid.sinh_rho[1:-1]
-    root = np.sqrt(s * c_east)  # E^1/2
+    a_rho, a_theta = coefficients
+    # S T0 has the theta-averaged a_rho as its entries; the theta half nodes
+    # -1/2 and n_theta - 1/2 are one node, so a_theta's mean counts it once
+    flux, east = a_rho.mean(axis=1), a_theta[:, 1:].mean(axis=1)
+    if not np.all(east > 0.0):
+        return None
+    e = s * east
+    root = np.sqrt(e)  # E^1/2
     m = np.zeros((n, n))
     with np.errstate(all="ignore"):
         # eigh reads the lower triangle
-        m.flat[:: n + 1] = -(c_out + c_in) / c_east
-        m.flat[n :: n + 1] = s[1:] * c_in[1:] / (root[1:] * root[:-1])
+        m.flat[:: n + 1] = -(flux[1:] + flux[:-1]) / e
+        m.flat[n :: n + 1] = flux[1:-1] / (root[1:] * root[:-1])
     if not np.all(np.isfinite(m)):
         return None
     mu, q = np.linalg.eigh(m)
@@ -327,7 +326,7 @@ def _scaled_slopes(alpha: np.ndarray, delta: np.ndarray, sign: float, s: float) 
 
 
 def _radial_rows(grid: PolarGrid, h: float, u_a: float, u_b: float) -> np.ndarray | None:
-    """The stencil's theta-independent solution with rows u_a at a and u_b at b,
+    """The residual's theta-independent solution with rows u_a at a and u_b at b,
     at the interior rows; None where the root find fails or ends on an end.
 
     On such a field the theta fluxes vanish, so row i reads
@@ -364,7 +363,7 @@ def _radial_rows(grid: PolarGrid, h: float, u_a: float, u_b: float) -> np.ndarra
 
 
 def _radial_start(grid: PolarGrid, h: float, inner: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, str]:
-    """The linear start plus, on the interior rows, the stencil's radial solution
+    """The linear start plus, on the interior rows, the residual's radial solution
     of the theta-averaged rows (``_radial_rows``) minus its own linear
     interpolant, and the name ``"radial"``.
 
@@ -402,23 +401,22 @@ def solve_dirichlet_2d(
     ``g_inner``/``g_outer`` may be constants, per-theta arrays, or callables of
     theta, and ``grid`` is the node count (n_rho, n_theta). The solve starts
     from the radial start: the linear-in-rho interpolant of the boundary rows
-    plus, on the interior rows, the stencil's radial solution of the rows'
-    theta means (one root find in the conserved discrete flux) less its
-    linear interpolant. It is the interpolant alone when the means' drop is
-    outside the open interval of ``extremal_drops``, the means overflow, or
-    the root find does not converge. One evaluation of the start
-    gives its residual, its Jacobian product and its stencil weights. Where
-    the largest interior residual is already at most ``tol``, as on radial
-    data, the start is returned as it is, with no Newton step. Otherwise
-    Newton-Krylov (``krylov.newton_krylov``, one GMRES cycle on exact
-    Jacobian products per Newton step) runs from it, preconditioned by the
-    inverse of the W-lagged operator at the start with its weights averaged
-    over theta (an FFT in theta, fast diagonalization in rho), until the
-    largest interior residual is at most ``tol``. The report counts the
-    Newton and GMRES steps and the residual evaluations, and keeps the
-    residual at the start and after each Newton step.
-    Raises NonConvergenceError (report and last iterate attached) when that
-    fails within the step cap, an iterate is not finite, or the averaged
+    plus, on the interior rows, the residual's radial solution of the rows'
+    theta means (one root find in the conserved discrete flux) less its linear
+    interpolant. It is the interpolant alone when the means' drop is outside
+    the open interval of ``extremal_drops``, the means overflow, or the root
+    find does not converge. One evaluation of the start gives its residual and
+    its Jacobian product. Where the largest interior residual is already at
+    most ``tol``, as on radial data, the start is returned as it is, with no
+    Newton step. Otherwise Newton-Krylov (``krylov.newton_krylov``, one GMRES
+    cycle on exact Jacobian products per Newton step) runs from it,
+    preconditioned by the inverse of the start's Jacobian without its cross
+    terms and with its coefficients averaged over theta (an FFT in theta, fast
+    diagonalization in rho), until the largest interior residual is at most
+    ``tol``. The report counts the Newton and GMRES steps and the residual
+    evaluations, and keeps the residual at the start and after each Newton
+    step. Raises NonConvergenceError (report and last iterate attached) when
+    that fails within the step cap, an iterate is not finite, or the averaged
     operator is singular (W overflows on data steeper than ~1e154); for inner
     data outside the a-priori envelopes that is the expected outcome.
     """
@@ -445,7 +443,7 @@ def solve_dirichlet_2d(
         return residual.ravel(), product
 
     # one evaluation of the start decides whether to step at all, builds the
-    # preconditioner and seeds Newton: its residual, product and stencil weights
+    # preconditioner from its product's coefficients and seeds Newton
     start_state = list(_linearize(grid, u, h))
     history, krylov_steps = [float(np.abs(start_state[0]).max())], 0
     if not history[0] <= tol:  # nor is a nan residual converged

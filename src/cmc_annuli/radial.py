@@ -156,8 +156,10 @@ def solve_radial(
     """Solve the radial Dirichlet problem u(a) = u_a, u(b) = u_b.
 
     Root-finds the flux constant on the strictly monotone drop over the
-    closed feasible interval. Raises InfeasibleBoundaryError, with the
-    achievable interval attached, when the requested drop lies outside the
+    closed feasible interval, until the drop is within ``tol`` of
+    u_a - u_b; ``tol`` is floored at 4 ulps of u_a - u_b, the closest a drop
+    of that size can be asked to come. Raises InfeasibleBoundaryError, with
+    the achievable interval attached, when the requested drop lies outside the
     open achievable interval, consistent with the a-priori estimates.
     """
     h = check_curvature(h)
@@ -171,6 +173,7 @@ def solve_radial(
     # the bracket is the closed flux interval, so exactly the open drop interval is solvable
     if not d_min < target < d_max:
         raise InfeasibleBoundaryError(target, d_min, d_max)
+    tol = max(tol, 4.0 * math.ulp(target))
     ftol = 0.1 * tol
     graph = min((large, small), key=lambda g: abs(g.rise_at + target))  # the answer if within ftol
     if abs(graph.rise_at + target) > ftol:

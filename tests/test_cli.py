@@ -469,7 +469,7 @@ class TestSolveCommand:
     def test_two_d_file_does_not_depend_on_the_blas_threads(self, tmp_path):
         # the preconditioner's dense products and Newton's norms run on
         # numpy's BLAS, whose partial sums depend on its thread count. These
-        # constant data start at the stencil's own radial solution, whose
+        # constant data start at the residual's own radial solution, whose
         # residual meets tol, so the solve builds no preconditioner, takes no
         # Newton step and reaches no BLAS call: the file cannot depend on the
         # thread count. From a start off by the discretization error, it

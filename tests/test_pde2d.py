@@ -31,6 +31,16 @@ def radial_field(grid, fn):
     return Field2D(grid, np.tile(column[:, None], (1, grid.n_theta)))
 
 
+def averaged_jacobian(grid, u):
+    """The theta means of the Jacobian's along coefficients at u, per interior
+    row: the weights of its outer, inner, east and west neighbours."""
+    from cmc_annuli.pde2d import _linearize
+
+    a_rho, a_theta = _linearize(grid, u, H)[2]
+    flux, s = a_rho.mean(axis=1), grid.sinh_rho[1:-1]
+    return flux[1:] / s, flux[:-1] / s, a_theta[:, 1:].mean(axis=1), a_theta[:, :-1].mean(axis=1)
+
+
 class TestGridAndField:
     def test_grid_nodes(self):
         grid = PolarGrid(ANN, 5, 8)
@@ -96,33 +106,29 @@ class TestDiscreteOperator:
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
         assert errs[1] < 5e-3
 
-    def test_preconditioner_inverts_stencil_on_radial_field(self):
-        # for W independent of theta the theta-averaged preconditioner is the
-        # inverse of the residual's frozen-W stencil with zero boundary rows
-        from cmc_annuli.pde2d import _half_nodes, _padded, _preconditioner, _stencil
+    def test_preconditioner_inverts_the_jacobian_on_radial_field(self):
+        # on a theta-independent field the Jacobian's cross terms vanish, so its
+        # theta average is the Jacobian itself, with zero boundary rows
+        from cmc_annuli.pde2d import _linearize, _preconditioner
 
         grid = PolarGrid(ANN, 12, 10)
         u = radial_field(grid, lambda r: math.sin(3 * r) + r**2).values
-        rng = np.random.default_rng(11)
-        v = np.zeros_like(u)
-        v[1:-1, :] = rng.standard_normal((grid.n_rho - 2, grid.n_theta))
-        c_out, c_in, c_east, c_west = _stencil(grid, _half_nodes(grid, u))
-        mid, rows = v[1:-1, :], _padded(v[1:-1, :])
-        applied = c_out * (v[2:, :] - mid) + c_in * (v[:-2, :] - mid)
-        applied = applied + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)
-        back = _preconditioner(grid, _stencil(grid, _half_nodes(grid, u)))(applied.ravel())
-        assert np.abs(back - mid.ravel()).max() <= 1e-12 * np.abs(mid).max()
+        x = np.random.default_rng(11).standard_normal((grid.n_rho - 2) * grid.n_theta)
+        _, product, coefficients = _linearize(grid, u, H)
+        back = _preconditioner(grid, coefficients)(product(x))
+        assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
 
     @pytest.mark.parametrize("n_rho, n_theta", [(3, 4), (3, 5), (4, 7), (12, 10), (33, 17)])
     def test_preconditioner_matches_dense_averaged_operator(self, n_rho, n_theta):
-        # referee: the theta-averaged stencil assembled on the whole interior
-        # grid, with zero boundary rows, and solved densely
-        from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
+        # referee: the theta-averaged Jacobian, without its cross terms,
+        # assembled on the whole interior grid, with zero boundary rows, and
+        # solved densely
+        from cmc_annuli.pde2d import _linearize, _preconditioner
 
         grid = PolarGrid(ANN, n_rho, n_theta)
         mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
         u = np.sin(3 * mesh_r) + mesh_r**2 + 0.3 * mesh_r * np.cos(mesh_t + 0.4 * np.sin(2 * mesh_t))
-        c_out, c_in, c_east, c_west = (w.mean(axis=1) for w in _stencil(grid, _half_nodes(grid, u)))
+        c_out, c_in, c_east, c_west = averaged_jacobian(grid, u)
         radial = np.diag(-(c_out + c_in)) + np.diag(c_out[:-1], 1) + np.diag(c_in[1:], -1)
         shift = np.roll(np.eye(n_theta), 1, axis=1)  # (shift @ v)[j] = v[j + 1]
         dense = (
@@ -132,7 +138,7 @@ class TestDiscreteOperator:
         )
         r = np.random.default_rng(5).standard_normal((n_rho - 2) * n_theta)
         expected = np.linalg.solve(dense, r)
-        got = _preconditioner(grid, _stencil(grid, _half_nodes(grid, u)))(r)
+        got = _preconditioner(grid, _linearize(grid, u, H)[2])(r)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("rows", ["inner", "all"])
@@ -140,7 +146,7 @@ class TestDiscreteOperator:
         # W overflows to inf and the theta weights to 0, next to the inner
         # row or on every row; the diagonalization scales each row by its
         # theta weight, so it needs all of them positive
-        from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
+        from cmc_annuli.pde2d import _linearize, _preconditioner
 
         grid = PolarGrid(ANN, 12, 10)
         u = np.zeros((12, 10))
@@ -150,41 +156,41 @@ class TestDiscreteOperator:
             u[:] = 1e300 * (grid.rho[:, None] - ANN.b)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert not np.all(_stencil(grid, _half_nodes(grid, u))[2].mean(axis=1) > 0.0)
-            assert _preconditioner(grid, _stencil(grid, _half_nodes(grid, u))) is None
+            assert not np.all(averaged_jacobian(grid, u)[2] > 0.0)
+            assert _preconditioner(grid, _linearize(grid, u, H)[2]) is None
         assert caught == []
 
     def test_preconditioner_is_none_when_the_averaged_operator_is_singular(self):
         # rows alternating +-1.5e308: every rho slope overflows, so every rho
         # weight is 0, while the theta weights stay positive; mode 0 of the
         # averaged operator is then 0, and its inverse not finite
-        from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
+        from cmc_annuli.pde2d import _linearize, _preconditioner
 
         grid = PolarGrid(ANN, 12, 10)
         u = 1.5e308 * (-1.0) ** np.arange(12)[:, None] * np.ones((1, 10))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            c_out, c_in, c_east, _ = _stencil(grid, _half_nodes(grid, u))
+            c_out, c_in, c_east, _ = averaged_jacobian(grid, u)
             assert not c_out.any() and not c_in.any() and np.all(c_east > 0.0)
-            assert _preconditioner(grid, _stencil(grid, _half_nodes(grid, u))) is None
+            assert _preconditioner(grid, _linearize(grid, u, H)[2]) is None
         assert caught == []
 
     def test_preconditioner_is_none_when_its_weights_overflow(self):
-        # on an annulus of radius 1e-160 the stencil's weights themselves
+        # on an annulus of radius 1e-160 the Jacobian's weights themselves
         # overflow to inf, so the theta weights pass the positivity check and
         # the scaled operator is inf / inf. numpy warns on that overflow, which
         # this test does not check. The solve never gets here: ``Annulus``
         # rejects inner radii below 1e-70, so the grid takes a stand-in
         from types import SimpleNamespace
 
-        from cmc_annuli.pde2d import _half_nodes, _preconditioner, _stencil
+        from cmc_annuli.pde2d import _linearize, _preconditioner
 
         grid = PolarGrid(SimpleNamespace(a=1e-160, b=2e-160), 5, 4)
         u = np.zeros((5, 4))
         with np.errstate(over="ignore", divide="ignore"):
-            c_east = _stencil(grid, _half_nodes(grid, u))[2]
+            c_east = averaged_jacobian(grid, u)[2]
             assert np.all(c_east > 0.0) and not np.isfinite(c_east).any()
-            assert _preconditioner(grid, _stencil(grid, _half_nodes(grid, u))) is None
+            assert _preconditioner(grid, _linearize(grid, u, H)[2]) is None
 
     @pytest.mark.parametrize("scale", [1.0, 30.0])
     @pytest.mark.parametrize("n_rho, n_theta", [(3, 4), (12, 10), (20, 16)])
@@ -282,7 +288,7 @@ class TestSolver:
 
     @pytest.mark.parametrize("u_a, amplitude, k", [(0.1, 0.05, 3), (0.3, 0.1, 5)])
     def test_second_order_on_wavy_data(self, u_a, amplitude, k):
-        # the theta part of the stencil and the cross terms of the Jacobian
+        # the theta fluxes of the residual and the cross terms of the Jacobian
         # enter here, unlike on radial data; measured 1.991, 1.998 and 1.939, 1.965
         orders = self.observed_orders(u_a, lambda theta: amplitude * np.cos(k * theta))
         assert orders == pytest.approx([2.0, 2.0], abs=0.2)
@@ -351,7 +357,7 @@ class TestSolver:
     )
     def test_overflowing_data_fails_without_warnings(self, u_a, u_b):
         # W overflows on the starting interpolant (1e160 and up), so the
-        # frozen-W operator is singular, or nearly does so (1e154); at the
+        # averaged Jacobian is singular, or nearly does so (1e154); at the
         # float limit the differences of the data overflow too. The solve
         # reports that and prints nothing
         with warnings.catch_warnings(record=True) as caught:
@@ -410,7 +416,7 @@ class TestSolver:
     def test_each_iterate_is_evaluated_once(self, monkeypatch):
         # one half-node evaluation gives a trial's residual and its Jacobian
         # product, and the start's also builds the preconditioner; the field is
-        # wrapped once, at the end. Near the upper envelope the line search
+        # wrapped once, at the end. Above the upper envelope the line search
         # backtracks, so trials outnumber Newton steps
         from cmc_annuli import pde2d
 
@@ -473,7 +479,7 @@ class TestSolver:
         assert report.residual_evaluations == report.iterations + 1
 
     def test_radial_start_on_radial_data(self, monkeypatch):
-        # the same rung from the radial start: the start is the stencil's own
+        # the same rung from the radial start: the start is the residual's own
         # radial solution up to rounding, so it meets the tolerance and the
         # solve takes no Newton step
         steps = self.gmres_steps(monkeypatch)
@@ -482,6 +488,13 @@ class TestSolver:
         assert report.iterations == 0
         assert steps == []
         assert report.residual_evaluations == 1
+
+    def test_wavy_gmres_steps_do_not_grow_with_the_grid(self):
+        # grid-2d's wavy data: the theta-averaged Jacobian preconditions the
+        # Newton steps alike on every grid, measured 8 GMRES steps in 3
+        reports = [solve_dirichlet_2d(H, ANN, 0.1, wavy, grid=(n, n))[1] for n in (32, 64, 128)]
+        assert [report.iterations for report in reports] == [3, 3, 3]
+        assert len({report.krylov_iterations for report in reports}) == 1
 
     def test_far_annulus_at_half_converges_from_the_discrete_start(self):
         # h = 1/2 on (10, 11) with data in the middle of the drop interval
@@ -506,7 +519,7 @@ class TestStart:
     @pytest.mark.parametrize("u_a, outer", [(0.1, 0.0), (0.1, wavy), (0.4, wavy), (-1.3, 0.0)],
                              ids=["radial", "wavy", "inconclusive", "dipping"])
     def test_answer_does_not_depend_on_the_start(self, n, u_a, outer, monkeypatch):
-        # measured at most 4.1e-11 (u(a) = 0.4 at 128^2)
+        # measured at most 1.5e-11
         from cmc_annuli import pde2d
 
         tol = 1e-8
@@ -588,7 +601,7 @@ class TestStart:
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
     @pytest.mark.parametrize("data", ["benchmark", 1e-6, 0.999999])
     def test_start_is_the_discrete_radial_solution(self, n, data, monkeypatch):
-        # on theta-independent data the start solves the stencil up to rounding
+        # on theta-independent data the start solves the residual up to rounding
         # (measured at most 3.5e-11, at 256^2), Newton leaves it where it is,
         # and the flux root find takes 11-16 evaluations, the middle and the
         # end of the flux interval included
@@ -694,24 +707,16 @@ class TestNewtonKrylov:
     @pytest.mark.parametrize("rtol", [1e-6, 1e-14])
     def test_gmres_cycle_matches_scipy(self, rtol):
         linalg = pytest.importorskip("scipy.sparse.linalg")
-        from cmc_annuli.pde2d import _half_nodes, _padded, _preconditioner, _stencil
+        from cmc_annuli.pde2d import _linearize, _preconditioner
 
-        # the frozen-W stencil of wavy data, preconditioned by its theta average;
-        # rtol = 1e-6 takes 9 steps, 1e-14 stops at the cycle's 20
+        # the Jacobian of wavy data, preconditioned by its theta average;
+        # rtol = 1e-6 takes 10 steps, 1e-14 stops at the cycle's 20
         grid = PolarGrid(ANN, 12, 10)
         mesh_r, mesh_t = np.meshgrid(grid.rho, grid.theta, indexing="ij")
-        u = 0.3 * mesh_r + np.cos(2 * mesh_t) * np.sin(3 * mesh_r)
-        c_out, c_in, c_east, c_west = _stencil(grid, _half_nodes(grid, u))
+        u = 0.3 * mesh_r + 0.3 * np.cos(2 * mesh_t) * np.sin(3 * mesh_r)
         shape = (grid.n_rho - 2, grid.n_theta)
-
-        def apply(x):
-            v = np.zeros_like(u)
-            v[1:-1, :] = x.reshape(shape)
-            mid, rows = v[1:-1, :], _padded(v[1:-1, :])
-            out = c_out * (v[2:, :] - mid) + c_in * (v[:-2, :] - mid)
-            return (out + c_east * (rows[:, 2:] - mid) + c_west * (rows[:, :-2] - mid)).ravel()
-
-        psolve = _preconditioner(grid, _stencil(grid, _half_nodes(grid, u)))
+        _, apply, coefficients = _linearize(grid, u, H)
+        psolve = _preconditioner(grid, coefficients)
         b = np.random.default_rng(7).standard_normal(shape).ravel()
         x, steps = gmres(apply, b, psolve, rtol)
 
@@ -832,11 +837,10 @@ class TestNewtonKrylov:
 
     @staticmethod
     def steep_wavy_case():
-        # near the upper envelope: the line search backtracks twice
-        ann = Annulus(1.2, 2.0)
-        box = bounding_box(0.45, ann, OuterBoundaryData(-0.1, 0.1))
-        level = box.lower.value(ann.a) + 0.98 * (box.upper.value(ann.a) - box.lower.value(ann.a))
-        return 0.45, ann, lambda t: level + 0.02 * math.cos(2 * t), lambda t: 0.1 * math.cos(5 * t)
+        # ROADMAP item 8's wavy outer row with u(a) = 0.6, above d_max = 0.421:
+        # the solve starts from the linear interpolant, and on 32^2 its line
+        # search takes 20 trials for 15 Newton steps
+        return H, ANN, 0.6, lambda t: 0.05 * math.cos(3 * t)
 
     @staticmethod
     def wavy_case():

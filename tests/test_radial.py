@@ -337,30 +337,50 @@ class TestSolveRadial:
     def test_far_annuli_at_half_solve(self, a):
         # at h = 1/2 small(a) = e^-a, and the root of a target in the interval
         # can lie closer to that end than an ulp of C; the slack from the end
-        # resolves it. A tolerance of a few ulps of the target keeps each
-        # target within what its float can meet: drops reach 1e43 at a = 99
+        # resolves it. Drops reach 1e43 at a = 99, and the default tolerance,
+        # floored at 4 ulps of the target, stays within what its float can meet
         for width in (0.01, 0.1, 1.0):
             annulus = Annulus(a, a + width)
             drops = extremal_drops(0.5, annulus)
             for fraction in (0.01, 0.15, 0.5, 0.85, 0.99):
                 target = drops.d_min + fraction * (drops.d_max - drops.d_min)
-                tol = max(DEFAULT_TOL, 4.0 * math.ulp(target))
-                solution = solve_radial(0.5, annulus, target, 0.0, tol=tol)
-                assert abs(solution.evaluator.value(a) - target) <= tol
+                solution = solve_radial(0.5, annulus, target, 0.0)
+                assert abs(solution.evaluator.value(a) - target) <= max(DEFAULT_TOL, 4.0 * math.ulp(target))
                 assert solution.evaluator.value(a + width) == 0.0
 
-    def test_stall_message_gives_an_ulp_of_the_target(self):
-        # a tolerance below float resolution reads as such
-        with pytest.raises(NonConvergenceError, match=r"one ulp of the target is 1\.38778e-17\)"):
-            solve_radial(0.4, Annulus(0.5, 2.0), 0.1, 0.0, tol=1e-17)
+    def test_solvable_data_solve_at_the_default_tolerance(self):
+        # ROADMAP item 23's scan: every target strictly inside the drop
+        # interval solves, on both sides of h = 1/2 and out to a = 99; without
+        # the floor of the tolerance at 4 ulps of the target, 62 of these
+        # solves stalled within 2 ulps of it
+        solves = 0
+        for h in (0.5, 0.5 - 1e-12, 0.4999, 0.4, 0.05):
+            for a in (0.5, 1.0, 2.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 70.0, 99.0):
+                for width in (0.01, 0.1, 1.0):
+                    annulus = Annulus(a, a + width)
+                    drops = extremal_drops(h, annulus)
+                    fractions = (0.01, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.99)
+                    targets = [drops.d_min + f * (drops.d_max - drops.d_min) for f in fractions]
+                    for target in targets + ([0.0] if drops.d_min < 0.0 < drops.d_max else []):
+                        solution = solve_radial(h, annulus, target, 0.0)
+                        assert abs(solution.evaluator.value(a) - target) <= max(DEFAULT_TOL, 4.0 * math.ulp(target))
+                        solves += 1
+        assert solves == 1755
 
-    def test_tolerance_below_an_ulp_of_the_drop_stalls(self):
-        # 1e-17 is below an ulp of the drop 0.1, so no graph meets it: false
-        # position stops when its secant point rounds onto an end of the
-        # bracket, and the solve reports the residual kept there
-        match = r"stalled: drop residual -2\.77556e-17 exceeds tolerance 1e-17"
+    def test_stall_message_gives_an_ulp_of_the_target(self, monkeypatch):
+        # a root find that stops short, here on the middle of the flux
+        # interval, is reported with the floored tolerance and an ulp of the
+        # target
+        monkeypatch.setattr(radial, "_false_position", lambda f, x0, f0, x1, f1, ftol: (x1, f1))
+        match = r"exceeds tolerance 5\.55112e-17 \(one ulp of the target is 1\.38778e-17\)"
         with pytest.raises(NonConvergenceError, match=match):
             solve_radial(0.4, Annulus(0.5, 2.0), 0.1, 0.0, tol=1e-17)
+
+    def test_tolerance_below_an_ulp_of_the_drop_is_floored(self):
+        # 1e-17 is below an ulp of the drop 0.1, so no graph could meet it; the
+        # tolerance is floored at 4 ulps of the target, and the solve meets that
+        solution = solve_radial(0.4, Annulus(0.5, 2.0), 0.1, 0.0, tol=1e-17)
+        assert abs(solution.evaluator.value(0.5) - 0.1) <= 4.0 * math.ulp(0.1)
 
 
 class TestFalsePosition:
