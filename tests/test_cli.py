@@ -2,7 +2,9 @@ import inspect
 import json
 import math
 import os
+import random
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -10,9 +12,20 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from cmc_annuli import boundary_radius, cli, height, param_large
+from cmc_annuli import (
+    Annulus,
+    OuterBoundaryData,
+    boundary_radius,
+    bounding_box,
+    cli,
+    euclidean_to_hyperbolic,
+    height,
+    param_large,
+    solve_radial,
+)
 from cmc_annuli.cli import main
 from cmc_annuli.svgfig import family_figure
 
@@ -31,6 +44,12 @@ def read_csv(path):
     return header, rows
 
 
+def per_field_csv(header, *columns):
+    """The CSV text written field by field: each value as f"{v:.17g}", a NaN as an empty field."""
+    rows = (",".join("" if math.isnan(v) else f"{v:.17g}" for v in row) for row in zip(*columns))
+    return "".join(line + "\n" for line in (header, *rows))
+
+
 def polylines(path):
     root = ET.parse(path).getroot()
     out = []
@@ -38,6 +57,33 @@ def polylines(path):
         points = [tuple(map(float, pair.split(","))) for pair in node.attrib["points"].split()]
         out.append((node.attrib.get("data-label", ""), points))
     return out
+
+
+class TestWriteCsv:
+    """One format over a whole row writes the bytes of the field-by-field format."""
+
+    SPECIAL = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.8e308, -1.8e308, 1.0, 0.1]
+
+    def test_rows_match_per_field_formatting(self, tmp_path):
+        rng = random.Random(20)
+        bits = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(3000)]
+        first = self.SPECIAL * 30 + bits  # random bit patterns hold NaNs of every payload
+        second = first[::-1]
+        third = [rng.choice(self.SPECIAL) if rng.random() < 0.1 else rng.uniform(-1e3, 1e3) for _ in first]
+        out = tmp_path / "table.csv"
+        for columns in ((first, second, third), (np.array(first), second, np.array(third)), (first,)):
+            header = ",".join("xyz"[: len(columns)])
+            cli._write_csv(str(out), header, *columns)
+            assert out.read_text() == per_field_csv(header, *columns)
+
+    def test_bounds_lower_column_of_nans(self, capsys, tmp_path):
+        out = tmp_path / "bounds.csv"
+        code, _, _ = run(capsys, "bounds", "--h", "0.4", "--a", "1.2", "--b", "2", "--m", "0", "--M", "0.5",
+                         "--n", "33", "--out", str(out))
+        assert code == 0
+        table = bounding_box(0.4, Annulus(1.2, 2.0), OuterBoundaryData(0.0, 0.5)).sample(33)
+        assert np.isnan(table[:, 1]).all()
+        assert out.read_text() == per_field_csv("rho,lower,upper", *table.T)
 
 
 class TestProfileCommand:
@@ -376,6 +422,27 @@ class TestSolveCommand:
         assert header == ["rho", "u"]
         assert float(rows[0][1]) == pytest.approx(0.1, abs=1e-9)
         assert float(rows[-1][1]) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 256])
+    @pytest.mark.parametrize(
+        "h, a, b, u_a, flags",
+        [(0.4, 0.5, 1.5, 0.1, []), (0.3, 0.2, 0.7, 0.05, ["--euclidean"]), (0.5, 10.0, 11.0, -14000.0, [])],
+        ids=["hyperbolic", "euclidean", "far-annulus-at-half"],
+    )
+    def test_radial_table_is_linspace_at_point_values(self, capsys, tmp_path, n, h, a, b, u_a, flags):
+        # the table is built on floats: its radii are np.linspace(a, b, n) and
+        # its heights the evaluator's at each radius, both bit for bit
+        out = tmp_path / "radial.csv"
+        code, _, _ = run(capsys, "solve", "--h", repr(h), "--a", repr(a), "--b", repr(b), "--u-a", repr(u_a),
+                         "--u-b", "0", "--n", str(n), *flags, "--out", str(out))
+        assert code == 0
+        if flags:
+            a, b = euclidean_to_hyperbolic(a), euclidean_to_hyperbolic(b)
+        evaluator = solve_radial(h, Annulus(a, b), u_a, 0.0).evaluator
+        _, rows = read_csv(out)
+        radii = np.linspace(a, b, n).tolist()
+        assert [float(rho).hex() for rho, _ in rows] == [rho.hex() for rho in radii]
+        assert [float(u).hex() for _, u in rows] == [evaluator.value(rho).hex() for rho in radii]
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_radial_table_needs_two_rows(self, capsys, tmp_path, n):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cmc_annuli import (
     Annulus,
+    HeightProfile,
     InfeasibleBoundaryError,
     InfeasibleFluxError,
     OuterBoundaryData,
@@ -499,6 +500,57 @@ class TestValueDispatch:
         np.testing.assert_array_equal(slopes[vertical], points[vertical])
         finite = ~vertical
         assert np.all(np.abs(slopes[finite] - points[finite]) <= 4 * np.spacing(size[finite]))
+
+
+#: float and array values differ by at most this many ulps of 1 and the graph's
+#: largest |value| at the radius or an end of its domain; a sweep of 2,600
+#: graphs of each kind, 321 radii each, read at most 16
+VALUE_ULPS = 32
+
+
+@st.composite
+def graphs(draw):
+    """(graph, lo, hi): a radial solution, an envelope or a profile, and its domain."""
+    h = draw(st.just(0.5) | st.floats(1e-3, 0.5))
+    kind = draw(st.sampled_from(["radial", "upper", "lower", "profile"]))
+    if kind == "profile":
+        alpha = draw(st.floats(1e-3, 30.0))
+        lo = boundary_radius(h, alpha)
+        hi = lo + draw(st.floats(0.01, 4.0))
+        return HeightProfile(h, alpha).as_radial_function(hi), lo, hi
+    a = 10.0 ** draw(st.floats(-70.0, 1.5))
+    b = a + draw(st.floats(1e-4, 5.0))
+    annulus, u_b = Annulus(a, b), draw(st.floats(-2.0, 2.0))
+    if kind == "upper":
+        return upper_envelope(h, annulus, u_b), a, b
+    if kind == "lower":
+        assume(h == 0.5 or a < math.atanh(2 * h))
+        return lower_envelope(h, annulus, u_b), a, b
+    drops = extremal_drops(h, annulus)
+    u_a = u_b + drops.d_min + draw(st.floats(1e-6, 1.0 - 1e-6)) * (drops.d_max - drops.d_min)
+    assume(drops.d_min < u_a - u_b < drops.d_max)
+    return solve_radial(h, annulus, u_a, u_b).evaluator, a, b
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs())
+def test_array_and_point_values_agree_to_rounding(case):
+    """The array pass and the point path differ in the last bits, not more.
+
+    The array Carlson loop (``carlson.rf_rj``) runs until its slowest element
+    converges, so an element takes more duplication steps than on the point
+    path, and numpy's cosh and expm1 may round otherwise than the C
+    library's. A value is top - (rise to ``at`` - rise to rho), so the
+    rounding of the rises is relative to the graph's largest |value|, which
+    next to ``at`` can far exceed |value| there: measured against
+    max(1, |value|) alone the sweep read up to 7,590 ulps.
+    """
+    graph, lo, hi = case
+    radii = np.linspace(lo, hi, 129)
+    points = np.array([graph.value(rho) for rho in radii.tolist()])
+    size = np.maximum(np.abs(points), max(1.0, abs(graph.value(lo)), abs(graph.value(hi))))
+    gap = np.abs(graph.value(radii) - points)
+    assert (gap <= VALUE_ULPS * np.finfo(float).eps * size).all(), (gap / size).max()
 
 
 _ANN = Annulus(0.5, 2.0)
