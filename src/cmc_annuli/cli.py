@@ -26,6 +26,7 @@ from .estimates import Annulus, OuterBoundaryData, bounding_box, dirichlet_feasi
 from .hyperbolic import euclidean_to_hyperbolic
 from .profiles import _check_count, param_large, param_small, sample_profile
 from .radial import solve_radial
+from .svgfig import box_figure, family_figure
 
 if TYPE_CHECKING:
     from .pde2d import SolverReport
@@ -153,18 +154,14 @@ def _write_csv(path: str, header: str, *columns: Iterable[float]) -> None:
     """Write the columns side by side, each value as ``_FIELD`` and a NaN as an empty field.
 
     An array column is read as Python floats (``tolist``), and a row is one
-    ``%`` over its whole line; a row holding a NaN, which alone formats as
-    ``nan``, is written again field by field.
+    ``%`` over its whole line. Every NaN formats as ``nan`` and no other
+    float's digits hold it, so one replace empties the NaN fields.
     """
     columns = [column.tolist() if hasattr(column, "tolist") else column for column in columns]
     line = ",".join([_FIELD] * len(columns)) + "\n"
+    body = "".join([line % row for row in zip(*columns)])
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            text = line % row
-            if "nan" in text:
-                text = ",".join("" if math.isnan(v) else _FIELD % v for v in row) + "\n"
-            fh.write(text)
+        fh.write(header + "\n" + body.replace("nan", ""))
 
 
 def _print_json(payload: dict) -> None:
@@ -296,9 +293,6 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def _cmd_figure(ns: argparse.Namespace) -> int:
-    # imported here: no other command draws, and loading it costs 1.4-2.3 ms
-    from .svgfig import box_figure, family_figure
-
     if ns.which == "family":
         if ns.alphas is None:
             raise ValueError("figure family requires --alphas")

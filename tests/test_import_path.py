@@ -3,11 +3,11 @@
 Point queries run on the standard library alone: importing the package and
 its CLI, a ``check`` verdict, every radial solve (its table included, or its
 exit 3), and the library's slopes, heights, envelopes and radial solutions at
-single radii load no numpy, and no command but ``figure`` loads ``svgfig``.
-numpy loads with a ``profile`` or ``bounds`` table, a figure, a 2D solve and
-the library's first array, and no command or first use loads scipy. Each
-check runs in a fresh interpreter, since this test session has numpy and
-scipy loaded already (the tests use scipy as a reference).
+single radii load no numpy. numpy loads with a ``profile`` or ``bounds``
+table, a figure, a 2D solve and the library's first array, and no command or
+first use loads scipy. Each check runs in a fresh interpreter, since this
+test session has numpy and scipy loaded already (the tests use scipy as a
+reference).
 """
 
 import dataclasses
@@ -31,15 +31,13 @@ def _run(code: str, tmp_path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def _loaded(*packages: str) -> str:
-    """Code printing, as a JSON list, the loaded modules that are one of packages or inside one."""
-    return (f"print(json.dumps(sorted(m for m in sys.modules "
-            f"if any(m == p or m.startswith(p + '.') for p in {packages!r}))))")
+def _loaded(package: str) -> str:
+    """Code printing, as a JSON list, the loaded modules of one top-level package."""
+    return f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
 
 
 _SCIPY_LOADED = _loaded("scipy")
 _NUMPY_LOADED = _loaded("numpy")
-_POINT_PATH_LOADED = _loaded("numpy", "cmc_annuli.svgfig")
 
 
 def test_package_and_cli_import_without_scipy(tmp_path):
@@ -71,7 +69,7 @@ def test_light_commands_run_without_scipy(tmp_path, argv):
 
 
 def test_package_and_cli_import_without_numpy(tmp_path):
-    proc = _run(f"import json, sys\nimport cmc_annuli, cmc_annuli.cli\n{_POINT_PATH_LOADED}", tmp_path)
+    proc = _run(f"import json, sys\nimport cmc_annuli, cmc_annuli.cli\n{_NUMPY_LOADED}", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
 
@@ -92,7 +90,7 @@ _ANNULUS = ["--h", "0.4", "--a", "0.5", "--b", "2"]
 def test_point_queries_run_without_numpy(tmp_path, argv, exit_code):
     (tmp_path / "inner.csv").write_text("theta,u\n0,4.5\n1.5,5\n3,4.75\n")
     (tmp_path / "outer.csv").write_text("theta,u\n0,-0.25\n3,0.25\n")
-    code = f"import json, sys\nfrom cmc_annuli.cli import main\nassert main({argv!r}) == {exit_code}\n{_POINT_PATH_LOADED}"
+    code = f"import json, sys\nfrom cmc_annuli.cli import main\nassert main({argv!r}) == {exit_code}\n{_NUMPY_LOADED}"
     proc = _run(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
